@@ -332,6 +332,19 @@ def expected_lsop_length(psi) -> int:
     return 0 if d is None else d + 1
 
 
+@lru_cache(maxsize=16)
+def _maximal_columns(psi: RelativeComplex) -> tuple[tuple[int, ...], ...]:
+    """Vertex positions of each nonempty maximal face of Psi.
+
+    The O(F^2) scan runs once per complex, not once per Theta draw of
+    sample_lsop. The faces keep the iteration order of psi.faces(), the
+    order in which the certificate checks them.
+    """
+    faces = psi.faces()
+    maximal = [f for f in faces if not any(f != g and f & g == f for g in faces)]
+    return tuple(cols for cols in map(_bit_positions, maximal) if cols)
+
+
 def lsop_certificate(psi, forms, field: PrimeField) -> bool:
     """Exact finiteness test: Theta restricted to every maximal face has full rank.
 
@@ -343,12 +356,7 @@ def lsop_certificate(psi, forms, field: PrimeField) -> bool:
     psi = as_relative(psi)
     nverts = len(psi.delta.labels)
     arr = np.array([list(f) for f in forms], dtype=np.int64).reshape(len(forms), nverts)
-    faces = psi.faces()
-    maximal = [f for f in faces if not any(f != g and f & g == f for g in faces)]
-    for f in maximal:
-        cols = _bit_positions(f)
-        if not cols:
-            continue
+    for cols in _maximal_columns(psi):
         if arr.shape[0] == 0 or rank(arr[:, cols], field.p) < len(cols):
             return False
     return True

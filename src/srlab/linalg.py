@@ -1,9 +1,31 @@
 """Exact linear algebra over a prime field F_p.
 
-Matrices are dense numpy int64 arrays with entries reduced into [0, p).
+Matrices are dense numpy int64 arrays. Inputs may hold unreduced entries
+(the -1 signs of a coboundary, say); every result has entries in [0, p).
 The modulus is capped at 2^31 - 1 so that a single multiply-accumulate
 step of Gaussian elimination stays inside int64; matrix products use a
 16-bit split so the accumulated dot products are exact as well.
+
+Elimination runs in one of three regimes, chosen from the input's shape
+and fill:
+
+- list path: ``rank`` of a matrix with at most ``_TINY_CELLS`` entries
+  eliminates on Python ints, where numpy's per-call cost would dominate;
+  the l.s.o.p. certificate's checks are nearly all this small;
+- dense path: ``_eliminate`` scans columns left to right with a frozen
+  pivot order and updates the rows below (or, reduced, around) each pivot
+  as one slice ``m[targets, c:]``;
+- sparse path: ``rank`` of a matrix with more than 250,000 cells, under
+  1/20 of them nonzero, pivots greedily for low fill in ``_sparse_rank``.
+
+Rank does not depend on the pivot order, and the reduced row echelon form
+of a matrix is unique, so ``rref`` and ``kernel_basis`` return the same
+arrays however the kernel is written; the frozen order pins down only the
+unreduced echelon form.
+
+No entry point mutates its argument: each works on one reduced copy made
+per call. Callers rely on this, since the cached multiplication matrices
+of ``facering`` are shared arrays.
 
 Everything downstream (cohomology, Hilbert functions, Koszul and
 partition homology, pairing ranks) reduces to rank/kernel computations
@@ -20,6 +42,10 @@ DEFAULT_PRIME = 2147483647  # 2^31 - 1
 
 # Largest modulus for which (p-1) + (p-1)^2 < 2^63 holds with room to spare.
 MAX_PRIME = 2147483647
+
+# Up to this many cells, rank() eliminates on Python ints: below it a numpy
+# call costs more than the arithmetic it performs.
+_TINY_CELLS = 64
 
 
 class LinAlgError(ValueError):
@@ -68,20 +94,6 @@ class PrimeField:
         return hash(("PrimeField", self.p))
 
 
-def field_inverse(a: int, field: PrimeField) -> int:
-    return field.inverse(a)
-
-
-def as_matrix(entries, rows: int | None = None, cols: int | None = None, p: int = DEFAULT_PRIME) -> np.ndarray:
-    """Coerce to an int64 matrix reduced mod p. Empty shapes allowed."""
-    m = np.array(entries, dtype=np.int64)
-    if m.ndim == 1:
-        m = m.reshape(1, -1) if m.size else m.reshape(0, 0)
-    if rows is not None and cols is not None:
-        m = m.reshape(rows, cols)
-    return m % p
-
-
 def zeros(rows: int, cols: int) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.int64)
 
@@ -111,13 +123,17 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _eliminate(m: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form with a frozen pivot order.
+    """Row echelon form (reduced if asked) and pivot columns; the dense regime.
 
     Columns are scanned left to right and the first nonzero row at or
-    below the cursor is used as pivot; this fixed order is what makes
-    coset representatives reproducible across runs.
+    below the cursor is used as pivot. This frozen order fixes the
+    unreduced echelon form; the reduced form is unique whatever the order,
+    so ``rref`` output and the coset representatives read off it do not
+    depend on it. Each pivot clears its column in one slice update of the
+    rows ``m[targets, c:]``. The input is not modified: the working array
+    is the one copy that reducing it mod p makes.
     """
-    m = np.array(m, dtype=np.int64, copy=True) % p
+    m = np.asarray(m, dtype=np.int64) % p
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
@@ -136,20 +152,43 @@ def _eliminate(m: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[i
             targets = np.nonzero(m[:, c])[0]
             targets = targets[targets != r]
         else:
-            targets = r + 1 + np.nonzero(m[r + 1:, c])[0]
+            # the swap moved a row that is zero in column c to i
+            targets = r + nz[1:]
         if targets.size:
-            factors = m[targets, c][:, None]
-            m[np.ix_(targets, range(c, cols))] = (
-                m[np.ix_(targets, range(c, cols))] - factors * m[r, c:][None, :]
-            ) % p
+            m[targets, c:] = (m[targets, c:] - m[targets, c][:, None] * m[r, c:]) % p
         pivots.append(c)
         r += 1
     return m, pivots
 
 
+def _list_rank(rows: list[list[int]], p: int) -> int:
+    """Rank by Gaussian elimination on Python ints; the list regime for tiny matrices."""
+    rows = [[x % p for x in row] for row in rows]
+    n = len(rows)
+    r = 0
+    for c in range(len(rows[0])):
+        for i in range(r, n):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        piv = rows[i]
+        rows[i], rows[r] = rows[r], piv
+        inv = pow(piv[c], -1, p)
+        for j in range(r + 1, n):
+            f = rows[j][c]
+            if f:
+                f = f * inv % p
+                rows[j] = [(a - f * b) % p for a, b in zip(rows[j], piv)]
+        r += 1
+        if r == n:
+            break
+    return r
+
+
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns."""
-    return _eliminate(np.asarray(m, dtype=np.int64), p, reduced=True)
+    return _eliminate(m, p, reduced=True)
 
 
 def _sparse_rank(m: np.ndarray, p: int) -> int:
@@ -161,7 +200,7 @@ def _sparse_rank(m: np.ndarray, p: int) -> int:
     nonzero-count vectors. If fill-in densifies the active block anyway,
     the leftover submatrix is handed to the frozen-order eliminator.
     """
-    m = np.array(m, dtype=np.int64, copy=True) % p
+    m = np.asarray(m, dtype=np.int64) % p
     rows, cols = m.shape
     rowmask = np.ones(rows, dtype=bool)
     colmask = np.ones(cols, dtype=bool)
@@ -210,6 +249,8 @@ def rank(m: np.ndarray, p: int) -> int:
     # Eliminating along the shorter axis is faster and rank is transpose-invariant.
     if m.shape[1] > m.shape[0]:
         m = m.T
+    if m.size <= _TINY_CELLS:
+        return _list_rank(m.tolist(), p)
     nnz = np.count_nonzero(m)
     if m.size > 250_000 and nnz * 20 < m.size:
         return _sparse_rank(m, p)
@@ -226,13 +267,11 @@ def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
     if rows == 0:
         return identity(cols)
     red, pivots = _eliminate(m, p, reduced=True)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[f, k] = 1
-        for r, c in enumerate(pivots):
-            if c < f:
-                basis[c, k] = (-int(red[r, f])) % p
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((cols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    # Row r of an RREF is zero left of its pivot, so this sets only pivots c < f.
+    basis[pivots, :] = -red[:len(pivots), free] % p
     return basis
 
 
@@ -283,8 +322,3 @@ class ChainComplexSpec:
             if out[i] < 0:
                 raise LinAlgError(f"negative homology dimension at index {i}: invalid complex")
         return out
-
-
-def chain_homology_dims(c: ChainComplexSpec) -> dict[int, int]:
-    """dim H^i = dims[i] - rank d^i - rank d^{i-1}, per index."""
-    return c.homology_dims()

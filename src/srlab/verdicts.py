@@ -24,7 +24,6 @@ from .duality import (
     DualityError,
     build_B,
     manifold_sanity_check,
-    pairing_rank,
     poincare_duality_report,
 )
 from .facering import (

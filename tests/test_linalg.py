@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srlab import linalg
+from srlab.complexes import builtin_complex
+from srlab.facering import _mult_matrix
 from srlab.linalg import (
     ChainComplexSpec,
     DEFAULT_PRIME,
     LinAlgError,
     PrimeField,
+    _TINY_CELLS,
     _eliminate,
     _sparse_rank,
     identity,
@@ -150,3 +154,117 @@ def test_chain_complex_shape_mismatch():
     with pytest.raises(LinAlgError):
         ChainComplexSpec({0: 2, 1: 2}, {0: np.zeros((3, 2), dtype=np.int64)},
                          PrimeField(5))
+
+
+def _oracle_rref(m, p):
+    """Gauss-Jordan over Python ints, rows held as {column: value} dicts."""
+    rows = [{j: x % p for j, x in enumerate(row) if x % p} for row in m.tolist()]
+    pivots = []
+    for c in range(m.shape[1]):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if c in rows[i]), None)
+        if i is None:
+            continue
+        inv = pow(rows[i][c], -1, p)
+        piv = {j: v * inv % p for j, v in rows[i].items()}
+        rows[i] = rows[r]
+        rows[r] = piv
+        for k, row in enumerate(rows):
+            if k == r or c not in row:
+                continue
+            f = row[c]
+            for j, v in piv.items():
+                x = (row.get(j, 0) - f * v) % p
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+        pivots.append(c)
+    dense = [[row.get(j, 0) for j in range(m.shape[1])] for row in rows]
+    return dense, pivots
+
+
+def _random_matrix(rng, shape, p, density):
+    """Entries drawn from [-p, 2p), so the kernel has to reduce them."""
+    m = rng.integers(-p, 2 * p, size=shape, dtype=np.int64)
+    return m * (rng.random(shape) < density)
+
+
+def _low_rank_matrix(rng, shape, p, density, k):
+    """Every row a multiple of one of k random rows: rank <= k, many parallel rows."""
+    basis = _random_matrix(rng, (k, shape[1]), p, density)
+    pick = rng.integers(0, k, size=shape[0])
+    return basis[pick] * rng.integers(1, p, size=(shape[0], 1), dtype=np.int64) % p
+
+
+# (shape, density, rank cap or None, regime rank() must take). rank()
+# eliminates along the shorter axis, so a wide shape is transposed first.
+KERNEL_CASES = [
+    ((8, 8), 0.7, None, "list"),        # exactly _TINY_CELLS
+    ((8, 8), 0.2, None, "list"),
+    ((4, 16), 0.7, None, "list"),
+    ((16, 4), 0.7, None, "list"),
+    ((5, 13), 0.7, None, "dense"),      # one cell past the cutoff
+    ((13, 5), 0.7, None, "dense"),
+    ((1, 65), 1.0, None, "dense"),
+    ((30, 47), 0.3, None, "dense"),
+    ((47, 30), 0.3, None, "dense"),
+    ((500, 500), 0.006, None, "dense"),   # 250,000 cells: not past the size threshold
+    ((500, 501), 0.006, None, "sparse"),
+    ((501, 500), 0.006, None, "sparse"),
+    ((501, 500), 0.01, 100, "sparse"),
+    ((501, 500), 0.2, 12, "dense"),       # past the size threshold but 1/20 full
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+@pytest.mark.parametrize("shape,density,cap,regime", KERNEL_CASES)
+def test_kernel_regimes_match_python_gauss_jordan(monkeypatch, p, shape, density, cap, regime):
+    assert 8 * 8 == _TINY_CELLS
+    rng = np.random.default_rng([p % 1000, *shape, int(1000 * density)])
+    if cap is None:
+        m = _random_matrix(rng, shape, p, density)
+    else:
+        m = _low_rank_matrix(rng, shape, p, density, cap)
+    taken = []
+    for name in ("_list_rank", "_sparse_rank", "_eliminate"):
+        real = getattr(linalg, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            taken.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, spy)
+    want, want_piv = _oracle_rref(m, p)
+    assert rank(m, p) == len(want_piv)
+    first = {"_list_rank": "list", "_sparse_rank": "sparse", "_eliminate": "dense"}[taken[0]]
+    assert first == regime
+    red, piv = rref(m, p)
+    assert piv == want_piv
+    assert red.tolist() == want
+
+
+def test_entry_points_leave_their_input_untouched():
+    p = 7
+    rng = np.random.default_rng(17)
+    shared = _mult_matrix(builtin_complex("torus7"), (1, 2, 3, 4, 5, 6, 0), 1, p)
+    inputs = [
+        shared,
+        rng.integers(-20, 20, size=(3, 4), dtype=np.int64),     # list regime
+        rng.integers(-20, 20, size=(9, 14), dtype=np.int64),    # dense regime
+        rng.integers(-20, 20, size=(14, 9), dtype=np.int64).T,  # non-contiguous view
+        _random_matrix(rng, (600, 500), p, 0.003),              # sparse regime
+    ]
+    for m in inputs:
+        before = m.copy()
+        rank(m, p)
+        rref(m, p)
+        kernel_basis(m, p)
+        assert np.array_equal(m, before)
+    assert _mult_matrix(builtin_complex("torus7"), (1, 2, 3, 4, 5, 6, 0), 1, p) is shared
+    # a read-only input turns any write into an error instead of silent corruption
+    for m in inputs[1:]:
+        m.setflags(write=False)
+        rank(m, p)
+        rref(m, p)
+        kernel_basis(m, p)
