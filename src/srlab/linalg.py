@@ -267,7 +267,9 @@ def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
     if rows == 0:
         return identity(cols)
     red, pivots = _eliminate(m, p, reduced=True)
-    free = np.setdiff1d(np.arange(cols), pivots)
+    is_pivot = np.zeros(cols, dtype=bool)
+    is_pivot[pivots] = True
+    free = np.flatnonzero(~is_pivot)
     basis = np.zeros((cols, free.size), dtype=np.int64)
     basis[free, np.arange(free.size)] = 1
     # Row r of an RREF is zero left of its pivot, so this sets only pivots c < f.
