@@ -257,14 +257,10 @@ def test_entry_points_leave_their_input_untouched():
     ]
     for m in inputs:
         before = m.copy()
+        if m is not shared:
+            m.setflags(write=False)  # a write now raises instead of corrupting silently
         rank(m, p)
         rref(m, p)
         kernel_basis(m, p)
         assert np.array_equal(m, before)
     assert _mult_matrix(builtin_complex("torus7"), (1, 2, 3, 4, 5, 6, 0), 1, p) is shared
-    # a read-only input turns any write into an error instead of silent corruption
-    for m in inputs[1:]:
-        m.setflags(write=False)
-        rank(m, p)
-        rref(m, p)
-        kernel_basis(m, p)
