@@ -6,17 +6,27 @@ The modulus is capped at 2^31 - 1 so that a single multiply-accumulate
 step of Gaussian elimination stays inside int64; matrix products use a
 16-bit split so the accumulated dot products are exact as well.
 
-Elimination runs in one of three regimes, chosen from the input's shape
-and fill:
+Elimination runs in one of four regimes, chosen from the input's shape,
+fill and entries:
 
 - list path: ``rank`` of a matrix with at most ``_TINY_CELLS`` entries
   eliminates on Python ints, where numpy's per-call cost would dominate;
   the l.s.o.p. certificate's checks are nearly all this small;
+- unit path: ``rank`` of a larger matrix of at most ``_LARGE_CELLS``
+  cells whose nonzero entries are all 1 or p - 1 mod p (coboundaries,
+  restrictions, Cech-signed blocks, and every matrix over F_2 or F_3)
+  eliminates rows held as ``{column: value}`` dicts in ``_unit_rank``.
+  Such matrices fill in little, so the work follows the nonzeros, not
+  the cells. The eliminator gives up once it has made more dict updates
+  than the matrix has cells, and the matrix goes to the dense path;
 - dense path: ``_eliminate`` scans columns left to right with a frozen
   pivot order and updates the rows below (or, reduced, around) each pivot
   as one slice ``m[targets, c:]``;
-- sparse path: ``rank`` of a matrix with more than 250,000 cells, under
-  1/20 of them nonzero, pivots greedily for low fill in ``_sparse_rank``.
+- sparse path: ``rank`` of a matrix with more than ``_LARGE_CELLS``
+  cells, under 1/20 of them nonzero, pivots greedily for low fill in
+  ``_sparse_rank``. Unit matrices this large stay there: testing the
+  entries means finding the nonzeros of every large matrix, which costs
+  more on the large non-unit differentials than it saves on the rest.
 
 Rank does not depend on the pivot order, and the reduced row echelon form
 of a matrix is unique, so ``rref`` and ``kernel_basis`` return the same
@@ -46,6 +56,10 @@ MAX_PRIME = 2147483647
 # Up to this many cells, rank() eliminates on Python ints: below it a numpy
 # call costs more than the arithmetic it performs.
 _TINY_CELLS = 64
+
+# Up to this many cells, rank() tries the unit path; above it, sparse input
+# takes the sparse path.
+_LARGE_CELLS = 250_000
 
 
 class LinAlgError(ValueError):
@@ -186,6 +200,62 @@ def _list_rank(rows: list[list[int]], p: int) -> int:
     return r
 
 
+def _unit_rows(m: np.ndarray, p: int) -> list[dict[int, int]] | None:
+    """The nonzero rows of m as {column: value} dicts, shortest first.
+
+    None unless every entry nonzero mod p is 1 or p - 1. One pass over
+    the cells finds the nonzeros; the rest of the work follows them.
+    """
+    r, c = np.nonzero(m)
+    v = m[r, c] % p
+    if not v.all():
+        keep = np.flatnonzero(v)
+        r, c, v = r[keep], c[keep], v[keep]
+    if not np.all((v == 1) | (v == p - 1)):
+        return None
+    counts = np.bincount(r, minlength=m.shape[0])
+    # A stable sort by row length keeps each row's entries together.
+    order = np.argsort(counts[r], kind="stable")
+    cols = c[order].tolist()
+    vals = v[order].tolist()
+    ends = np.cumsum(np.sort(counts[counts > 0])).tolist()
+    return [dict(zip(cols[a:b], vals[a:b])) for a, b in zip([0] + ends, ends)]
+
+
+def _unit_rank(rows: list[dict[int, int]], p: int, budget: int) -> int | None:
+    """Rank of row dicts with entries in [1, p), by reducing on leading columns.
+
+    Each row is reduced by the pivot row of its leading (least) column
+    until that column has no pivot yet; the row, scaled to lead with 1,
+    becomes its pivot. The rows are consumed. None once more than
+    ``budget`` dict updates have been made: on a matrix that fills in,
+    the dense path is faster.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    work = 0
+    for row in rows:
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            f = row[lead]
+            if piv is None:
+                if f != 1:
+                    inv = pow(f, -1, p)
+                    row = {j: x * inv % p for j, x in row.items()}
+                pivots[lead] = row
+                break
+            for j, x in piv.items():
+                y = (row.get(j, 0) - f * x) % p
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+            work += len(piv)
+            if work > budget:
+                return None
+    return len(pivots)
+
+
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns."""
     return _eliminate(m, p, reduced=True)
@@ -206,13 +276,13 @@ def _sparse_rank(m: np.ndarray, p: int) -> int:
     colmask = np.ones(cols, dtype=bool)
     rowcnt = np.count_nonzero(m, axis=1)
     colcnt = np.count_nonzero(m, axis=0)
+    active_nnz = int(rowcnt.sum())
     r = 0
     while True:
         live = np.nonzero(colmask & (colcnt > 0))[0]
         if live.size == 0:
             return r
-        active_nnz = int(rowcnt[rowmask].sum())
-        active_cells = int(rowmask.sum()) * live.size
+        active_cells = (rows - r) * live.size
         if active_cells > 250_000 and active_nnz * 4 > active_cells:
             sub = m[np.ix_(np.nonzero(rowmask)[0], np.nonzero(colmask)[0])]
             _, pivots = _eliminate(sub, p, reduced=False)
@@ -234,7 +304,10 @@ def _sparse_rank(m: np.ndarray, p: int) -> int:
             m[np.ix_(targets, piv_cols)] = block
             after = block != 0
             colcnt[piv_cols] += after.sum(axis=0) - before.sum(axis=0)
-            rowcnt[targets] += after.sum(axis=1) - before.sum(axis=1)
+            grown = after.sum(axis=1) - before.sum(axis=1)
+            rowcnt[targets] += grown
+            active_nnz += int(grown.sum())
+        active_nnz -= piv_cols.size
         colcnt[piv_cols] -= 1
         rowmask[pr] = False
         colmask[c] = False
@@ -242,7 +315,13 @@ def _sparse_rank(m: np.ndarray, p: int) -> int:
 
 
 def rank(m: np.ndarray, p: int) -> int:
-    """Rank over F_p; 0 for empty matrices."""
+    """Rank over F_p; 0 for empty matrices.
+
+    The regime follows the input (see the module docstring): tiny matrices
+    take the list path, unit matrices of at most ``_LARGE_CELLS`` cells
+    the unit path within its work budget, larger sparse ones the sparse
+    path, and the rest the dense path.
+    """
     m = np.asarray(m, dtype=np.int64)
     if m.shape[0] == 0 or m.shape[1] == 0:
         return 0
@@ -251,8 +330,15 @@ def rank(m: np.ndarray, p: int) -> int:
         m = m.T
     if m.size <= _TINY_CELLS:
         return _list_rank(m.tolist(), p)
-    nnz = np.count_nonzero(m)
-    if m.size > 250_000 and nnz * 20 < m.size:
+    if m.size <= _LARGE_CELLS:
+        # The shorter axis holds the row dicts: fewer rows to build, and less
+        # fill-in on coboundaries than the other way round.
+        rows = _unit_rows(m.T, p)
+        if rows is not None:
+            r = _unit_rank(rows, p, m.size)
+            if r is not None:
+                return r
+    elif np.count_nonzero(m) * 20 < m.size:
         return _sparse_rank(m, p)
     _, pivots = _eliminate(m, p, reduced=False)
     return len(pivots)

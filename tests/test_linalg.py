@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srlab import linalg
-from srlab.complexes import builtin_complex
+from srlab.complexes import as_relative, builtin_complex
 from srlab.facering import _mult_matrix
 from srlab.linalg import (
     ChainComplexSpec,
     DEFAULT_PRIME,
     LinAlgError,
     PrimeField,
+    _LARGE_CELLS,
     _TINY_CELLS,
     _eliminate,
     _sparse_rank,
@@ -20,6 +21,7 @@ from srlab.linalg import (
     rank,
     rref,
 )
+from srlab.partition import _restriction
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -107,6 +109,28 @@ def test_sparse_rank_agrees_with_frozen_elimination():
         m[r, c] = rng.integers(1, 97, size=nnz)
         _, piv = _eliminate(m, 97, reduced=False)
         assert _sparse_rank(m, 97) == len(piv)
+
+
+def test_sparse_rank_densifies_when_the_active_block_fills(monkeypatch):
+    rng = np.random.default_rng(4)
+    m = _random_matrix(rng, (700, 690), 97, 0.045)
+    handed = []
+    real = linalg._eliminate
+
+    def spy(sub, p, reduced):
+        handed.append(np.asarray(sub) % p)
+        return real(sub, p, reduced)
+
+    monkeypatch.setattr(linalg, "_eliminate", spy)
+    got = _sparse_rank(m, 97)
+    assert len(handed) == 1
+    sub = handed[0]
+    live = np.count_nonzero(sub.any(axis=0))
+    # the running counts must match the block they describe when the switch fires
+    assert sub.shape[0] * live > 250_000
+    assert np.count_nonzero(sub) * 4 > sub.shape[0] * live
+    _, piv = real(m, 97, reduced=False)
+    assert got == len(piv)
 
 
 def test_rank_uses_sparse_path_on_large_sparse_input():
@@ -197,7 +221,15 @@ def _low_rank_matrix(rng, shape, p, density, k):
     return basis[pick] * rng.integers(1, p, size=(shape[0], 1), dtype=np.int64) % p
 
 
-# (shape, density, rank cap or None, regime rank() must take). rank()
+def _sign_matrix(rng, shape, p, density):
+    """Entries +-1, spelt -1, p - 1, p + 1 and -p - 1, so the kernel has to reduce them."""
+    spellings = np.array([-1, p - 1, p + 1, -p - 1], dtype=np.int64)
+    return spellings[rng.integers(0, 4, size=shape)] * (rng.random(shape) < density)
+
+
+# (shape, density, entries, regimes). entries: None for random ones, an int
+# k for a rank <= k matrix, "signs" for +-1 ones, "doubled" for +-2 ones.
+# regimes: the kernels rank() must run, in order, joined by "+". rank()
 # eliminates along the shorter axis, so a wide shape is transposed first.
 KERNEL_CASES = [
     ((8, 8), 0.7, None, "list"),        # exactly _TINY_CELLS
@@ -214,20 +246,39 @@ KERNEL_CASES = [
     ((501, 500), 0.006, None, "sparse"),
     ((501, 500), 0.01, 100, "sparse"),
     ((501, 500), 0.2, 12, "dense"),       # past the size threshold but 1/20 full
+    ((5, 13), 0.7, "signs", "unit"),
+    ((40, 90), 0.05, "signs", "unit"),
+    ((90, 40), 0.05, "signs", "unit"),
+    ((40, 90), 0.05, "doubled", "dense"),
+    ((500, 500), 0.004, "signs", "unit"),
+    ((501, 500), 0.004, "signs", "sparse"),  # unit, but past the size threshold
+    ((60, 60), 0.5, "signs", "unit+dense"),  # fills in: runs out of work budget
 ]
 
 
+def _expected_regimes(shape, p, regimes):
+    """The allowed kernel sequences: over F_2 and F_3 every matrix is a unit matrix."""
+    cells = shape[0] * shape[1]
+    if p in (2, 3) and _TINY_CELLS < cells <= _LARGE_CELLS and not regimes.startswith("unit"):
+        return ["unit", "unit+dense"]  # whether it fills in depends on the draw
+    return [regimes]
+
+
 @pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
-@pytest.mark.parametrize("shape,density,cap,regime", KERNEL_CASES)
-def test_kernel_regimes_match_python_gauss_jordan(monkeypatch, p, shape, density, cap, regime):
+@pytest.mark.parametrize("shape,density,entries,regimes", KERNEL_CASES)
+def test_kernel_regimes_match_python_gauss_jordan(monkeypatch, p, shape, density, entries,
+                                                  regimes):
     assert 8 * 8 == _TINY_CELLS
+    assert _LARGE_CELLS == 500 * 500
     rng = np.random.default_rng([p % 1000, *shape, int(1000 * density)])
-    if cap is None:
+    if entries is None:
         m = _random_matrix(rng, shape, p, density)
+    elif entries in ("signs", "doubled"):
+        m = _sign_matrix(rng, shape, p, density) * (2 if entries == "doubled" else 1)
     else:
-        m = _low_rank_matrix(rng, shape, p, density, cap)
+        m = _low_rank_matrix(rng, shape, p, density, entries)
     taken = []
-    for name in ("_list_rank", "_sparse_rank", "_eliminate"):
+    for name in ("_list_rank", "_unit_rank", "_sparse_rank", "_eliminate"):
         real = getattr(linalg, name)
 
         def spy(*args, _real=real, _name=name, **kwargs):
@@ -237,8 +288,9 @@ def test_kernel_regimes_match_python_gauss_jordan(monkeypatch, p, shape, density
         monkeypatch.setattr(linalg, name, spy)
     want, want_piv = _oracle_rref(m, p)
     assert rank(m, p) == len(want_piv)
-    first = {"_list_rank": "list", "_sparse_rank": "sparse", "_eliminate": "dense"}[taken[0]]
-    assert first == regime
+    kernel = {"_list_rank": "list", "_unit_rank": "unit", "_sparse_rank": "sparse",
+              "_eliminate": "dense"}
+    assert "+".join(kernel[name] for name in taken) in _expected_regimes(shape, p, regimes)
     red, piv = rref(m, p)
     assert piv == want_piv
     assert red.tolist() == want
@@ -248,19 +300,27 @@ def test_entry_points_leave_their_input_untouched():
     p = 7
     rng = np.random.default_rng(17)
     shared = _mult_matrix(builtin_complex("torus7"), (1, 2, 3, 4, 5, 6, 0), 1, p)
+    tor = builtin_complex("torus7")
+    torus = as_relative(tor)
+    star = as_relative(tor.star(tor.delta.vertex_masks()[0]))
+    restriction = _restriction(torus, star, 3)
+    assert restriction.size > _TINY_CELLS
     inputs = [
         shared,
+        restriction,                                            # unit regime, cached
         rng.integers(-20, 20, size=(3, 4), dtype=np.int64),     # list regime
         rng.integers(-20, 20, size=(9, 14), dtype=np.int64),    # dense regime
         rng.integers(-20, 20, size=(14, 9), dtype=np.int64).T,  # non-contiguous view
+        _sign_matrix(rng, (30, 45), p, 0.1),                    # unit regime
         _random_matrix(rng, (600, 500), p, 0.003),              # sparse regime
     ]
     for m in inputs:
         before = m.copy()
-        if m is not shared:
+        if m is not shared and m is not restriction:
             m.setflags(write=False)  # a write now raises instead of corrupting silently
         rank(m, p)
         rref(m, p)
         kernel_basis(m, p)
         assert np.array_equal(m, before)
     assert _mult_matrix(builtin_complex("torus7"), (1, 2, 3, 4, 5, 6, 0), 1, p) is shared
+    assert _restriction(torus, star, 3) is restriction
