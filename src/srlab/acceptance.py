@@ -30,11 +30,7 @@ from .complexes import (
     relative_cohomology_dims,
 )
 from .duality import build_B, poincare_duality_report
-from .facering import (
-    expected_lsop_length,
-    quotient_presentation,
-    sample_lsop,
-)
+from .facering import first_lsop, lsop_trials, quotient_presentation
 from .koszul import KoszulComplex, depth, is_algebraically_cm
 from .linalg import DEFAULT_PRIME, PrimeField, matmul, rank
 from .partition import (
@@ -54,21 +50,10 @@ from .verdicts import (
 
 CORPUS_SEED = 20260814
 KOSZUL_SEED = 8
-RETRY_SEEDS = (0, 1, 2)
 
 
 def _big_field() -> PrimeField:
     return PrimeField(DEFAULT_PRIME)
-
-
-def _lsop_retry(psi, field: PrimeField, seeds=RETRY_SEEDS, budget: int = 20000):
-    psi = as_relative(psi)
-    length = expected_lsop_length(psi)
-    for s in seeds:
-        theta = sample_lsop(psi, length, s, field, budget=budget)
-        if theta is not None:
-            return theta
-    return None
 
 
 def check_torus_regression() -> dict:
@@ -191,8 +176,7 @@ def check_partition_of_unity() -> dict:
     ok = True
     for psi, field in _covered_instances():
         verdict = "no parameter system"
-        for s in RETRY_SEEDS:
-            theta = _lsop_retry(psi, field, seeds=(s,))
+        for _, theta in lsop_trials(psi, 0, field):
             if theta is None:
                 continue
             rep = partition_of_unity_report(psi, theta, field)
@@ -212,7 +196,7 @@ def check_total_complex() -> dict:
     """Homology of the full double complex against the shifted binomial formula."""
     failures = []
     for psi, field in _covered_instances():
-        theta = _lsop_retry(psi, field)
+        _, theta = first_lsop(psi, 0, field)
         if theta is None:
             failures.append((psi.delta.labels, field.p, "no parameter system"))
             continue
@@ -240,7 +224,7 @@ def check_poincare_duality() -> dict:
     ok = True
 
     tor = builtin_complex("torus7")
-    theta = _lsop_retry(tor, F)
+    _, theta = first_lsop(tor, 0, F)
     P = build_B(tor.delta, theta, F)
     rep = poincare_duality_report(P)
     dims = P.b_dims_list()[:P.fundamental_degree + 1]
@@ -249,7 +233,7 @@ def check_poincare_duality() -> dict:
 
     for k in range(2, 6):
         sphere = builtin_complex(f"boundary_simplex_{k}")
-        th = _lsop_retry(sphere, F)
+        _, th = first_lsop(sphere, 0, F)
         Ps = build_B(sphere.delta, th, F)
         jdims = Ps.j_dims_list()
         bdims = Ps.b_dims_list()[:Ps.fundamental_degree + 1]
@@ -275,7 +259,7 @@ def check_open_star_injectivity() -> dict:
     failures = []
     for name in ("torus7", "boundary_simplex_3"):
         psi = builtin_complex(name)
-        theta = _lsop_retry(psi, F)
+        _, theta = first_lsop(psi, 0, F)
         P = build_B(psi.delta, theta, F)
         A = P.base
         for vmask in psi.delta.vertex_masks():
@@ -305,8 +289,8 @@ def check_koszul_consistency() -> dict:
     mismatches = []
     for idx in range(total):
         psi = random_relative_complex(rng)
-        length = expected_lsop_length(psi)
-        theta = sample_lsop(psi, length, 0, F)
+        thetas = [theta for _, theta in lsop_trials(psi, 0, F)]
+        theta = thetas[0]
         if theta is None:
             mismatches.append((idx, "no parameter system"))
             continue
@@ -317,11 +301,7 @@ def check_koszul_consistency() -> dict:
                 mismatches.append((idx, "top homology", t))
         if psi.is_void:
             continue
-        depths = []
-        for s in RETRY_SEEDS:
-            th = sample_lsop(psi, length, s, F)
-            if th is not None:
-                depths.append(depth(psi, th, F))
+        depths = [depth(psi, th, F) for th in thetas if th is not None]
         if len(set(depths)) > 1:
             mismatches.append((idx, "depth varies", depths))
     return {
@@ -383,7 +363,7 @@ def check_interior_partition() -> dict:
         sigma = builtin_complex(f"simplex_{k}").delta
         bary = sigma.barycentric_subdivision()
         disk = RelativeComplex(bary, bary.boundary_subcomplex())
-        theta = _lsop_retry(as_relative(bary), F)
+        _, theta = first_lsop(bary, 0, F)
         if theta is None:
             rows.append((k, "no parameter system"))
             ok = False

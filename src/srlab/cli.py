@@ -28,9 +28,9 @@ from .duality import DualityError, build_B, cone_lemma_check, poincare_duality_r
 from .facering import (
     FaceRingError,
     expected_lsop_length,
+    first_lsop,
     hilbert_series_coeffs,
     is_lsop,
-    sample_lsop,
 )
 from .koszul import KoszulError, depth, is_algebraically_cm
 from .linalg import DEFAULT_PRIME, LinAlgError, PrimeField
@@ -149,16 +149,6 @@ def _require_absolute(psi: RelativeComplex, command: str) -> RelativeComplex:
     return psi
 
 
-def _sampled_theta(psi, field: PrimeField, cfg: RunConfig, budget: int = 20000):
-    length = expected_lsop_length(psi)
-    for k in range(cfg.trials):
-        s = cfg.seed + k
-        theta = sample_lsop(psi, length, s, field, budget=budget)
-        if theta is not None:
-            return theta, s
-    return None, None
-
-
 def _window(psi, cfg: RunConfig) -> int:
     if cfg.max_degree is not None:
         return cfg.max_degree
@@ -223,8 +213,6 @@ def _cmd_cohomology(cfg: RunConfig, field: PrimeField):
 def _cmd_hilbert(cfg: RunConfig, field: PrimeField):
     psi = _resolve_complex(cfg.input)
     window = _window(psi, cfg)
-    if window < 0:
-        raise InputError("--max-degree must be nonnegative")
     coeffs = hilbert_series_coeffs(psi, window)
     payload = _base_payload(cfg, psi)
     payload["coeffs"] = coeffs
@@ -233,7 +221,7 @@ def _cmd_hilbert(cfg: RunConfig, field: PrimeField):
 
 def _cmd_lsop(cfg: RunConfig, field: PrimeField):
     psi = _resolve_complex(cfg.input)
-    theta, used = _sampled_theta(psi, field, cfg)
+    used, theta = first_lsop(psi, cfg.seed, field, cfg.trials)
     if theta is None:
         return _no_theta(cfg, psi)
     cert = is_lsop(psi, theta, field)
@@ -255,7 +243,7 @@ def _cmd_depth(cfg: RunConfig, field: PrimeField):
     psi = _resolve_complex(cfg.input)
     if psi.is_void:
         raise InputError("depth is undefined for the zero module")
-    theta, used = _sampled_theta(psi, field, cfg)
+    used, theta = first_lsop(psi, cfg.seed, field, cfg.trials)
     if theta is None:
         return _no_theta(cfg, psi)
     dep = depth(psi, theta, field, max_degree=cfg.max_degree)
@@ -298,7 +286,7 @@ def _cmd_partition_homology(cfg: RunConfig, field: PrimeField):
 
 def _cmd_pou(cfg: RunConfig, field: PrimeField):
     psi = _resolve_complex(cfg.input)
-    theta, used = _sampled_theta(psi, field, cfg)
+    used, theta = first_lsop(psi, cfg.seed, field, cfg.trials)
     if theta is None:
         return _no_theta(cfg, psi)
     rep = partition_of_unity_report(psi, theta, field, max_degree=cfg.max_degree)
@@ -309,7 +297,7 @@ def _cmd_pou(cfg: RunConfig, field: PrimeField):
 
 def _cmd_schenzel(cfg: RunConfig, field: PrimeField):
     psi = _resolve_complex(cfg.input)
-    theta, used = _sampled_theta(psi, field, cfg)
+    used, theta = first_lsop(psi, cfg.seed, field, cfg.trials)
     if theta is None:
         return _no_theta(cfg, psi)
     rep = schenzel_report(psi, theta, field)
@@ -320,7 +308,7 @@ def _cmd_schenzel(cfg: RunConfig, field: PrimeField):
 
 def _cmd_pd(cfg: RunConfig, field: PrimeField):
     psi = _require_absolute(_resolve_complex(cfg.input), "pd")
-    theta, used = _sampled_theta(psi, field, cfg)
+    used, theta = first_lsop(psi, cfg.seed, field, cfg.trials)
     if theta is None:
         return _no_theta(cfg, psi)
     try:
@@ -374,7 +362,7 @@ def _cmd_kuhnel(cfg: RunConfig, field: PrimeField):
 def _cmd_subdiv_check(cfg: RunConfig, field: PrimeField):
     structure = _resolve_structure(cfg.input)
     psi = RelativeComplex(structure.delta)
-    theta, used = _sampled_theta(psi, field, cfg)
+    used, theta = first_lsop(psi, cfg.seed, field, cfg.trials)
     if theta is None:
         return _no_theta(cfg, psi)
     res = subdivision_partition_check(structure, theta, field)
@@ -397,7 +385,7 @@ def _cmd_cone_lemma(cfg: RunConfig, field: PrimeField):
     psi = _require_absolute(_resolve_complex(cfg.input), "cone-lemma")
     if psi.delta.dim is None:
         raise InputError("cone-lemma needs a nonvoid complex")
-    theta, used = _sampled_theta(psi, field, cfg)
+    used, theta = first_lsop(psi, cfg.seed, field, cfg.trials)
     if theta is None:
         return _no_theta(cfg, psi)
     results = []
@@ -461,6 +449,9 @@ def run(config: RunConfig, out=None, err=None) -> int:
     if handler is None:
         print(f"error: unknown command {config.command!r}", file=err)
         return EXIT_INPUT
+    if config.max_degree is not None and config.max_degree < 0:
+        print("error: --max-degree must be nonnegative", file=err)
+        return EXIT_INPUT
     try:
         code, payload, lines = handler(config, field)
     except InputError as e:
@@ -495,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--trials", type=int, default=3,
                         help="number of sampling retries")
         sp.add_argument("--max-degree", type=int, default=None,
-                        help="degree window (default: dimension + 2)")
+                        help="nonnegative degree window (default: per command)")
         sp.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format")
         if name == "lefschetz":

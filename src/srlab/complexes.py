@@ -138,9 +138,6 @@ class SimplicialComplex:
     def labels_of(self, mask: int) -> tuple:
         return tuple(self.labels[i] for i in _bit_positions(mask))
 
-    def has_face(self, face) -> bool:
-        return self.mask_of(face) in self.faces
-
     def faces_by_cardinality(self) -> dict[int, list[int]]:
         if self._by_card is None:
             by = {}
@@ -172,11 +169,6 @@ class SimplicialComplex:
             return True
         d = self.dim
         return all(_popcount(f) - 1 == d for f in self.facets())
-
-    def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        if self.labels != other.labels:
-            raise ComplexError("subcomplex test requires identical ground sets")
-        return self.faces <= other.faces
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SimplicialComplex)
@@ -235,10 +227,6 @@ class SimplicialComplex:
             raise ComplexError(f"apex label {apex!r} already in ground set")
         return self.join(SimplicialComplex.from_facets((apex,), [[apex]]))
 
-    def skeleton(self, k: int) -> "SimplicialComplex":
-        faces = frozenset(f for f in self.faces if _popcount(f) <= k + 1)
-        return SimplicialComplex(self.labels, faces, _closed=True)
-
     def boundary_subcomplex(self) -> "SimplicialComplex":
         """Closure of the ridges lying in exactly one facet (for pure complexes)."""
         if self.is_void or self.dim is None or self.dim < 0:
@@ -291,10 +279,6 @@ class RelativeComplex:
         self.delta = delta
         self.gamma = gamma
 
-    @classmethod
-    def absolute(cls, delta: SimplicialComplex) -> "RelativeComplex":
-        return cls(delta)
-
     @property
     def is_absolute(self) -> bool:
         return self.gamma.is_void
@@ -316,9 +300,6 @@ class RelativeComplex:
     def faces_of_dim(self, k: int) -> list[int]:
         gamma_faces = self.gamma.faces
         return [f for f in self.delta.faces_of_dim(k) if f not in gamma_faces]
-
-    def has_face(self, face) -> bool:
-        return self.delta.mask_of(face) in self.faces()
 
     def link(self, tau) -> "RelativeComplex":
         t = tau if isinstance(tau, int) else self.delta.mask_of(tau)

@@ -26,7 +26,7 @@ from .facering import (
     monomial_basis,
     quotient_presentation,
 )
-from .linalg import PrimeField, kernel_basis, matmul, rank, rref
+from .linalg import FrozenQuotient, PrimeField, kernel_basis, matmul, rank
 from .partition import restriction_matrix
 
 
@@ -79,10 +79,11 @@ class DualityPresentation:
     """B_i = A_i / J_i in frozen coordinates.
 
     J arrives as a basis (columns, in the quotient coordinates of A_i)
-    per degree; a fixed-order RREF of its span picks pivot coordinates,
-    and the free coordinates represent B_i.  Degrees with no J entry get
+    per degree; a ``FrozenQuotient`` of A_i by its span takes the free
+    coordinates as the basis of B_i.  Degrees with no J entry get
     J_i = 0, so a plain graded quotient can be viewed as a presentation
-    with B = A.
+    with B = A.  Outside the base's computed degrees B_i = 0 where
+    A_i = 0, and any other degree raises DualityError.
     """
 
     def __init__(self, psi, base: GradedQuotientPresentation, j_bases: dict,
@@ -94,25 +95,17 @@ class DualityPresentation:
         self.diagnostics = diagnostics or {}
         self.j_dims: dict[int, int] = {}
         self.b_dims: dict[int, int] = {}
-        self._free: dict[int, np.ndarray] = {}
-        self._pivots: dict[int, np.ndarray] = {}
-        self._rfree: dict[int, np.ndarray] = {}
+        self._quotients: dict[int, FrozenQuotient] = {}
         self._j_bases: dict[int, np.ndarray] = {}
-        p = self.field.p
         for i in sorted(base.dims):
-            adim = base.dims[i]
             jb = j_bases.get(i)
             if jb is None:
-                jb = np.zeros((adim, 0), dtype=np.int64)
+                jb = np.zeros((base.dims[i], 0), dtype=np.int64)
             self._j_bases[i] = jb
-            red, pivots = rref(jb.T % p, p)
-            piv = np.array(pivots, dtype=np.int64)
-            free = np.array([c for c in range(adim) if c not in set(pivots)], dtype=np.int64)
-            self._pivots[i] = piv
-            self._free[i] = free
-            self._rfree[i] = red[: len(piv)][:, free] if len(piv) else np.zeros((0, len(free)), dtype=np.int64)
-            self.j_dims[i] = len(piv)
-            self.b_dims[i] = adim - len(piv)
+            q = FrozenQuotient(jb.T, self.field.p)
+            self._quotients[i] = q
+            self.j_dims[i] = q.pivots.size
+            self.b_dims[i] = q.dim
 
     def j_dim(self, i: int) -> int:
         return self.j_dims.get(i, 0)
@@ -132,32 +125,21 @@ class DualityPresentation:
             up_to = max(self.j_dims, default=0)
         return [self.j_dim(i) for i in range(up_to + 1)]
 
-    def j_basis(self, i: int) -> np.ndarray:
-        """Columns spanning J_i, in the quotient coordinates of A_i."""
-        return self._j_bases.get(i, np.zeros((self.base.dim(i), 0), dtype=np.int64)).copy()
-
     def b_reduce(self, i: int, vectors: np.ndarray) -> np.ndarray:
         """Map columns in A_i quotient coordinates to B_i coordinates."""
-        p = self.field.p
-        vectors = np.asarray(vectors, dtype=np.int64) % p
-        if i not in self._free:
+        q = self._quotients.get(i)
+        if q is None:
             if self.base.dim(i) == 0:
-                return np.zeros((0, vectors.shape[1]), dtype=np.int64)
+                return np.zeros((0, np.shape(vectors)[1]), dtype=np.int64)
             raise DualityError(f"degree {i} beyond computed range")
-        free, piv, rf = self._free[i], self._pivots[i], self._rfree[i]
-        out = vectors[free, :] if len(free) else np.zeros((0, vectors.shape[1]), dtype=np.int64)
-        if len(piv):
-            out = (out - matmul(rf.T, vectors[piv, :], p)) % p
-        return out
+        return q.reduce(vectors)
 
     def b_lift(self, i: int) -> np.ndarray:
         """Embed B_i coordinates into A_i via the free-coordinate section."""
-        adim = self.base.dim(i)
-        free = self._free.get(i, np.zeros(0, dtype=np.int64))
-        m = np.zeros((adim, len(free)), dtype=np.int64)
-        for k, f in enumerate(free):
-            m[int(f), k] = 1
-        return m
+        q = self._quotients.get(i)
+        if q is None:
+            return np.zeros((self.base.dim(i), 0), dtype=np.int64)
+        return q.lift()
 
     def monomial_rep(self, i: int) -> np.ndarray:
         """Representative polynomials of the B_i basis, in monomial coordinates."""
@@ -169,12 +151,6 @@ class DualityPresentation:
             return np.zeros((self.b_dim(i + 1), self.b_dim(i)), dtype=np.int64)
         raw = self.base.quotient_mult_matrix(form, i)
         return self.b_reduce(i + 1, matmul(raw, self.b_lift(i), self.field.p))
-
-    def vertex_multiplications(self, i: int) -> dict:
-        """Per-vertex multiplication matrices B_i -> B_{i+1}, keyed by label."""
-        labels = self.psi.delta.labels
-        n = len(labels)
-        return {labels[k]: self.mult_matrix(_unit_form(n, k), i) for k in range(n)}
 
     def annihilator_ok(self) -> bool:
         """Check x_v * J_i = 0 in A_{i+1} for every vertex and degree."""

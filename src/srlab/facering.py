@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .complexes import RelativeComplex, as_relative, _bit_positions, _popcount
-from .linalg import PrimeField, matmul, rank, rref
+from .linalg import FrozenQuotient, PrimeField, rank
 
 
 class FaceRingError(ValueError):
@@ -45,13 +45,6 @@ class MonomialBasis:
 
     def __getitem__(self, i: int) -> tuple[int, ...]:
         return self.exponents[i]
-
-    def monomial_label(self, i: int) -> str:
-        alpha = self.exponents[i]
-        labels = self.psi.delta.labels
-        parts = [f"x[{labels[v]}]" + (f"^{e}" if e > 1 else "")
-                 for v, e in enumerate(alpha) if e]
-        return "*".join(parts) if parts else "1"
 
 
 def _compositions(total: int, parts: int):
@@ -211,8 +204,10 @@ class GradedQuotientPresentation:
     """A = k[Psi]/<Theta> degree by degree, in frozen quotient coordinates.
 
     For each degree j the relation space is sum_t theta_t * k[Psi]_{j-1};
-    a fixed-order RREF of its span (relations as rows) yields pivot
-    monomials, and the non-pivot monomials represent a basis of A_j.
+    a ``FrozenQuotient`` of k[Psi]_j by its span (relations as rows) takes
+    the non-pivot monomials of the RREF as the basis of A_j. Past the
+    vanishing degree A_j = 0; other degrees outside the computed range
+    raise FaceRingError.
     """
 
     def __init__(self, psi, theta: LinearFormSequence, field: PrimeField,
@@ -228,9 +223,7 @@ class GradedQuotientPresentation:
             cap = (d if d is not None else -1) + 3
         self.cap = cap
         self.dims: dict[int, int] = {}
-        self._free: dict[int, np.ndarray] = {}
-        self._pivots: dict[int, np.ndarray] = {}
-        self._rfree: dict[int, np.ndarray] = {}
+        self._quotients: dict[int, FrozenQuotient] = {}
         self.vanishing_degree: int | None = None
         self.finite_at_cap = True
         self._build()
@@ -247,13 +240,9 @@ class GradedQuotientPresentation:
                 blocks = [_mult_matrix(self.psi, f, j - 1, p) for f in self.theta]
                 rel = np.hstack(blocks) if blocks else np.zeros((nb, 0), dtype=np.int64)
                 rel_rows = rel.T
-            red, pivots = rref(rel_rows, p)
-            piv = np.array(pivots, dtype=np.int64)
-            free = np.array([c for c in range(nb) if c not in set(pivots)], dtype=np.int64)
-            self._pivots[j] = piv
-            self._free[j] = free
-            self._rfree[j] = red[: len(piv)][:, free] if len(piv) else np.zeros((0, len(free)), dtype=np.int64)
-            self.dims[j] = len(free)
+            q = FrozenQuotient(rel_rows, p)
+            self._quotients[j] = q
+            self.dims[j] = q.dim
             if self.dims[j] == 0 and j >= gen_max:
                 self.vanishing_degree = j
                 break
@@ -261,14 +250,18 @@ class GradedQuotientPresentation:
             # never vanished inside the cap: the quotient is (or looks) infinite
             self.finite_at_cap = False
 
+    def _at(self, j: int) -> FrozenQuotient | None:
+        """The quotient at degree j; None past the vanishing degree."""
+        q = self._quotients.get(j)
+        if q is None and (self.vanishing_degree is None or j <= self.vanishing_degree):
+            raise FaceRingError(f"degree {j} beyond computed cap {self.cap}")
+        return q
+
     def dim(self, j: int) -> int:
         if j < 0:
             return 0
-        if j in self.dims:
-            return self.dims[j]
-        if self.vanishing_degree is not None and j > self.vanishing_degree:
-            return 0
-        raise FaceRingError(f"degree {j} beyond computed cap {self.cap}")
+        q = self._at(j)
+        return q.dim if q is not None else 0
 
     def dims_list(self, up_to: int | None = None) -> list[int]:
         if up_to is None:
@@ -279,35 +272,19 @@ class GradedQuotientPresentation:
         nz = [j for j, v in self.dims.items() if v > 0]
         return max(nz) if nz else -1
 
-    def basis(self, j: int) -> MonomialBasis:
-        return monomial_basis(self.psi, j)
-
-    def representatives(self, j: int) -> list[tuple[int, ...]]:
-        basis = monomial_basis(self.psi, j)
-        return [basis[int(i)] for i in self._free.get(j, [])]
-
     def reduce(self, j: int, vectors: np.ndarray) -> np.ndarray:
         """Map columns in k[Psi]_j coordinates to quotient coordinates of A_j."""
-        p = self.field.p
-        if j not in self._free:
-            if self.vanishing_degree is not None and j > self.vanishing_degree:
-                return np.zeros((0, vectors.shape[1]), dtype=np.int64)
-            raise FaceRingError(f"degree {j} beyond computed cap {self.cap}")
-        free, piv, rf = self._free[j], self._pivots[j], self._rfree[j]
-        vectors = np.asarray(vectors, dtype=np.int64) % p
-        out = vectors[free, :] if len(free) else np.zeros((0, vectors.shape[1]), dtype=np.int64)
-        if len(piv):
-            out = (out - matmul(rf.T, vectors[piv, :], p)) % p
-        return out
+        q = self._at(j)
+        if q is None:
+            return np.zeros((0, vectors.shape[1]), dtype=np.int64)
+        return q.reduce(vectors)
 
     def lift(self, j: int) -> np.ndarray:
         """Embed A_j coordinates into k[Psi]_j via the representative monomials."""
-        nb = len(monomial_basis(self.psi, j))
-        free = self._free[j]
-        m = np.zeros((nb, len(free)), dtype=np.int64)
-        for k, f in enumerate(free):
-            m[int(f), k] = 1
-        return m
+        q = self._at(j)
+        if q is None:
+            return np.zeros((len(monomial_basis(self.psi, j)), 0), dtype=np.int64)
+        return q.lift()
 
     def quotient_mult_matrix(self, form, j: int) -> np.ndarray:
         """Multiplication by a degree-1 form as a map A_j -> A_{j+1}."""
@@ -316,8 +293,7 @@ class GradedQuotientPresentation:
         if self.dim(j) == 0 or self.dim(j + 1) == 0:
             return np.zeros((self.dim(j + 1), self.dim(j)), dtype=np.int64)
         raw = _mult_matrix(self.psi, coeffs, j, p)
-        lifted = raw[:, self._free[j]]
-        return self.reduce(j + 1, lifted)
+        return self.reduce(j + 1, raw[:, self._quotients[j].free])
 
 
 def quotient_presentation(psi, theta: LinearFormSequence, field: PrimeField,
@@ -379,6 +355,30 @@ def sample_lsop(psi, length: int, seed, field: PrimeField,
         if lsop_certificate(psi, forms, field):
             return LinearFormSequence(forms, field.p, seed=seed)
     return None
+
+
+def lsop_trials(psi, seed, field: PrimeField, trials: int = 3, budget: int = 20000):
+    """The seeded trial stream: (seed_k, Theta or None) for k < trials.
+
+    Trial k runs sample_lsop for an l.s.o.p. of the expected length with
+    seed_k = seed + k for an int seed and f"{seed}:{k}" otherwise; Theta
+    is None when the trial's budget runs out. Every retry over parameter
+    systems draws from this stream, so a seed means the same Theta
+    everywhere. Trials are sampled only as the stream is consumed.
+    """
+    psi = as_relative(psi)
+    length = expected_lsop_length(psi)
+    for k in range(trials):
+        s = seed + k if isinstance(seed, int) else f"{seed}:{k}"
+        yield s, sample_lsop(psi, length, s, field, budget=budget)
+
+
+def first_lsop(psi, seed, field: PrimeField, trials: int = 3,
+               budget: int = 20000) -> tuple:
+    """The first certified trial of lsop_trials as (seed_k, Theta); (None, None) if none."""
+    certified = ((s, theta) for s, theta in lsop_trials(psi, seed, field, trials, budget)
+                 if theta is not None)
+    return next(certified, (None, None))
 
 
 def random_linear_forms(delta, count: int, seed, field: PrimeField) -> LinearFormSequence:

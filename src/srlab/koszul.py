@@ -27,11 +27,11 @@ from .complexes import as_relative
 from .facering import (
     LinearFormSequence,
     expected_lsop_length,
+    lsop_trials,
     monomial_basis,
     multiplication_matrix,
-    sample_lsop,
 )
-from .linalg import DEFAULT_PRIME, PrimeField, rank
+from .linalg import DEFAULT_PRIME, LazyHomology, PrimeField
 
 GRADINGS = ("natural", "shifted")
 
@@ -45,8 +45,9 @@ class KoszulComplex:
 
     Subsets are ordered lexicographically, monomials inside each subset
     block in the fixed monomial-basis order, so every matrix is
-    reproducible. Ranks are cached per (i, t) since the map out of
-    position i at degree t is the map into position i + 1 at degree t + 1.
+    reproducible. Homology comes from a ``LazyHomology`` over the cells
+    (i, t) with step (1, 1): the map out of position i at degree t is the
+    map into position i + 1 at degree t + 1, so each rank serves two cells.
     """
 
     def __init__(self, psi, theta, field: PrimeField):
@@ -58,7 +59,7 @@ class KoszulComplex:
         self.theta = theta
         self.field = field
         self.n = len(theta)
-        self._ranks: dict[tuple[int, int], int] = {}
+        self._homology = LazyHomology(self.space_dim, self.differential, (1, 1), field.p)
 
     def module_dim(self, t: int) -> int:
         if t < 0:
@@ -95,20 +96,9 @@ class KoszulComplex:
                 mat[row0:row0 + mdst, col0:col0 + msrc] = block
         return mat
 
-    def _rank(self, i: int, t: int) -> int:
-        key = (i, t)
-        if key not in self._ranks:
-            if self.space_dim(i, t) == 0 or self.space_dim(i + 1, t + 1) == 0:
-                self._ranks[key] = 0
-            else:
-                self._ranks[key] = rank(self.differential(i, t), self.field.p)
-        return self._ranks[key]
-
     def homology_dim(self, i: int, t: int) -> int:
         """dim of the homology at position i, coefficient degree t."""
-        if t < 0 or i < 0 or i > self.n:
-            return 0
-        return self.space_dim(i, t) - self._rank(i, t) - self._rank(i - 1, t - 1)
+        return self._homology.homology(i, t)
 
 
 def _default_window(psi) -> int:
@@ -161,10 +151,10 @@ def is_algebraically_cm(psi, field: PrimeField | None = None, seed=0, trials: in
                         budget: int = 20000, max_degree: int | None = None) -> dict:
     """Cohen-Macaulay test: depth equals dim + 1 for a certified l.s.o.p.
 
-    Each trial draws its own coefficient stream (seed, seed + 1, ...) and
-    rejection-samples until the l.s.o.p. certificate passes; a trial whose
-    budget runs out is recorded with found_lsop False and contributes no
-    verdict. cm is True when any completed trial reaches full depth, and
+    The trials come from ``lsop_trials``: each draws its own coefficient
+    stream and rejection-samples until the l.s.o.p. certificate passes; a
+    trial whose budget runs out is recorded with found_lsop False and
+    contributes no verdict. cm is True when any completed trial reaches full depth, and
     inconclusive is True when no trial completed (possible over tiny
     fields where parameter systems are scarce or absent).
     """
@@ -177,9 +167,7 @@ def is_algebraically_cm(psi, field: PrimeField | None = None, seed=0, trials: in
                 "trials": [], "inconclusive": False, "note": "zero module"}
     trial_rows = []
     best = None
-    for k in range(trials):
-        s = seed + k if isinstance(seed, int) else f"{seed}:{k}"
-        theta = sample_lsop(psi, expected, s, field, budget=budget)
+    for s, theta in lsop_trials(psi, seed, field, trials, budget):
         if theta is None:
             trial_rows.append({"seed": s, "found_lsop": False, "depth": None})
             continue

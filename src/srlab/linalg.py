@@ -39,7 +39,10 @@ of ``facering`` are shared arrays.
 
 Everything downstream (cohomology, Hilbert functions, Koszul and
 partition homology, pairing ranks) reduces to rank/kernel computations
-done here.
+done here. The two moves the complexes and quotients downstream are
+built from have one home each here as well: ``LazyHomology`` reads
+homology off a complex as dim - rank - rank, and ``FrozenQuotient``
+quotients a space by a span in frozen coordinates.
 """
 
 from __future__ import annotations
@@ -106,10 +109,6 @@ class PrimeField:
 
     def __hash__(self) -> int:
         return hash(("PrimeField", self.p))
-
-
-def zeros(rows: int, cols: int) -> np.ndarray:
-    return np.zeros((rows, cols), dtype=np.int64)
 
 
 def identity(n: int) -> np.ndarray:
@@ -344,6 +343,13 @@ def rank(m: np.ndarray, p: int) -> int:
     return len(pivots)
 
 
+def _free_columns(pivots: list[int], cols: int) -> np.ndarray:
+    """The non-pivot columns of an echelon form, in increasing order."""
+    is_pivot = np.zeros(cols, dtype=bool)
+    is_pivot[pivots] = True
+    return np.flatnonzero(~is_pivot)
+
+
 def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
     """Columns form a basis of {v : Mv = 0}; shape (cols, nullity)."""
     m = np.asarray(m, dtype=np.int64)
@@ -353,14 +359,88 @@ def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
     if rows == 0:
         return identity(cols)
     red, pivots = _eliminate(m, p, reduced=True)
-    is_pivot = np.zeros(cols, dtype=bool)
-    is_pivot[pivots] = True
-    free = np.flatnonzero(~is_pivot)
+    free = _free_columns(pivots, cols)
     basis = np.zeros((cols, free.size), dtype=np.int64)
     basis[free, np.arange(free.size)] = 1
     # Row r of an RREF is zero left of its pivot, so this sets only pivots c < f.
     basis[pivots, :] = -red[:len(pivots), free] % p
     return basis
+
+
+class FrozenQuotient:
+    """F_p^n modulo the span of the rows of a matrix, in frozen coordinates.
+
+    The RREF of the spanning rows gives the pivot columns and the free
+    columns; the free coordinates are the coordinates of the quotient,
+    whose dimension is ``dim``. ``rfree`` holds the pivot rows of the
+    RREF restricted to the free columns: a vector v reduces to
+    v[free] - rfree^T v[pivots], and ``lift`` embeds the quotient back
+    through the unit vectors of the free columns. The RREF is unique, so
+    these coordinates do not depend on how the span was written down.
+    """
+
+    __slots__ = ("p", "pivots", "free", "rfree", "dim")
+
+    def __init__(self, rows: np.ndarray, p: int):
+        red, pivots = rref(rows, p)
+        self.p = p
+        self.pivots = np.array(pivots, dtype=np.int64)
+        self.free = _free_columns(pivots, red.shape[1])
+        self.rfree = red[:len(pivots), self.free]
+        self.dim = self.free.size
+
+    def reduce(self, vectors: np.ndarray) -> np.ndarray:
+        """Quotient coordinates of the columns of ``vectors``."""
+        p = self.p
+        vectors = np.asarray(vectors, dtype=np.int64) % p
+        out = vectors[self.free, :]
+        if self.pivots.size:
+            out = (out - matmul(self.rfree.T, vectors[self.pivots, :], p)) % p
+        return out
+
+    def lift(self) -> np.ndarray:
+        """The (n x dim) embedding of quotient coordinates as free unit vectors."""
+        m = np.zeros((self.pivots.size + self.dim, self.dim), dtype=np.int64)
+        m[self.free, np.arange(self.dim)] = 1
+        return m
+
+
+class LazyHomology:
+    """Homology dimensions of a complex read off cell by cell.
+
+    A cell is a tuple of indices; ``dim(*cell)`` is the dimension of its
+    space and ``differential(*cell)`` the matrix of the map out of it,
+    which lands at ``cell + step``. Then
+
+        H(cell) = dim(cell) - rank(out of cell) - rank(into cell),
+
+    where a rank whose source or target has dimension 0 is 0 without
+    building the matrix. Each rank is computed once, on first demand, so
+    a scan that stops at the first nonzero cell builds no later matrix.
+    """
+
+    def __init__(self, dim, differential, step: tuple[int, ...], p: int):
+        self._dim = dim
+        self._differential = differential
+        self._step = step
+        self._p = p
+        self._ranks: dict[tuple[int, ...], int] = {}
+
+    def rank_out_of(self, cell: tuple[int, ...]) -> int:
+        """Rank of the differential out of ``cell``."""
+        r = self._ranks.get(cell)
+        if r is None:
+            target = tuple(a + b for a, b in zip(cell, self._step))
+            if self._dim(*cell) == 0 or self._dim(*target) == 0:
+                r = 0
+            else:
+                r = rank(self._differential(*cell), self._p)
+            self._ranks[cell] = r
+        return r
+
+    def homology(self, *cell: int) -> int:
+        source = tuple(a - b for a, b in zip(cell, self._step))
+        return self._dim(*cell) - self.rank_out_of(cell) - self.rank_out_of(source)
 
 
 class ChainComplexSpec:
@@ -402,11 +482,13 @@ class ChainComplexSpec:
                 raise LinAlgError(f"composition d^{i + 1} d^{i} is nonzero: not a complex")
 
     def homology_dims(self) -> dict[int, int]:
-        p = self.field.p
-        ranks = {i: rank(d, p) for i, d in self.diffs.items()}
+        # A missing differential is a zero map, and an empty matrix has rank 0.
+        zero = np.zeros((0, 0), dtype=np.int64)
+        h = LazyHomology(lambda i: self.dims.get(i, 0), lambda i: self.diffs.get(i, zero),
+                         (1,), self.field.p)
         out = {}
         for i in range(self.lo, self.hi + 1):
-            out[i] = self.dims[i] - ranks.get(i, 0) - ranks.get(i - 1, 0)
+            out[i] = h.homology(i)
             if out[i] < 0:
                 raise LinAlgError(f"negative homology dimension at index {i}: invalid complex")
         return out

@@ -43,7 +43,7 @@ from .facering import (
     multiplication_matrix,
     quotient_presentation,
 )
-from .linalg import PrimeField, matmul, rank
+from .linalg import LazyHomology, PrimeField, matmul
 
 VARIANTS = ("full", "interior", "subdivision")
 
@@ -65,7 +65,7 @@ def _restriction(src: RelativeComplex, dst: RelativeComplex, j: int) -> np.ndarr
     return mat
 
 
-def restriction_matrix(src, dst, j: int, field: PrimeField | None = None) -> np.ndarray:
+def restriction_matrix(src, dst, j: int) -> np.ndarray:
     return _restriction(as_relative(src), as_relative(dst), j).copy()
 
 
@@ -79,6 +79,8 @@ class PartitionComplexSpec:
     positions maps the cohomological index i to an ordered list of
     (descriptor, module) pairs; descriptors are face masks for the full
     and interior variants and cell indices for the subdivision variant.
+    Homology is read off by a ``LazyHomology`` over the cells (i, j) with
+    step (1, 0): the differential keeps the degree j.
     """
 
     __slots__ = ("psi", "variant", "positions", "structure", "_signs")
@@ -175,24 +177,21 @@ class PartitionComplexSpec:
 
     def homology_dims(self, field: PrimeField, max_degree: int | None = None) -> dict:
         """{(i, j): dim} over i in [-1, max position], j in [0, max_degree]."""
-        if max_degree is None:
-            d = self.psi.dim
-            max_degree = (d if d is not None else -1) + 2
-        ranks: dict[tuple[int, int], int] = {}
+        h = LazyHomology(self.space_dim, lambda i, j: self.differential(i, j, field),
+                         (1, 0), field.p)
+        return _homology_table(h, self.psi, self.max_position, max_degree)
 
-        def rk(i, j):
-            if (i, j) not in ranks:
-                if self.space_dim(i, j) == 0 or self.space_dim(i + 1, j) == 0:
-                    ranks[(i, j)] = 0
-                else:
-                    ranks[(i, j)] = rank(self.differential(i, j, field), field.p)
-            return ranks[(i, j)]
 
-        out = {}
-        for i in range(-1, self.max_position + 1):
-            for j in range(max_degree + 1):
-                out[(i, j)] = self.space_dim(i, j) - rk(i, j) - rk(i - 1, j)
-        return out
+def _homology_table(h: LazyHomology, psi, top: int, max_degree: int | None) -> dict:
+    """{(i, j): h.homology(i, j)} over i in [-1, top], j in [0, max_degree].
+
+    max_degree defaults to dim(Psi) + 2.
+    """
+    if max_degree is None:
+        d = psi.dim
+        max_degree = (d if d is not None else -1) + 2
+    return {(i, j): h.homology(i, j)
+            for i in range(-1, top + 1) for j in range(max_degree + 1)}
 
 
 def partition_homology_dims(psi, field: PrimeField,
@@ -256,36 +255,20 @@ class ReducedPartitionComplex:
             col += sdim
         return mat
 
+    def _homology(self) -> LazyHomology:
+        return LazyHomology(self.space_dim, self.differential, (1, 0), self.field.p)
+
     def homology_dims(self, max_degree: int | None = None) -> dict:
-        if max_degree is None:
-            d = self.pspec.psi.dim
-            max_degree = (d if d is not None else -1) + 2
-        ranks: dict[tuple[int, int], int] = {}
-
-        def rk(i, j):
-            if (i, j) not in ranks:
-                if self.space_dim(i, j) == 0 or self.space_dim(i + 1, j) == 0:
-                    ranks[(i, j)] = 0
-                else:
-                    ranks[(i, j)] = rank(self.differential(i, j), self.field.p)
-            return ranks[(i, j)]
-
-        out = {}
-        for i in range(-1, self.max_position + 1):
-            for j in range(max_degree + 1):
-                out[(i, j)] = self.space_dim(i, j) - rk(i, j) - rk(i - 1, j)
-        return out
+        return _homology_table(self._homology(), self.pspec.psi, self.max_position,
+                               max_degree)
 
     def front_kernel_dims(self, max_degree: int) -> dict[int, int]:
-        """Degreewise kernel of the first map, position -1 into position 0."""
-        out = {}
-        for j in range(max_degree + 1):
-            dim = self.space_dim(-1, j)
-            if dim == 0:
-                out[j] = 0
-                continue
-            out[j] = dim - rank(self.differential(-1, j), self.field.p)
-        return out
+        """Degreewise kernel of the first map, position -1 into position 0.
+
+        Nothing maps into position -1, so its homology is that kernel.
+        """
+        h = self._homology()
+        return {j: h.homology(-1, j) for j in range(max_degree + 1)}
 
 
 def reduced_partition_homology(psi, theta: LinearFormSequence, field: PrimeField,
@@ -312,7 +295,6 @@ class DoubleComplexSlice:
         self.field = field
         self.j = j
         self.n = len(theta)
-        self._ranks: dict[int, int] = {}
 
     def _t(self, b: int) -> int:
         return self.j - self.n + b
@@ -408,19 +390,9 @@ class DoubleComplexSlice:
                 mat[offs_dst[vi]:offs_dst[vi + 1], offs_src[ci]:offs_src[ci + 1]] = block
         return mat
 
-    def _rank(self, k: int) -> int:
-        if k not in self._ranks:
-            if self.tot_dim(k) == 0 or self.tot_dim(k + 1) == 0:
-                self._ranks[k] = 0
-            else:
-                self._ranks[k] = rank(self.tot_differential(k), self.field.p)
-        return self._ranks[k]
-
     def homology_dims(self) -> dict[int, int]:
-        lo = -1
-        hi = self.pspec.max_position + self.n
-        return {k: self.tot_dim(k) - self._rank(k) - self._rank(k - 1)
-                for k in range(lo, hi + 1)}
+        h = LazyHomology(self.tot_dim, self.tot_differential, (1,), self.field.p)
+        return {k: h.homology(k) for k in range(-1, self.pspec.max_position + self.n + 1)}
 
 
 def total_complex_homology(psi, theta: LinearFormSequence, field: PrimeField,

@@ -29,6 +29,7 @@ from .duality import (
 from .facering import (
     LinearFormSequence,
     expected_lsop_length,
+    lsop_trials,
     quotient_presentation,
     sample_lsop,
 )
@@ -349,11 +350,8 @@ def lefschetz_report(target, mode: str, field: PrimeField | None = None, seed=0,
     trial_rows = []
     passed = False
     found_any = False
-    length = expected_lsop_length(psi)
-    for k in range(trials):
-        s = seed + k if isinstance(seed, int) else f"{seed}:{k}"
+    for s, theta in lsop_trials(psi, seed, field, trials, budget):
         seeds.append(s)
-        theta = sample_lsop(psi, length, s, field, budget=budget)
         if theta is None:
             trial_rows.append({"seed": s, "found_lsop": False, "maps": [], "pass": False})
             continue

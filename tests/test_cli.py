@@ -212,3 +212,17 @@ def test_main_parses_argv(capsys):
     with pytest.raises(SystemExit):
         main([])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name,window", [("boundary_simplex_3", 10), ("torus7", 8)])
+def test_cone_lemma_window_past_the_vanishing_degree(name, window):
+    code, out, err = go(command="cone-lemma", input=f"builtin:{name}",
+                        max_degree=window, format="json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_negative_max_degree_is_rejected(command):
+    code, out, err = go(command=command, input="builtin:torus7", max_degree=-1)
+    assert (code, out, err) == (2, "", "error: --max-degree must be nonnegative\n")

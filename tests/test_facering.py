@@ -17,9 +17,11 @@ from srlab.facering import (
     LinearFormSequence,
     _hilbert_by_face_counts,
     expected_lsop_length,
+    first_lsop,
     hilbert_series_coeffs,
     is_lsop,
     lsop_certificate,
+    lsop_trials,
     monomial_basis,
     multiplication_matrix,
     quotient_presentation,
@@ -247,3 +249,38 @@ def test_quotient_dims_bounded_by_module_dims(seed):
     for j in range(A.cap + 1):
         if j in A.dims:
             assert A.dims[j] <= len(monomial_basis(psi, j))
+
+
+def test_quotient_degrees_past_vanishing_are_zero_and_others_raise():
+    tor = builtin_complex("torus7")
+    A = quotient_presentation(tor, lsop(tor), F)
+    past = A.vanishing_degree + 3
+    nb = len(monomial_basis(tor, past))
+    assert A.dim(past) == 0
+    assert A.lift(past).shape == (nb, 0)
+    assert A.reduce(past, np.ones((nb, 2), dtype=np.int64)).shape == (0, 2)
+    zero = LinearFormSequence([(0,) * 7] * 3, F.p)
+    B = quotient_presentation(tor, zero, F)
+    for call in (lambda: B.dim(B.cap + 1), lambda: B.lift(B.cap + 1),
+                 lambda: B.reduce(B.cap + 1, np.zeros((1, 1), dtype=np.int64))):
+        with pytest.raises(FaceRingError):
+            call()
+
+
+def test_lsop_trials_seed_rule_and_first_certified_trial():
+    tor = builtin_complex("torus7")
+    trials = list(lsop_trials(tor, 5, F, trials=3))
+    assert [s for s, _ in trials] == [5, 6, 7]
+    for s, theta in trials:
+        assert theta.forms == sample_lsop(tor, 3, s, F).forms
+    assert [s for s, _ in lsop_trials(tor, "run", F, trials=2)] == ["run:0", "run:1"]
+    assert list(lsop_trials(tor, 0, F, trials=0)) == []
+    # an edge over F_2 with one draw per trial: 6 of 16 draws are certified,
+    # and first_lsop returns the first certified trial of the stream
+    edge = builtin_complex("simplex_1")
+    stream = list(lsop_trials(edge, 1, F2, trials=20, budget=1))
+    hits = [(s, th.forms) for s, th in stream if th is not None]
+    assert 0 < len(hits) < len(stream) and stream[0][1] is None
+    s, theta = first_lsop(edge, 1, F2, trials=20, budget=1)
+    assert (s, theta.forms) == hits[0]
+    assert first_lsop(edge, 0, F2, trials=0) == (None, None)

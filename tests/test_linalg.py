@@ -8,6 +8,8 @@ from srlab.facering import _mult_matrix
 from srlab.linalg import (
     ChainComplexSpec,
     DEFAULT_PRIME,
+    FrozenQuotient,
+    LazyHomology,
     LinAlgError,
     PrimeField,
     _LARGE_CELLS,
@@ -324,3 +326,48 @@ def test_entry_points_leave_their_input_untouched():
         assert np.array_equal(m, before)
     assert _mult_matrix(builtin_complex("torus7"), (1, 2, 3, 4, 5, 6, 0), 1, p) is shared
     assert _restriction(torus, star, 3) is restriction
+
+
+def test_frozen_quotient_coordinates():
+    rng = np.random.default_rng(3)
+    p = 7
+    rows = rng.integers(0, p, size=(4, 9), dtype=np.int64)
+    rows[3] = (rows[0] + 2 * rows[1]) % p
+    q = FrozenQuotient(rows, p)
+    r = rank(rows, p)
+    assert q.dim == 9 - r and q.pivots.size == r
+    assert sorted(q.pivots.tolist() + q.free.tolist()) == list(range(9))
+    assert np.array_equal(q.reduce(q.lift()), identity(q.dim))
+    assert not np.any(q.reduce(rows.T))
+    v = rng.integers(0, p, size=(9, 5), dtype=np.int64)
+    w = q.reduce(v)
+    # v - lift(reduce(v)) lies in the row span, so it adds nothing to the rank
+    back = (v - matmul(q.lift(), w, p)) % p
+    assert rank(np.vstack([rows, back.T]), p) == r
+    empty = FrozenQuotient(np.zeros((0, 3), dtype=np.int64), p)
+    assert empty.dim == 3 and np.array_equal(empty.reduce(identity(3)), identity(3))
+
+
+def test_lazy_homology_builds_each_needed_matrix_once():
+    d0 = np.array([[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
+    dims = {0: 3, 1: 3}
+    built = []
+
+    def differential(i):
+        built.append(i)
+        return d0
+
+    h = LazyHomology(lambda i: dims.get(i, 0), differential, (1,), 7)
+    assert h.homology(0) == 1
+    assert h.homology(1) == 1
+    assert h.homology(5) == 0
+    # the maps into 0 and out of 1 have a zero side and are never built
+    assert built == [0]
+
+
+def test_chain_complex_negative_homology_is_an_error():
+    one = np.array([[1]])
+    spec = ChainComplexSpec({0: 1, 1: 1, 2: 1}, {0: one, 1: one}, PrimeField(5),
+                            check=False)
+    with pytest.raises(LinAlgError, match="negative homology"):
+        spec.homology_dims()
