@@ -335,7 +335,7 @@ def _cmd_pd(cfg: RunConfig, field: PrimeField):
 
 def _cmd_dehn_sommerville(cfg: RunConfig, field: PrimeField):
     psi = _require_absolute(_resolve_complex(cfg.input), "dehn-sommerville")
-    rep = dehn_sommerville_check(psi, field, seed=cfg.seed)
+    rep = dehn_sommerville_check(psi, field, seed=cfg.seed, trials=cfg.trials)
     lines = [f"tables: {json.dumps(rep.tables, sort_keys=True)}"]
     return _report_result(cfg, rep, lines)
 
@@ -353,7 +353,7 @@ def _cmd_lefschetz(cfg: RunConfig, field: PrimeField):
 
 def _cmd_kuhnel(cfg: RunConfig, field: PrimeField):
     psi = _require_absolute(_resolve_complex(cfg.input), "kuhnel")
-    rep = kuhnel_report(psi.delta, field, seed=cfg.seed)
+    rep = kuhnel_report(psi.delta, field, seed=cfg.seed, trials=cfg.trials)
     lines = _entry_lines(
         rep, lambda e: f"j={e['j']} lhs={e['lhs']} rhs={e['rhs']} dim_A={e['dim_A']}")
     return _report_result(cfg, rep, lines)

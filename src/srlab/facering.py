@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .complexes import RelativeComplex, as_relative, _bit_positions, _popcount
-from .linalg import FrozenQuotient, PrimeField, rank
+from .linalg import FrozenQuotient, PrimeField
 
 
 class FaceRingError(ValueError):
@@ -119,12 +119,11 @@ class LinearFormSequence:
 
     @classmethod
     def random(cls, psi, count: int, seed, field: PrimeField) -> "LinearFormSequence":
-        """Uniform coefficients, deterministic for a fixed seed."""
+        """Uniform coefficients: random.Random(seed).randrange(p), form by form."""
         psi = as_relative(psi)
         n = len(psi.delta.labels)
-        rng = random.Random(seed)
-        forms = [[rng.randrange(field.p) for _ in range(n)] for _ in range(count)]
-        return cls(forms, field.p, seed=seed)
+        forms = _uniform(random.Random(seed), field.p, count * n).reshape(count, n)
+        return cls(forms.tolist(), field.p, seed=seed)
 
     def __len__(self) -> int:
         return len(self.forms)
@@ -308,39 +307,125 @@ def expected_lsop_length(psi) -> int:
     return 0 if d is None else d + 1
 
 
-@lru_cache(maxsize=16)
-def _maximal_columns(psi: RelativeComplex) -> tuple[tuple[int, ...], ...]:
-    """Vertex positions of each nonempty maximal face of Psi.
+# Largest number of coefficients sample_lsop draws and certifies at once.
+_BLOCK_COEFFS = 1 << 15
 
-    The O(F^2) scan runs once per complex, not once per Theta draw of
-    sample_lsop. The faces keep the iteration order of psi.faces(), the
-    order in which the certificate checks them.
+
+def _uniform(rng: random.Random, p: int, count: int) -> np.ndarray:
+    """The next count values of rng.randrange(p), drawn in bulk, as int64.
+
+    The stream is exact because PrimeField caps p at 2^31 - 1: CPython's
+    randrange(p) calls getrandbits(k) with k = p.bit_length() <= 31, which
+    is one 32-bit Mersenne Twister word shifted right by 32 - k, and tries
+    again while the value is >= p. getrandbits(32 * m) returns the next m
+    words with the first one least significant, so its little-endian bytes
+    are the words in draw order. Each round takes one word per value still
+    missing, a number of tries every run of randrange needs, so the
+    generator ends in the state that count randrange(p) calls leave.
+    """
+    shift = 32 - p.bit_length()
+    out = np.empty(count, dtype=np.int64)
+    got = 0
+    while got < count:
+        m = count - got
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
+        kept = words >> shift
+        kept = kept[kept < p]
+        out[got:got + kept.size] = kept
+        got += kept.size
+    return out
+
+
+@lru_cache(maxsize=16)
+def _maximal_columns(psi: RelativeComplex) -> tuple[np.ndarray, ...]:
+    """Vertex positions of the nonempty maximal faces of Psi, grouped by size.
+
+    One read-only (faces, size) index array per face size, sizes ascending.
+    The O(F^2) scan runs once per complex, not once per block of Theta
+    draws of sample_lsop.
     """
     faces = psi.faces()
     maximal = [f for f in faces if not any(f != g and f & g == f for g in faces)]
-    return tuple(cols for cols in map(_bit_positions, maximal) if cols)
+    by_size: dict[int, list[tuple[int, ...]]] = {}
+    for cols in map(_bit_positions, maximal):
+        if cols:
+            by_size.setdefault(len(cols), []).append(cols)
+    groups = tuple(np.array(by_size[size], dtype=np.intp) for size in sorted(by_size))
+    for g in groups:
+        g.flags.writeable = False
+    return groups
+
+
+def _full_column_rank(mats: np.ndarray, p: int) -> np.ndarray:
+    """Mask over a (count, rows, cols) stack with entries in [0, p): full column rank mod p.
+
+    Fraction-free elimination: column c takes the first row at or below c
+    with a nonzero entry as its pivot row, and each row r below becomes
+    pivot * r - r[c] * pivot_row, reduced mod p. No inverse is needed, and
+    with p < 2^31 every product stays below 2^62. Overwrites mats.
+    """
+    count, _, cols = mats.shape
+    every = np.arange(count)
+    full = np.ones(count, dtype=bool)
+    for c in range(cols):
+        nonzero = mats[:, c:, c] != 0
+        full &= nonzero.any(axis=1)
+        pivot = c + nonzero.argmax(axis=1)
+        top = mats[every, c].copy()
+        mats[every, c] = mats[every, pivot]
+        mats[every, pivot] = top
+        below = mats[:, c + 1:, c + 1:]
+        below[...] = (mats[:, c:c + 1, c:c + 1] * below
+                      - mats[:, c + 1:, c:c + 1] * mats[:, c:c + 1, c + 1:]) % p
+    return full
+
+
+def _certified(block: np.ndarray, psi: RelativeComplex, p: int) -> np.ndarray:
+    """Mask over a (draws, length, n) block of coefficients in [0, p): the l.s.o.p. draws.
+
+    V(Theta) meets the coordinate subspace of a maximal support face sigma
+    only at 0 iff the coefficient submatrix on sigma's columns has rank
+    |sigma|; the quotient M/<Theta>M is finite iff this holds for all
+    maximal faces of Psi. Each size group of faces is gathered into one
+    (draws * faces, length, size) stack and eliminated at once.
+    """
+    draws, length, _ = block.shape
+    ok = np.ones(draws, dtype=bool)
+    for cols in _maximal_columns(psi):
+        faces, size = cols.shape
+        if size > length:
+            return np.zeros(draws, dtype=bool)
+        stack = block[:, :, cols].transpose(0, 2, 1, 3).reshape(draws * faces, length, size)
+        ok &= _full_column_rank(stack, p).reshape(draws, faces).all(axis=1)
+    return ok
 
 
 def lsop_certificate(psi, forms, field: PrimeField) -> bool:
     """Exact finiteness test: Theta restricted to every maximal face has full rank.
 
-    V(Theta) meets the coordinate subspace of a maximal support face sigma
-    only at 0 iff the coefficient submatrix on sigma's columns has rank
-    |sigma|; the quotient M/<Theta>M is finite iff this holds for all
-    maximal faces of Psi.
+    The one-draw call of _certified, the test sample_lsop applies to each
+    block of draws from the seeded randrange stream, so forms pass here
+    exactly when sample_lsop accepts them as a draw, in whichever block
+    they come. Entries are read mod p.
     """
     psi = as_relative(psi)
     nverts = len(psi.delta.labels)
-    arr = np.array([list(f) for f in forms], dtype=np.int64).reshape(len(forms), nverts)
-    for cols in _maximal_columns(psi):
-        if arr.shape[0] == 0 or rank(arr[:, cols], field.p) < len(cols):
-            return False
-    return True
+    block = np.array([list(f) for f in forms], dtype=np.int64).reshape(1, len(forms), nverts)
+    return bool(_certified(block % field.p, psi, field.p)[0])
 
 
 def sample_lsop(psi, length: int, seed, field: PrimeField,
                 budget: int = 20000) -> LinearFormSequence | None:
     """First certified l.s.o.p. from the seeded stream; None if the budget runs out.
+
+    Draw t is the next length * n values of random.Random(seed).randrange(p),
+    form by form, exactly as a loop of randrange calls would take them;
+    _uniform reads the same values in bulk. Draws are certified in blocks
+    of 1, 4, 16, ... draws, capped at _BLOCK_COEFFS coefficients and at the
+    draws left in the budget. Blocks are consecutive slices of one stream
+    and each returns its first certified draw, so the block size never
+    changes which Theta is returned, and None comes after exactly budget
+    draws.
 
     Over the default large prime the first draw passes essentially always;
     over tiny fields the good locus can be a sub-percent fraction of all
@@ -349,11 +434,20 @@ def sample_lsop(psi, length: int, seed, field: PrimeField,
     """
     psi = as_relative(psi)
     n = len(psi.delta.labels)
+    length = max(length, 0)
     rng = random.Random(seed)
-    for _ in range(budget):
-        forms = [[rng.randrange(field.p) for _ in range(n)] for _ in range(length)]
-        if lsop_certificate(psi, forms, field):
-            return LinearFormSequence(forms, field.p, seed=seed)
+    per_draw = length * n
+    cap = max(1, _BLOCK_COEFFS // max(per_draw, 1))
+    size = 1
+    done = 0
+    while done < budget:
+        draws = min(size, cap, budget - done)
+        block = _uniform(rng, field.p, draws * per_draw).reshape(draws, length, n)
+        hits = np.flatnonzero(_certified(block, psi, field.p))
+        if hits.size:
+            return LinearFormSequence(block[hits[0]].tolist(), field.p, seed=seed)
+        done += draws
+        size *= 4
     return None
 
 
@@ -373,12 +467,22 @@ def lsop_trials(psi, seed, field: PrimeField, trials: int = 3, budget: int = 200
         yield s, sample_lsop(psi, length, s, field, budget=budget)
 
 
+def trials_until_certified(psi, seed, field: PrimeField, trials: int = 3,
+                           budget: int = 20000) -> tuple:
+    """(seeds consumed, Theta or None): lsop_trials up to its first certified Theta."""
+    seeds = []
+    for s, theta in lsop_trials(psi, seed, field, trials, budget):
+        seeds.append(s)
+        if theta is not None:
+            return seeds, theta
+    return seeds, None
+
+
 def first_lsop(psi, seed, field: PrimeField, trials: int = 3,
                budget: int = 20000) -> tuple:
     """The first certified trial of lsop_trials as (seed_k, Theta); (None, None) if none."""
-    certified = ((s, theta) for s, theta in lsop_trials(psi, seed, field, trials, budget)
-                 if theta is not None)
-    return next(certified, (None, None))
+    seeds, theta = trials_until_certified(psi, seed, field, trials, budget)
+    return (seeds[-1], theta) if theta is not None else (None, None)
 
 
 def random_linear_forms(delta, count: int, seed, field: PrimeField) -> LinearFormSequence:

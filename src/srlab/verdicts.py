@@ -28,10 +28,9 @@ from .duality import (
 )
 from .facering import (
     LinearFormSequence,
-    expected_lsop_length,
     lsop_trials,
     quotient_presentation,
-    sample_lsop,
+    trials_until_certified,
 )
 from .koszul import is_algebraically_cm
 from .linalg import DEFAULT_PRIME, PrimeField, identity, matmul, rank
@@ -246,7 +245,7 @@ def schenzel_report(psi, theta, field: PrimeField | None = None) -> TheoremRepor
 
 
 def dehn_sommerville_check(delta, field: PrimeField | None = None, seed=0,
-                           budget: int = 20000) -> TheoremReport:
+                           trials: int = 3, budget: int = 20000) -> TheoremReport:
     """Three independent symmetry checks for sphere candidates.
 
     Palindromy of the h-vector, palindromy of the B-dimensions, and
@@ -263,11 +262,11 @@ def dehn_sommerville_check(delta, field: PrimeField | None = None, seed=0,
         diagnostics.append(str(e))
         return TheoremReport("dehn-sommerville", complex_hash(psi), field.p,
                              [], [], VERDICT_INCONCLUSIVE, diagnostics)
-    theta = sample_lsop(psi, expected_lsop_length(psi), seed, field, budget=budget)
+    seeds, theta = trials_until_certified(psi, seed, field, trials, budget)
     if theta is None:
         diagnostics.append("no certified parameter system found within budget")
         return TheoremReport("dehn-sommerville", complex_hash(psi), field.p,
-                             [seed], [], VERDICT_INCONCLUSIVE, diagnostics)
+                             seeds, [], VERDICT_INCONCLUSIVE, diagnostics)
     h = list(f_h_vectors(psi).h)
     h_palindromic = h == h[::-1]
     pres = build_B(psi, theta, field)
@@ -288,7 +287,7 @@ def dehn_sommerville_check(delta, field: PrimeField | None = None, seed=0,
         {"name": "pairing", "full": pairing_full, "ranks": pairing_tbl},
     ]
     verdict = VERDICT_HOLDS if h_palindromic and b_palindromic and pairing_full else VERDICT_FAILS
-    return TheoremReport("dehn-sommerville", complex_hash(psi), field.p, [seed],
+    return TheoremReport("dehn-sommerville", complex_hash(psi), field.p, seeds,
                          tables, verdict, diagnostics)
 
 
@@ -394,7 +393,7 @@ def lefschetz_report(target, mode: str, field: PrimeField | None = None, seed=0,
 
 
 def kuhnel_report(delta, field: PrimeField | None = None, seed=0,
-                  budget: int = 20000) -> TheoremReport:
+                  trials: int = 3, budget: int = 20000) -> TheoremReport:
     """Binomial bound on Betti numbers of a closed manifold.
 
     For each admissible j, checks C(d+1,j)b_{j-1} + C(d+1,j-1)b_{d-j+1}
@@ -412,7 +411,7 @@ def kuhnel_report(delta, field: PrimeField | None = None, seed=0,
                              VERDICT_INCONCLUSIVE, diagnostics)
     d = psi.dim
     nvert = len(psi.delta.labels)
-    theta = sample_lsop(psi, d + 1, seed, field, budget=budget)
+    seeds, theta = trials_until_certified(psi, seed, field, trials, budget)
     base = quotient_presentation(psi, theta, field) if theta is not None else None
     if base is None:
         diagnostics.append("no certified parameter system found within budget")
@@ -432,5 +431,5 @@ def kuhnel_report(delta, field: PrimeField | None = None, seed=0,
         verdict = VERDICT_INCONCLUSIVE
     else:
         verdict = VERDICT_HOLDS if binomial_ok and intermediate_ok else VERDICT_FAILS
-    return TheoremReport("kuhnel", complex_hash(psi), field.p, [seed], tables,
+    return TheoremReport("kuhnel", complex_hash(psi), field.p, seeds, tables,
                          verdict, diagnostics)

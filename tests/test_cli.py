@@ -226,3 +226,15 @@ def test_cone_lemma_window_past_the_vanishing_degree(name, window):
 def test_negative_max_degree_is_rejected(command):
     code, out, err = go(command=command, input="builtin:torus7", max_degree=-1)
     assert (code, out, err) == (2, "", "error: --max-degree must be nonnegative\n")
+
+
+@pytest.mark.parametrize("command", ["kuhnel", "dehn-sommerville"])
+def test_trials_sets_the_seeds_of_kuhnel_and_dehn_sommerville(command):
+    # no parameter system of torus7 over F_2 is certified, so every trial is consumed
+    seeds = {}
+    for trials in (1, 5):
+        code, out, _ = go(command=command, input="builtin:torus7", prime=2,
+                          format="json", trials=trials)
+        assert code == 3
+        seeds[trials] = json.loads(out)["seeds"]
+    assert seeds == {1: [0], 5: [0, 1, 2, 3, 4]}

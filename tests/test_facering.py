@@ -12,10 +12,12 @@ from srlab.complexes import (
     builtin_complex,
     random_relative_complex,
 )
+from srlab.complexes import BUILTIN_EXAMPLES
 from srlab.facering import (
     FaceRingError,
     LinearFormSequence,
     _hilbert_by_face_counts,
+    _uniform,
     expected_lsop_length,
     first_lsop,
     hilbert_series_coeffs,
@@ -284,3 +286,184 @@ def test_lsop_trials_seed_rule_and_first_certified_trial():
     s, theta = first_lsop(edge, 1, F2, trials=20, budget=1)
     assert (s, theta.forms) == hits[0]
     assert first_lsop(edge, 0, F2, trials=0) == (None, None)
+
+
+# -- the seeded coefficient stream and the block sampler ------------------------
+
+PRIMES = (2, 3, 5, 65537, 2**31 - 1)
+
+
+def _untemper(y: int) -> int:
+    """Inverse of the Mersenne Twister output tempering."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(5):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x
+    for _ in range(3):
+        x = y ^ (x >> 11)
+    return x & 0xFFFFFFFF
+
+
+def _rng_with_next_words(words) -> random.Random:
+    """A generator whose next 32-bit outputs are the given words."""
+    rng = random.Random(0)
+    _, state, gauss = rng.getstate()
+    mt = [_untemper(w) for w in words] + list(state[len(words):624])
+    rng.setstate((3, tuple(mt) + (0,), gauss))
+    return rng
+
+
+def _randrange_tries(rng: random.Random, p: int, count: int) -> int:
+    """How many getrandbits words count calls of rng.randrange(p) consume."""
+    k, tries, got = p.bit_length(), 0, 0
+    while got < count:
+        tries += 1
+        got += rng.getrandbits(k) < p
+    return tries
+
+
+@pytest.mark.parametrize("seed", [0, 11, -5, "run:3"])
+@pytest.mark.parametrize("p", PRIMES)
+def test_uniform_is_the_randrange_stream(seed, p):
+    for count in (0, 1, 2, 700, 5000):
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        want = [want_rng.randrange(p) for _ in range(count)]
+        got = _uniform(got_rng, p, count)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert got_rng.random() == want_rng.random()
+    if p < 2**31 - 1:  # the large count rejects some words at every other prime
+        assert _randrange_tries(random.Random(seed), p, 700) > 700
+
+
+def test_uniform_rejects_like_randrange_at_the_largest_prime():
+    # over 2^31 - 1 a word is rejected only when it is 0xFFFFFFFE or 0xFFFFFFFF
+    words = [0xFFFFFFFF, 5, 0xFFFFFFFE, 0xFFFFFFFD]
+    assert _rng_with_next_words(words).getrandbits(32 * 4).to_bytes(16, "little") == \
+        b"".join(w.to_bytes(4, "little") for w in words)
+    p = 2**31 - 1
+    for count in (1, 2, 3):
+        want_rng, got_rng = _rng_with_next_words(words), _rng_with_next_words(words)
+        want = [want_rng.randrange(p) for _ in range(count)]
+        assert _uniform(got_rng, p, count).tolist() == want
+        assert got_rng.random() == want_rng.random()
+    assert want[:2] == [2, p - 1]
+
+
+def test_random_forms_read_the_randrange_stream():
+    tor = builtin_complex("torus7")
+    for p in (2, 3, DEFAULT_PRIME):
+        rng = random.Random("ell")
+        want = [[rng.randrange(p) for _ in range(7)] for _ in range(3)]
+        assert [list(f) for f in random_linear_forms(tor, 3, "ell", PrimeField(p))] == want
+
+
+def _gauss_jordan_rank(rows: list[list[int]], p: int) -> int:
+    rows = [[x % p for x in r] for r in rows]
+    rk = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rk, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        inv = pow(rows[rk][c], -1, p)
+        rows[rk] = [x * inv % p for x in rows[rk]]
+        for i in range(len(rows)):
+            if i != rk and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rk])]
+        rk += 1
+    return rk
+
+
+def _maximal_supports(psi) -> list[list[int]]:
+    faces = psi.faces()
+    n = len(psi.delta.labels)
+    return [[v for v in range(n) if f >> v & 1] for f in faces
+            if f and not any(f != g and f & g == f for g in faces)]
+
+
+def _reference_certificate(psi, forms, p: int) -> bool:
+    return all(_gauss_jordan_rank([[row[v] for v in cols] for row in forms], p) == len(cols)
+               for cols in _maximal_supports(psi))
+
+
+def _reference_first_draw(psi, length: int, seed, p: int, budget: int):
+    """(index, forms) of the first certified draw of a randrange loop, or None."""
+    n = len(psi.delta.labels)
+    if any(len(cols) > length for cols in _maximal_supports(psi)):
+        return None  # fewer rows than a face's columns: no draw has full rank
+    rng = random.Random(seed)
+    for k in range(budget):
+        forms = [[rng.randrange(p) for _ in range(n)] for _ in range(length)]
+        if _reference_certificate(psi, forms, p):
+            return k, forms
+    return None
+
+
+# blocks of 1, 4 and 16 draws end after 1, 5 and 21 draws; test each edge and its neighbours
+BUDGETS = (0, 1, 2, 3, 4, 5, 6, 20, 21, 22, 20000)
+
+
+def _assert_sampler_matches_reference(psi, p: int, seed) -> None:
+    field = PrimeField(p)
+    e = expected_lsop_length(psi)
+    for length in (e - 1, e, e + 1):
+        ref = _reference_first_draw(psi, length, seed, p, max(BUDGETS))
+        for budget in BUDGETS:
+            theta = sample_lsop(psi, length, seed, field, budget=budget)
+            if ref is None or ref[0] >= budget:
+                assert theta is None, (length, budget)
+            else:
+                assert theta is not None, (length, budget)
+                assert [list(f) for f in theta.forms] == ref[1]
+                assert theta.seed == seed and theta.p == p
+
+
+@pytest.mark.parametrize("p", (2, 3, DEFAULT_PRIME))
+@pytest.mark.parametrize("name", sorted(BUILTIN_EXAMPLES))
+def test_sample_lsop_matches_a_randrange_loop_on_builtins(name, p):
+    _assert_sampler_matches_reference(builtin_complex(name), p, seed=4)
+
+
+@pytest.mark.parametrize("p", (2, 3, DEFAULT_PRIME))
+def test_sample_lsop_matches_a_randrange_loop_on_random_pairs(p):
+    rng = random.Random(909)
+    cases = [random_relative_complex(rng) for _ in range(25)]
+    sizes = [{len(c) for c in _maximal_supports(psi)} for psi in cases]
+    assert any(len(s) > 1 for s in sizes)  # some are not pure
+    assert any(not psi.is_absolute for psi in cases)
+    # expected length 0, so length -1 too: only the empty face, and nothing at all
+    edge = SimplicialComplex.from_facets(("a", "b"), [("a", "b")])
+    cases += [RelativeComplex(SimplicialComplex.from_facets(("a",), [])),
+              RelativeComplex(edge, edge)]
+    for i, psi in enumerate(cases):
+        _assert_sampler_matches_reference(psi, p, seed=f"pair:{i}")
+
+
+def test_lsop_certificate_edge_cases():
+    tor = builtin_complex("torus7")
+    empty_only = RelativeComplex(SimplicialComplex.from_facets(("a",), []))
+    # zero forms: certify only a complex without nonempty faces
+    assert not lsop_certificate(tor, [], F)
+    assert lsop_certificate(empty_only, [], F)
+    # fewer forms than a face's size never certify
+    assert not lsop_certificate(tor, lsop(tor).forms[:2], F)
+    # mixed face sizes: a triangle, an edge and an isolated vertex
+    mixed = as_relative(SimplicialComplex.from_facets(
+        (1, 2, 3, 4, 5), [(1, 2, 3), (3, 4), (5,)]))
+    good = [(1, 0, 0, 1, 1), (0, 1, 0, 0, 0), (0, 0, 1, 1, 0)]
+    assert lsop_certificate(mixed, good, F)
+    flat_edge = [(1, 0, 0, 0, 1), (0, 1, 0, 0, 0), (0, 0, 1, 1, 0)]  # columns 3, 4 dependent
+    no_vertex = [(1, 0, 0, 1, 0), (0, 1, 0, 0, 0), (0, 0, 1, 1, 0)]  # column 5 is zero
+    assert not lsop_certificate(mixed, flat_edge, F)
+    assert not lsop_certificate(mixed, no_vertex, F)
+    # entries are read mod p: multiples of p are zero, negative entries count
+    assert lsop_certificate(mixed, [[c - 2 * F2.p for c in f] for f in good], F2)
+    assert not lsop_certificate(mixed, [f[:4] + (F.p,) for f in no_vertex], F)
+    rng = random.Random(6)
+    for _ in range(200):
+        forms = [[rng.randrange(3) for _ in range(5)] for _ in range(rng.randint(0, 4))]
+        want = _reference_certificate(mixed, forms, 3)
+        assert lsop_certificate(mixed, forms, PrimeField(3)) == want
