@@ -25,6 +25,7 @@ from .facering import (
     LinearFormSequence,
     GradedQuotientPresentation,
     expected_lsop_length,
+    hilbert_certificate,
     hilbert_series_coeffs,
     is_lsop,
     lsop_certificate,
@@ -83,6 +84,7 @@ __all__ = [
     "LinearFormSequence",
     "GradedQuotientPresentation",
     "expected_lsop_length",
+    "hilbert_certificate",
     "hilbert_series_coeffs",
     "is_lsop",
     "lsop_certificate",

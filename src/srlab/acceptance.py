@@ -133,7 +133,12 @@ def _reisner_instances():
 
 
 def check_reisner_agreement() -> dict:
-    """Topological vs algebraic Cohen-Macaulay over mixed fields."""
+    """Link criterion vs algebraic Cohen-Macaulay over mixed fields.
+
+    The algebraic side is is_algebraically_cm: the Hilbert-function
+    certificate of one certified quotient, with Koszul depth on non-CM
+    instances.
+    """
     checked = 0
     inconclusive = 0
     disagreements = []

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .complexes import RelativeComplex, as_relative, _bit_positions, _popcount
+from .complexes import RelativeComplex, as_relative, f_h_vectors, _bit_positions, _popcount
 from .linalg import FrozenQuotient, PrimeField
 
 
@@ -300,6 +300,23 @@ def quotient_presentation(psi, theta: LinearFormSequence, field: PrimeField,
     return GradedQuotientPresentation(psi, theta, field, cap=cap)
 
 
+def hilbert_certificate(psi, theta: LinearFormSequence, field: PrimeField) -> bool:
+    """Stanley's CM criterion for a certified l.s.o.p. Theta of a non-void Psi.
+
+    k[Psi] is Cohen-Macaulay iff dim_k (k[Psi]/Theta)_j = h_j for every j.
+    True iff the quotient vanishes inside its cap and its Hilbert function
+    equals the h-vector, both zero-padded to a common length. Any
+    certified Theta decides, so one quotient replaces a Koszul depth scan.
+    """
+    pres = quotient_presentation(psi, theta, field)
+    if pres.vanishing_degree is None:
+        return False
+    dims = pres.dims_list()
+    h = list(f_h_vectors(psi).h)
+    width = max(len(dims), len(h))
+    return dims + [0] * (width - len(dims)) == h + [0] * (width - len(h))
+
+
 def expected_lsop_length(psi) -> int:
     """Max cardinality of a face of Delta outside Gamma."""
     psi = as_relative(psi)
@@ -380,23 +397,39 @@ def _full_column_rank(mats: np.ndarray, p: int) -> np.ndarray:
     return full
 
 
+# Maximal faces _certified eliminates at once before it drops the failed draws.
+_FACE_CHUNK = 8
+
+
 def _certified(block: np.ndarray, psi: RelativeComplex, p: int) -> np.ndarray:
     """Mask over a (draws, length, n) block of coefficients in [0, p): the l.s.o.p. draws.
 
     V(Theta) meets the coordinate subspace of a maximal support face sigma
     only at 0 iff the coefficient submatrix on sigma's columns has rank
     |sigma|; the quotient M/<Theta>M is finite iff this holds for all
-    maximal faces of Psi. Each size group of faces is gathered into one
-    (draws * faces, length, size) stack and eliminated at once.
+    maximal faces of Psi. The faces are taken _FACE_CHUNK at a time, size
+    group by size group: each chunk is gathered into one (live draws *
+    faces, length, size) stack and eliminated at once, the draws it fails
+    are dropped, and the scan stops when none are left. Over small fields
+    most draws fail on the first faces.
     """
     draws, length, _ = block.shape
-    ok = np.ones(draws, dtype=bool)
+    live = np.arange(draws)
     for cols in _maximal_columns(psi):
         faces, size = cols.shape
         if size > length:
             return np.zeros(draws, dtype=bool)
-        stack = block[:, :, cols].transpose(0, 2, 1, 3).reshape(draws * faces, length, size)
-        ok &= _full_column_rank(stack, p).reshape(draws, faces).all(axis=1)
+        for start in range(0, faces, _FACE_CHUNK):
+            chunk = cols[start:start + _FACE_CHUNK]
+            k = len(chunk)
+            stack = block[:, :, chunk].transpose(0, 2, 1, 3).reshape(live.size * k, length, size)
+            keep = _full_column_rank(stack, p).reshape(live.size, k).all(axis=1)
+            if not keep.all():
+                live, block = live[keep], block[keep]
+                if not live.size:
+                    return np.zeros(draws, dtype=bool)
+    ok = np.zeros(draws, dtype=bool)
+    ok[live] = True
     return ok
 
 

@@ -12,8 +12,9 @@ deg(alpha) + n - i the differential preserves degree, so each shifted
 degree is an honest cochain complex; the natural grading deg(alpha) gives
 a staircase whose homology at (i, t) sits between the maps in from
 (i-1, t-1) and out to (i+1, t+1). Depth is the smallest i with nonzero
-homology, and the Cohen-Macaulay test compares it to dim + 1 for
-certified linear systems of parameters.
+homology; for a certified linear system of parameters it equals dim + 1
+exactly on Cohen-Macaulay modules. The CM test itself decides by the
+Hilbert function of one quotient and reports Koszul depth when not CM.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .complexes import as_relative
 from .facering import (
     LinearFormSequence,
     expected_lsop_length,
+    hilbert_certificate,
     lsop_trials,
     monomial_basis,
     multiplication_matrix,
@@ -149,14 +151,20 @@ def depth(psi, theta, field: PrimeField, max_degree: int | None = None) -> int:
 
 def is_algebraically_cm(psi, field: PrimeField | None = None, seed=0, trials: int = 3,
                         budget: int = 20000, max_degree: int | None = None) -> dict:
-    """Cohen-Macaulay test: depth equals dim + 1 for a certified l.s.o.p.
+    """Cohen-Macaulay test: Hilbert-function certificate, Koszul depth when not CM.
 
     The trials come from ``lsop_trials``: each draws its own coefficient
     stream and rejection-samples until the l.s.o.p. certificate passes; a
     trial whose budget runs out is recorded with found_lsop False and
-    contributes no verdict. cm is True when any completed trial reaches full depth, and
-    inconclusive is True when no trial completed (possible over tiny
-    fields where parameter systems are scarce or absent).
+    contributes no verdict. The first certified Theta decides CM by
+    ``hilbert_certificate``. If it holds, depth is dim + 1 (CM means full
+    depth for every l.s.o.p.), the trial is recorded with that depth and
+    the loop stops. Otherwise that trial and every later certified one
+    records its Koszul ``depth`` with coefficient degrees up to max_degree,
+    which bounds only this scan; a scan that reaches dim + 1 on a non-CM
+    module saw too few degrees and raises KoszulError. inconclusive is True
+    when no trial completed (possible over tiny fields where parameter
+    systems are scarce or absent).
     """
     psi = as_relative(psi)
     if field is None:
@@ -167,21 +175,27 @@ def is_algebraically_cm(psi, field: PrimeField | None = None, seed=0, trials: in
                 "trials": [], "inconclusive": False, "note": "zero module"}
     trial_rows = []
     best = None
+    cm = None
     for s, theta in lsop_trials(psi, seed, field, trials, budget):
         if theta is None:
             trial_rows.append({"seed": s, "found_lsop": False, "depth": None})
             continue
+        if cm is None:
+            cm = hilbert_certificate(psi, theta, field)
+        if cm:
+            trial_rows.append({"seed": s, "found_lsop": True, "depth": expected})
+            best = expected
+            break
         dep = depth(psi, theta, field, max_degree=max_degree)
+        if dep == expected:
+            raise KoszulError("degree window too narrow to find the depth")
         trial_rows.append({"seed": s, "found_lsop": True, "depth": dep})
         best = dep if best is None else max(best, dep)
-        if dep == expected:
-            break
-    completed = [row for row in trial_rows if row["found_lsop"]]
     return {
-        "cm": bool(completed) and best == expected,
+        "cm": bool(cm),
         "expected_depth": expected,
         "depth": best,
         "prime": field.p,
         "trials": trial_rows,
-        "inconclusive": not completed,
+        "inconclusive": cm is None,
     }

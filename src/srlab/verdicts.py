@@ -145,7 +145,7 @@ def buchsbaum_offender(psi, field: PrimeField):
 
 def reisner_report(psi, field: PrimeField | None = None, seed=0,
                    trials: int = 3) -> TheoremReport:
-    """Agreement of the link criterion with the Koszul-depth CM test."""
+    """Reisner: link criterion vs. Hilbert-function certificate, Koszul depth when not CM."""
     field = _field(field)
     psi = as_relative(psi)
     topo = reisner_link_table(psi, field)

@@ -238,3 +238,20 @@ def test_trials_sets_the_seeds_of_kuhnel_and_dehn_sommerville(command):
         assert code == 3
         seeds[trials] = json.loads(out)["seeds"]
     assert seeds == {1: [0], 5: [0, 1, 2, 3, 4]}
+
+
+@pytest.mark.parametrize("window", [0, 1])
+def test_cm_never_reads_full_depth_from_a_narrow_window(window):
+    # torus7 is not CM; a window of degree <= 1 sees only the top Koszul homology
+    code, out, err = go(command="cm", input="builtin:torus7", max_degree=window)
+    assert (code, out) == (2, "")
+    assert err == "error: degree window too narrow to find the depth\n"
+    assert go(command="cm", input="builtin:torus7", max_degree=2)[:2] == (
+        1, "cm: no\ndepth: 2\nexpected: 3\n")
+
+
+def test_cm_window_bounds_only_the_koszul_scan():
+    # the Hilbert certificate decides CM; no Koszul scan runs, so the window is moot
+    code, out, err = go(command="cm", input="builtin:disk_with_induced_boundary_2",
+                        max_degree=0)
+    assert (code, out, err) == (0, "cm: yes\ndepth: 3\nexpected: 3\n", "")

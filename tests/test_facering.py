@@ -16,6 +16,7 @@ from srlab.complexes import BUILTIN_EXAMPLES
 from srlab.facering import (
     FaceRingError,
     LinearFormSequence,
+    _certified,
     _hilbert_by_face_counts,
     _uniform,
     expected_lsop_length,
@@ -467,3 +468,27 @@ def test_lsop_certificate_edge_cases():
         forms = [[rng.randrange(3) for _ in range(5)] for _ in range(rng.randint(0, 4))]
         want = _reference_certificate(mixed, forms, 3)
         assert lsop_certificate(mixed, forms, PrimeField(3)) == want
+
+
+def test_certified_blocks_match_the_per_draw_certificate():
+    # torus7 over F_2 certifies no draw; the mixed complex has 10 isolated
+    # vertices, 9 disjoint edges and a triangle, so draws fail in every chunk
+    tor = builtin_complex("torus7")
+    facets = [[v] for v in range(1, 11)] + [[v, v + 1] for v in range(11, 29, 2)] + [[29, 30, 31]]
+    mixed = as_relative(SimplicialComplex.from_facets(range(1, 32), facets))
+    rng = random.Random(17)
+    accepted = 0
+    for psi in (tor, mixed):
+        n = len(psi.delta.labels)
+        for p in (2, 3):
+            field = PrimeField(p)
+            for draws in (1, 2, 7, 40, 300):
+                block = np.array([rng.randrange(p) for _ in range(draws * 3 * n)],
+                                 dtype=np.int64).reshape(draws, 3, n)
+                got = _certified(block.copy(), psi, p)
+                want = [lsop_certificate(psi, block[k].tolist(), field) for k in range(draws)]
+                assert got.tolist() == want
+                assert want == [_reference_certificate(psi, block[k].tolist(), p)
+                                for k in range(draws)]
+                accepted += sum(want)
+    assert accepted  # a block that certifies nothing would not test the kept draws

@@ -3,10 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from srlab.complexes import RelativeComplex, SimplicialComplex, builtin_complex, random_relative_complex
+from srlab.complexes import (
+    BUILTIN_EXAMPLES,
+    RelativeComplex,
+    SimplicialComplex,
+    builtin_complex,
+    random_relative_complex,
+)
 from srlab.facering import (
     LinearFormSequence,
     expected_lsop_length,
+    hilbert_certificate,
+    lsop_trials,
     multiplication_matrix,
     quotient_presentation,
     sample_lsop,
@@ -191,6 +199,7 @@ def test_long_sequences_vanish_in_the_low_shifted_window():
 def test_cm_verdicts_on_known_complexes():
     res = is_algebraically_cm(builtin_complex("boundary_simplex_3"))
     assert res["cm"] and res["depth"] == res["expected_depth"] == 3
+    assert res["trials"] == [{"seed": 0, "found_lsop": True, "depth": 3}]
     assert not res["inconclusive"] and res["prime"] == DEFAULT_PRIME
 
     res = is_algebraically_cm(builtin_complex("torus7"))
@@ -202,6 +211,39 @@ def test_cm_verdicts_on_known_complexes():
 
     res = is_algebraically_cm(builtin_complex("rp2_6"), PrimeField(3), budget=4000)
     assert res["cm"] and res["depth"] == 3
+
+
+def _assert_routes_agree(psi, field) -> set[bool]:
+    """Hilbert certificate vs Koszul depth on every certified trial; returns the verdicts."""
+    expected = expected_lsop_length(psi)
+    budget = 2000 if field.p < 100 else 20000
+    verdicts = set()
+    for _, theta in lsop_trials(psi, 0, field, trials=3, budget=budget):
+        if theta is not None:
+            cm = hilbert_certificate(psi, theta, field)
+            assert cm == (depth(psi, theta, field) == expected)
+            verdicts.add(cm)
+    return verdicts
+
+
+ROUTE_FIELDS = (PrimeField(2), PrimeField(3), F)
+
+
+@pytest.mark.parametrize("field", ROUTE_FIELDS, ids=lambda f: str(f.p))
+@pytest.mark.parametrize("name", sorted(BUILTIN_EXAMPLES))
+def test_hilbert_certificate_agrees_with_koszul_depth_on_builtins(name, field):
+    _assert_routes_agree(builtin_complex(name), field)
+
+
+def test_hilbert_certificate_agrees_with_koszul_depth_on_random_pairs():
+    rng = random.Random(2024)
+    cases = [psi for psi in (random_relative_complex(rng) for _ in range(100)) if not psi.is_void]
+    assert any(not psi.is_absolute for psi in cases)
+    assert any(len({bin(f).count("1") for f in psi.delta.facets()}) > 1 for psi in cases)
+    verdicts = set()
+    for k, psi in enumerate(cases):
+        verdicts |= _assert_routes_agree(psi, ROUTE_FIELDS[k % 3])
+    assert verdicts == {True, False}
 
 
 def test_cm_on_the_zero_module_is_vacuously_true():
