@@ -3,10 +3,11 @@
 The degree-j piece of k[Psi] has the monomials x^alpha with |alpha| = j
 and support(alpha) a face of Delta outside Gamma as a basis. Everything
 here is phrased in those coordinates: multiplication by a linear form is
-a matrix, the quotient A = k[Psi]/<Theta> is computed degree by degree
-by eliminating the column space of the multiplication maps, and coset
-representatives are the non-pivot monomials of a fixed-order elimination
-so that every downstream matrix is reproducible bit for bit.
+a matrix (cached and read-only), the quotient A = k[Psi]/<Theta> is
+computed degree by degree, one form at a time, by eliminating the
+relations each form adds, and coset representatives are the non-pivot
+monomials of the reduced row echelon form of all relations, so that
+every downstream matrix is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -162,6 +163,7 @@ def _mult_matrix(psi: RelativeComplex, coeffs: tuple[int, ...], j: int, p: int) 
                 continue
             beta = alpha[:v] + (alpha[v] + 1,) + alpha[v + 1:]
             mat[dst.index[beta], col] = (mat[dst.index[beta], col] + c) % p
+    mat.flags.writeable = False
     return mat
 
 
@@ -207,6 +209,23 @@ class GradedQuotientPresentation:
     the non-pivot monomials of the RREF as the basis of A_j. Past the
     vanishing degree A_j = 0; other degrees outside the computed range
     raise FaceRingError.
+
+    The relations are added in stages, one form at a time. Let Q_i =
+    k[Psi]/(theta_1..theta_i) and R_{i,j} its free monomials in degree j.
+    Then
+
+        (theta_1..theta_i)_j = (theta_1..theta_{i-1})_j + theta_i * R_{i-1,j-1},
+
+    because k[Psi]_{j-1} = span(R_{i-1,j-1}) + (theta_1..theta_{i-1})_{j-1}
+    and theta_i times the second summand lies in (theta_1..theta_{i-1})_j.
+    This holds for any Theta and any relative Psi. So stage i of degree j
+    extends the quotient only by the columns R_{i-1,j-1} of the cached
+    multiplication matrix of theta_i, and the free monomials of every
+    stage one degree down are all the state kept between degrees. The
+    last stage spans the whole relation space, and the RREF of a space is
+    unique: pivots, free monomials and coset coordinates are those of one
+    elimination of all n * dim k[Psi]_{j-1} relation rows, while on a CM
+    complex every row the stages eliminate is a pivot.
     """
 
     def __init__(self, psi, theta: LinearFormSequence, field: PrimeField,
@@ -230,19 +249,20 @@ class GradedQuotientPresentation:
     def _build(self) -> None:
         p = self.field.p
         gen_max = _generator_max_degree(self.psi)
+        # below[i]: the free monomials of k[Psi]/(theta_1..theta_i) one degree down;
+        # k[Psi]_{-1} = 0 has none
+        below = [np.zeros(0, dtype=np.intp)] * len(self.theta)
         for j in range(self.cap + 1):
-            basis = monomial_basis(self.psi, j)
-            nb = len(basis)
-            if j == 0 or nb == 0:
-                rel_rows = np.zeros((0, nb), dtype=np.int64)
-            else:
-                blocks = [_mult_matrix(self.psi, f, j - 1, p) for f in self.theta]
-                rel = np.hstack(blocks) if blocks else np.zeros((nb, 0), dtype=np.int64)
-                rel_rows = rel.T
-            q = FrozenQuotient(rel_rows, p)
+            q = FrozenQuotient(np.zeros((0, len(monomial_basis(self.psi, j))), dtype=np.int64), p)
+            free = [q.free]
+            for form, cols in zip(self.theta, below):
+                if cols.size and q.dim:
+                    q.extend(_mult_matrix(self.psi, form, j - 1, p)[:, cols].T)
+                free.append(q.free)
+            below = free
             self._quotients[j] = q
             self.dims[j] = q.dim
-            if self.dims[j] == 0 and j >= gen_max:
+            if q.dim == 0 and j >= gen_max:
                 self.vanishing_degree = j
                 break
         else:

@@ -34,15 +34,16 @@ arrays however the kernel is written; the frozen order pins down only the
 unreduced echelon form.
 
 No entry point mutates its argument: each works on one reduced copy made
-per call. Callers rely on this, since the cached multiplication matrices
-of ``facering`` are shared arrays.
+per call. The cached multiplication matrices of ``facering`` are shared,
+read-only arrays.
 
 Everything downstream (cohomology, Hilbert functions, Koszul and
 partition homology, pairing ranks) reduces to rank/kernel computations
 done here. The two moves the complexes and quotients downstream are
 built from have one home each here as well: ``LazyHomology`` reads
 homology off a complex as dim - rank - rank, and ``FrozenQuotient``
-quotients a space by a span in frozen coordinates.
+quotients a space by a span in frozen coordinates, extending the span
+batch by batch.
 """
 
 from __future__ import annotations
@@ -367,6 +368,30 @@ def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
+# Cells of the largest block of products _minus_product forms at once.
+_PRODUCT_CELLS = 1 << 20
+
+
+def _minus_product(x: np.ndarray, s: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """(x - s @ y) mod p for s and y with entries in [0, p), by the nonzeros of s.
+
+    Row i of x loses s[i, c] * y[c] for every nonzero s[i, c], so the work
+    follows the nonzeros of s, not its cells. Each product is reduced mod p
+    before the products of one row are summed, so the sums stay inside
+    int64. The nonzeros are taken in blocks of at most _PRODUCT_CELLS
+    product cells; within a block each row of x is updated once. x is
+    overwritten.
+    """
+    i, c = np.nonzero(s)
+    step = max(1, _PRODUCT_CELLS // max(y.shape[1], 1))
+    for a in range(0, i.size, step):
+        ib, cb = i[a:a + step], c[a:a + step]
+        terms = s[ib, cb][:, None] * y[cb] % p
+        starts = np.flatnonzero(np.r_[True, ib[1:] != ib[:-1]])
+        x[ib[starts]] -= np.add.reduceat(terms, starts, axis=0)
+    return x % p
+
+
 class FrozenQuotient:
     """F_p^n modulo the span of the rows of a matrix, in frozen coordinates.
 
@@ -377,26 +402,60 @@ class FrozenQuotient:
     v[free] - rfree^T v[pivots], and ``lift`` embeds the quotient back
     through the unit vectors of the free columns. The RREF is unique, so
     these coordinates do not depend on how the span was written down.
+
+    ``extend`` quotients further by more rows, in place. The new rows are
+    reduced to their free coordinates, their RREF gives the new pivots
+    among the free columns, and those columns are cleared from the old
+    pivot rows. The result is the RREF of all rows given so far, so a
+    quotient built in batches equals the one built from the stacked rows,
+    while the elimination works only on the columns still free.
+
+    Reducing and clearing are both x - s @ y with a factor s that is
+    mostly zeros here: vectors in monomial coordinates (relation rows,
+    restrictions, lifted unit vectors) on the pivot columns, and the RREF
+    rows on the new pivot columns. ``_minus_product`` does that work by
+    the nonzeros of s.
     """
 
     __slots__ = ("p", "pivots", "free", "rfree", "dim")
 
     def __init__(self, rows: np.ndarray, p: int):
-        red, pivots = rref(rows, p)
+        rows = np.asarray(rows, dtype=np.int64)
+        n = rows.shape[1]
         self.p = p
-        self.pivots = np.array(pivots, dtype=np.int64)
-        self.free = _free_columns(pivots, red.shape[1])
-        self.rfree = red[:len(pivots), self.free]
+        self.pivots = np.zeros(0, dtype=np.int64)
+        self.free = np.arange(n)
+        self.rfree = np.zeros((0, n), dtype=np.int64)
+        self.dim = n
+        self.extend(rows)
+
+    def extend(self, rows: np.ndarray) -> None:
+        """Quotient further by the span of the rows of ``rows`` (shape k x n)."""
+        p = self.p
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.shape[1] != self.pivots.size + self.dim:
+            raise LinAlgError(f"rows of width {rows.shape[1]} extend a quotient of "
+                              f"F_p^{self.pivots.size + self.dim}")
+        if rows.shape[0] == 0 or self.dim == 0:
+            return
+        red, fresh = rref(self.reduce(rows.T).T, p)
+        if not fresh:
+            return
+        red = red[:len(fresh)]
+        old = _minus_product(self.rfree.copy(), self.rfree[:, fresh], red, p)
+        pivots = np.concatenate([self.pivots, self.free[fresh]])
+        order = np.argsort(pivots)
+        keep = _free_columns(fresh, self.dim)
+        self.pivots = pivots[order]
+        self.rfree = np.vstack([old, red])[order][:, keep]
+        self.free = self.free[keep]
         self.dim = self.free.size
 
     def reduce(self, vectors: np.ndarray) -> np.ndarray:
         """Quotient coordinates of the columns of ``vectors``."""
         p = self.p
-        vectors = np.asarray(vectors, dtype=np.int64) % p
-        out = vectors[self.free, :]
-        if self.pivots.size:
-            out = (out - matmul(self.rfree.T, vectors[self.pivots, :], p)) % p
-        return out
+        rows = np.asarray(vectors, dtype=np.int64).T % p
+        return _minus_product(rows[:, self.free], rows[:, self.pivots], self.rfree, p).T
 
     def lift(self) -> np.ndarray:
         """The (n x dim) embedding of quotient coordinates as free unit vectors."""

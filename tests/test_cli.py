@@ -255,3 +255,9 @@ def test_cm_window_bounds_only_the_koszul_scan():
     code, out, err = go(command="cm", input="builtin:disk_with_induced_boundary_2",
                         max_degree=0)
     assert (code, out, err) == (0, "cm: yes\ndepth: 3\nexpected: 3\n", "")
+
+
+def test_cm_on_the_seven_vertex_five_sphere():
+    # the Hilbert certificate on the staged quotient; depth itself is not run here
+    code, out, err = go(command="cm", input="builtin:boundary_simplex_6", prime=2147483647)
+    assert (code, out, err) == (0, "cm: yes\ndepth: 6\nexpected: 6\n", "")

@@ -17,7 +17,9 @@ from srlab.facering import (
     FaceRingError,
     LinearFormSequence,
     _certified,
+    _generator_max_degree,
     _hilbert_by_face_counts,
+    _mult_matrix,
     _uniform,
     expected_lsop_length,
     first_lsop,
@@ -32,7 +34,7 @@ from srlab.facering import (
     sample_lsop,
     variable_form,
 )
-from srlab.linalg import DEFAULT_PRIME, PrimeField, matmul
+from srlab.linalg import DEFAULT_PRIME, PrimeField, matmul, rref
 
 F = PrimeField(DEFAULT_PRIME)
 F2 = PrimeField(2)
@@ -226,6 +228,89 @@ def test_quotient_mult_matrix_matches_raw_route():
         raw = multiplication_matrix(tor, form, j, F)
         via_lift = A.reduce(j + 1, matmul(raw, A.lift(j), F.p))
         assert np.array_equal(q, via_lift)
+
+
+def _stacked_quotient(psi, theta, field, cap):
+    """Oracle: per degree, one rref of the relation rows of all forms, stacked.
+
+    Returns ({j: (pivots, free, rfree)}, vanishing degree or None).
+    """
+    psi = as_relative(psi)
+    p = field.p
+    gen_max = _generator_max_degree(psi)
+    out = {}
+    for j in range(cap + 1):
+        nb = len(monomial_basis(psi, j))
+        if j == 0 or nb == 0 or len(theta) == 0:
+            rows = np.zeros((0, nb), dtype=np.int64)
+        else:
+            rows = np.hstack([multiplication_matrix(psi, f, j - 1, field) for f in theta]).T
+        red, pivots = rref(rows, p)
+        free = [c for c in range(nb) if c not in set(pivots)]
+        out[j] = (pivots, free, red[:len(pivots)][:, free].tolist())
+        if not free and j >= gen_max:
+            return out, j
+    return out, None
+
+
+def _matches_stacked_quotient(psi, theta, field, cap=None):
+    A = quotient_presentation(psi, theta, field, cap=cap)
+    want, vanishing = _stacked_quotient(psi, theta, field, A.cap)
+    assert A.vanishing_degree == vanishing
+    assert A.finite_at_cap == (vanishing is not None)
+    assert A.dims == {j: len(free) for j, (_, free, _) in want.items()}
+    for j, (pivots, free, rfree) in want.items():
+        q = A._at(j)
+        assert q.pivots.tolist() == pivots
+        assert q.free.tolist() == free
+        assert q.rfree.tolist() == rfree
+    return A
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+@pytest.mark.parametrize("name", BUILTIN_EXAMPLES + (
+    "boundary_simplex_4", "boundary_simplex_5", "cross_polytope_4"))
+def test_staged_quotient_matches_the_stacked_rref(name, p):
+    psi = builtin_complex(name)
+    field = PrimeField(p)
+    _, theta = first_lsop(psi, 0, field)
+    if theta is None:  # no certified l.s.o.p. in budget: any forms of the right length
+        theta = random_linear_forms(psi, expected_lsop_length(psi), 0, field)
+    _matches_stacked_quotient(psi, theta, field)
+
+
+@pytest.mark.parametrize("p", [2, DEFAULT_PRIME])
+def test_staged_quotient_matches_the_stacked_rref_off_lsop(p):
+    field = PrimeField(p)
+    tor = builtin_complex("torus7")
+    theta = random_linear_forms(tor, 3, 4, field)
+    zero = LinearFormSequence([(0,) * 7] * 3, p)
+    assert not _matches_stacked_quotient(tor, zero, field).finite_at_cap
+    short = LinearFormSequence(theta.forms[:2], p)
+    assert not _matches_stacked_quotient(tor, short, field).finite_at_cap
+    empty = _matches_stacked_quotient(tor, LinearFormSequence([], p), field, cap=3)
+    assert empty.dims[3] == len(monomial_basis(tor, 3))
+    # a relative pair and forms that all agree: Theta is not finite on it
+    pair = builtin_complex("disk_with_induced_boundary_2")
+    n = len(pair.delta.labels)
+    same = LinearFormSequence([theta.forms[0][:n]] * expected_lsop_length(pair), p)
+    assert not lsop_certificate(pair, same, field)
+    assert not _matches_stacked_quotient(pair, same, field).finite_at_cap
+    for seed in range(4):
+        psi = random_relative_complex(random.Random(seed))
+        forms = random_linear_forms(psi, expected_lsop_length(psi), seed, field)
+        _matches_stacked_quotient(psi, forms, field, cap=4)
+
+
+def test_cached_multiplication_matrices_are_read_only():
+    tor = builtin_complex("torus7")
+    form = (1, 2, 3, 4, 5, 6, 0)
+    cached = _mult_matrix(tor, form, 1, F.p)
+    with pytest.raises(ValueError):
+        cached[0, 0] = 1
+    fresh = multiplication_matrix(tor, form, 1, F)
+    fresh[0, 0] = 1  # the public function hands out a writable copy
+    assert _mult_matrix(tor, form, 1, F.p) is cached
 
 
 def test_non_lsop_quotient_is_infinite_at_cap():

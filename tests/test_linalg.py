@@ -348,6 +348,49 @@ def test_frozen_quotient_coordinates():
     assert empty.dim == 3 and np.array_equal(empty.reduce(identity(3)), identity(3))
 
 
+def _same_quotient(q, want):
+    assert q.dim == want.dim
+    assert q.pivots.tolist() == want.pivots.tolist()
+    assert q.free.tolist() == want.free.tolist()
+    assert q.rfree.tolist() == want.rfree.tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, DEFAULT_PRIME])
+def test_frozen_quotient_extended_in_batches_equals_the_stacked_quotient(p):
+    rng = np.random.default_rng(p % 1000)
+    for trial in range(12):
+        n = int(rng.integers(1, 14))
+        k = int(rng.integers(1, n + 1))
+        rows = (_low_rank_matrix(rng, (int(rng.integers(1, 2 * n)), n), p, 0.5, k)
+                if trial % 2 else _random_matrix(rng, (int(rng.integers(1, n + 2)), n), p, 0.4))
+        cuts = np.sort(rng.integers(0, rows.shape[0] + 1, size=3))
+        batches = [np.zeros((0, n), dtype=np.int64)]                        # empty batch
+        for a, b in zip([0, *cuts], [*cuts, rows.shape[0]]):
+            batches.append(rows[a:b])
+            batches.append(np.zeros((int(rng.integers(1, 3)), n), dtype=np.int64))  # zero rows
+            seen = np.vstack(batches)
+            mix = rng.integers(-2, 3, size=(int(rng.integers(1, 4)), seen.shape[0]))
+            batches.append(mix @ seen % p)                                    # fully dependent
+        q = FrozenQuotient(batches[0], p)
+        for b in batches[1:]:
+            q.extend(b)
+        _same_quotient(q, FrozenQuotient(np.vstack(batches), p))
+        _same_quotient(q, FrozenQuotient(rows, p))
+
+
+def test_frozen_quotient_extension_edge_cases():
+    p = 7
+    q = FrozenQuotient(identity(3), p)
+    assert q.dim == 0
+    q.extend(np.array([[1, 2, 3]]))  # nothing is left to quotient by
+    _same_quotient(q, FrozenQuotient(identity(3), p))
+    q = FrozenQuotient(np.array([[1, 1, 0]]), p)
+    q.extend(np.array([[0, 1, 1], [1, 0, 6]]))  # the second row is the first minus the new one
+    _same_quotient(q, FrozenQuotient(np.array([[1, 1, 0], [0, 1, 1]]), p))
+    with pytest.raises(LinAlgError, match="width"):
+        q.extend(np.zeros((1, 4), dtype=np.int64))
+
+
 def test_lazy_homology_builds_each_needed_matrix_once():
     d0 = np.array([[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
     dims = {0: 3, 1: 3}
