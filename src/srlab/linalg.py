@@ -1,13 +1,16 @@
 """Exact linear algebra over a prime field F_p.
 
-Matrices are dense numpy int64 arrays. Inputs may hold unreduced entries
-(the -1 signs of a coboundary, say); every result has entries in [0, p).
-The modulus is capped at 2^31 - 1 so that a single multiply-accumulate
-step of Gaussian elimination stays inside int64; matrix products use a
-16-bit split so the accumulated dot products are exact as well.
+Matrices are dense numpy int64 arrays, except that ``rank`` also takes a
+``SparseMatrix``, which holds only the nonzeros; the total-complex
+differentials are built that way, being a fraction of a percent full.
+Inputs may hold unreduced entries (the -1 signs of a coboundary, say);
+every result has entries in [0, p). The modulus is capped at 2^31 - 1 so
+that a single multiply-accumulate step of Gaussian elimination stays
+inside int64; matrix products use a 16-bit split so the accumulated dot
+products are exact as well.
 
-Elimination runs in one of four regimes, chosen from the input's shape,
-fill and entries:
+Elimination runs in one of four regimes, chosen from the input's type,
+shape, fill and entries:
 
 - list path: ``rank`` of a matrix with at most ``_TINY_CELLS`` entries
   eliminates on Python ints, where numpy's per-call cost would dominate;
@@ -22,11 +25,14 @@ fill and entries:
 - dense path: ``_eliminate`` scans columns left to right with a frozen
   pivot order and updates the rows below (or, reduced, around) each pivot
   as one slice ``m[targets, c:]``;
-- sparse path: ``rank`` of a matrix with more than ``_LARGE_CELLS``
-  cells, under 1/20 of them nonzero, pivots greedily for low fill in
-  ``_sparse_rank``. Unit matrices this large stay there: testing the
-  entries means finding the nonzeros of every large matrix, which costs
-  more on the large non-unit differentials than it saves on the rest.
+- sparse path: ``rank`` of a ``SparseMatrix``, or of a dense matrix with
+  more than ``_LARGE_CELLS`` cells under 1/20 of them nonzero, pivots
+  Markowitz-style on row dicts in ``_markowitz_rank``: sparsest column
+  first, then the shortest row in it. Past as many dict updates as the
+  matrix has cells, the rows and columns still live go to the dense path
+  as one block. Unit matrices this large stay there: testing the entries
+  means finding the nonzeros of every large matrix, which costs more on
+  the large non-unit differentials than it saves on the rest.
 
 Rank does not depend on the pivot order, and the reduced row echelon form
 of a matrix is unique, so ``rref`` and ``kernel_basis`` return the same
@@ -34,8 +40,8 @@ arrays however the kernel is written; the frozen order pins down only the
 unreduced echelon form.
 
 No entry point mutates its argument: each works on one reduced copy made
-per call. The cached multiplication matrices of ``facering`` are shared,
-read-only arrays.
+per call. The cached multiplication matrices of ``facering`` and
+restriction matrices of ``partition`` are shared, read-only arrays.
 
 Everything downstream (cohomology, Hilbert functions, Koszul and
 partition homology, pairing ranks) reduces to rank/kernel computations
@@ -48,6 +54,7 @@ batch by batch.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -61,8 +68,8 @@ MAX_PRIME = 2147483647
 # call costs more than the arithmetic it performs.
 _TINY_CELLS = 64
 
-# Up to this many cells, rank() tries the unit path; above it, sparse input
-# takes the sparse path.
+# Up to this many cells, rank() tries the unit path; above it, dense input
+# under 1/20 full takes the sparse path.
 _LARGE_CELLS = 250_000
 
 
@@ -114,6 +121,61 @@ class PrimeField:
 
 def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
+
+
+class SparseMatrix:
+    """A matrix over F_p held by its nonzeros.
+
+    ``rows``, ``cols`` and ``vals`` are int64 arrays with one entry per
+    nonzero position and values in [1, p); ``shape`` is a pair of ints.
+    The constructor reduces the values mod p and drops the zeros; the
+    positions must be distinct and inside the shape.
+    """
+
+    __slots__ = ("shape", "rows", "cols", "vals")
+
+    def __init__(self, shape: tuple[int, int], rows, cols, vals, p: int):
+        self.shape = (int(shape[0]), int(shape[1]))
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=np.int64) % p
+        keep = np.flatnonzero(vals)
+        if keep.size < vals.size:
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        if rows.size and not (0 <= rows.min() and rows.max() < self.shape[0]
+                              and 0 <= cols.min() and cols.max() < self.shape[1]):
+            raise LinAlgError(f"an entry lies outside a {self.shape} matrix")
+        self.rows, self.cols, self.vals = rows, cols, vals
+
+    @classmethod
+    def from_dense(cls, m: np.ndarray, p: int) -> "SparseMatrix":
+        m = np.asarray(m, dtype=np.int64)
+        r, c = np.nonzero(m)
+        return cls(m.shape, r, c, m[r, c], p)
+
+    @classmethod
+    def from_blocks(cls, shape: tuple[int, int], blocks, p: int) -> "SparseMatrix":
+        """The matrix with each (row, col, block, sign) of ``blocks`` placed at (row, col).
+
+        A block with sign -1 is placed negated; the blocks must not overlap.
+        """
+        parts = [(b.rows + r, b.cols + c, b.vals if sign > 0 else p - b.vals)
+                 for r, c, b, sign in blocks if b.vals.size]
+        if not parts:
+            return cls(shape, [], [], [], p)
+        return cls(shape, *(np.concatenate(x) for x in zip(*parts)), p)
+
+    @property
+    def T(self) -> "SparseMatrix":
+        t = object.__new__(SparseMatrix)
+        t.shape = self.shape[::-1]
+        t.rows, t.cols, t.vals = self.cols, self.rows, self.vals
+        return t
+
+    def toarray(self) -> np.ndarray:
+        m = np.zeros(self.shape, dtype=np.int64)
+        m[self.rows, self.cols] = self.vals
+        return m
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -261,73 +323,98 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return _eliminate(m, p, reduced=True)
 
 
-def _sparse_rank(m: np.ndarray, p: int) -> int:
-    """Rank by greedy low-fill elimination, for large sparse matrices.
+def _markowitz_rank(a: SparseMatrix, p: int) -> int:
+    """Rank of a sparse matrix by Markowitz pivoting on row dicts; the sparse regime.
 
-    Rank does not depend on pivot order, so each step pivots in the
-    sparsest active column and row to limit fill-in. Active rows always
-    hold zeros in retired columns, which keeps the bookkeeping to two
-    nonzero-count vectors. If fill-in densifies the active block anyway,
-    the leftover submatrix is handed to the frozen-order eliminator.
+    Rows are ``{column: value}`` dicts, and each column keeps the set of
+    live rows that hold it. Every step pivots in the live column with the
+    fewest rows, then on the shortest of those rows, which keeps fill-in
+    low; rank does not depend on the pivot order. A heap of column counts
+    finds that column: every count change pushes a fresh entry, and an
+    entry whose count is out of date is skipped when popped. Once more
+    dict updates have been made than the matrix has cells, the live rows
+    and columns are handed to ``_eliminate`` as one dense block, a safety
+    net against fill-in.
     """
-    m = np.asarray(m, dtype=np.int64) % p
-    rows, cols = m.shape
-    rowmask = np.ones(rows, dtype=bool)
-    colmask = np.ones(cols, dtype=bool)
-    rowcnt = np.count_nonzero(m, axis=1)
-    colcnt = np.count_nonzero(m, axis=0)
-    active_nnz = int(rowcnt.sum())
-    r = 0
-    while True:
-        live = np.nonzero(colmask & (colcnt > 0))[0]
-        if live.size == 0:
-            return r
-        active_cells = (rows - r) * live.size
-        if active_cells > 250_000 and active_nnz * 4 > active_cells:
-            sub = m[np.ix_(np.nonzero(rowmask)[0], np.nonzero(colmask)[0])]
-            _, pivots = _eliminate(sub, p, reduced=False)
-            return r + len(pivots)
-        c = int(live[np.argmin(colcnt[live])])
-        in_col = np.nonzero((m[:, c] != 0) & rowmask)[0]
-        if in_col.size == 0:
-            colcnt[c] = 0
+    nrows, ncols = a.shape
+    rows: list[dict[int, int] | None] = [{} for _ in range(nrows)]
+    holders: list[set[int]] = [set() for _ in range(ncols)]
+    for i, j, x in zip(a.rows.tolist(), a.cols.tolist(), a.vals.tolist()):
+        rows[i][j] = x
+        holders[j].add(i)
+    heap = [(len(held), j) for j, held in enumerate(holders) if held]
+    heapq.heapify(heap)
+    budget = nrows * ncols
+    work = r = 0
+    while heap:
+        count, c = heapq.heappop(heap)
+        targets = holders[c]
+        if count != len(targets):
             continue
-        pr = int(in_col[np.argmin(rowcnt[in_col])])
-        piv_cols = np.nonzero(m[pr])[0]
-        targets = in_col[in_col != pr]
-        if targets.size:
-            inv = pow(int(m[pr, c]), -1, p)
-            factors = m[targets, c] * inv % p
-            block = m[np.ix_(targets, piv_cols)]
-            before = block != 0
-            block = (block - factors[:, None] * m[pr, piv_cols][None, :]) % p
-            m[np.ix_(targets, piv_cols)] = block
-            after = block != 0
-            colcnt[piv_cols] += after.sum(axis=0) - before.sum(axis=0)
-            grown = after.sum(axis=1) - before.sum(axis=1)
-            rowcnt[targets] += grown
-            active_nnz += int(grown.sum())
-        active_nnz -= piv_cols.size
-        colcnt[piv_cols] -= 1
-        rowmask[pr] = False
-        colmask[c] = False
+        pr = min(targets, key=lambda i: len(rows[i]))
+        piv = rows[pr]
+        rows[pr] = None
+        holders[c] = set()
+        targets.discard(pr)
+        inv = pow(piv.pop(c), -1, p)
+        rest = list(piv.items())
+        for j, _ in rest:
+            holders[j].discard(pr)
+        for t in targets:
+            row = rows[t]
+            f = row.pop(c) * inv % p
+            for j, x in rest:
+                y = row.get(j)
+                if y is None:
+                    row[j] = -f * x % p
+                    holders[j].add(t)
+                else:
+                    y = (y - f * x) % p
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                        holders[j].discard(t)
+        work += len(targets) * len(rest)
+        for j, _ in rest:
+            if holders[j]:
+                heapq.heappush(heap, (len(holders[j]), j))
         r += 1
+        if work > budget:
+            return r + _dense_rank_of_live(rows, holders, p)
+    return r
 
 
-def rank(m: np.ndarray, p: int) -> int:
+def _dense_rank_of_live(rows: list, holders: list[set[int]], p: int) -> int:
+    """Rank of the live rows and columns left by ``_markowitz_rank``, densified."""
+    live_rows = [row for row in rows if row]
+    live_cols = [j for j, held in enumerate(holders) if held]
+    position = {j: k for k, j in enumerate(live_cols)}
+    sub = np.zeros((len(live_rows), len(live_cols)), dtype=np.int64)
+    for k, row in enumerate(live_rows):
+        sub[k, [position[j] for j in row]] = list(row.values())
+    _, pivots = _eliminate(sub, p, reduced=False)
+    return len(pivots)
+
+
+def rank(m: np.ndarray | SparseMatrix, p: int) -> int:
     """Rank over F_p; 0 for empty matrices.
 
-    The regime follows the input (see the module docstring): tiny matrices
-    take the list path, unit matrices of at most ``_LARGE_CELLS`` cells
-    the unit path within its work budget, larger sparse ones the sparse
-    path, and the rest the dense path.
+    The regime follows the input (see the module docstring): a
+    ``SparseMatrix`` takes the sparse path, tiny matrices the list path,
+    unit matrices of at most ``_LARGE_CELLS`` cells the unit path within
+    its work budget, larger sparse ones the sparse path, and the rest the
+    dense path.
     """
-    m = np.asarray(m, dtype=np.int64)
+    if not isinstance(m, SparseMatrix):
+        m = np.asarray(m, dtype=np.int64)
     if m.shape[0] == 0 or m.shape[1] == 0:
         return 0
     # Eliminating along the shorter axis is faster and rank is transpose-invariant.
     if m.shape[1] > m.shape[0]:
         m = m.T
+    if isinstance(m, SparseMatrix):
+        return _markowitz_rank(m, p)
     if m.size <= _TINY_CELLS:
         return _list_rank(m.tolist(), p)
     if m.size <= _LARGE_CELLS:
@@ -339,7 +426,7 @@ def rank(m: np.ndarray, p: int) -> int:
             if r is not None:
                 return r
     elif np.count_nonzero(m) * 20 < m.size:
-        return _sparse_rank(m, p)
+        return _markowitz_rank(SparseMatrix.from_dense(m, p), p)
     _, pivots = _eliminate(m, p, reduced=False)
     return len(pivots)
 

@@ -39,11 +39,11 @@ from .complexes import (
 )
 from .facering import (
     LinearFormSequence,
+    _mult_matrix,
     monomial_basis,
-    multiplication_matrix,
     quotient_presentation,
 )
-from .linalg import LazyHomology, PrimeField, matmul
+from .linalg import LazyHomology, PrimeField, SparseMatrix, matmul
 
 VARIANTS = ("full", "interior", "subdivision")
 
@@ -62,6 +62,7 @@ def _restriction(src: RelativeComplex, dst: RelativeComplex, j: int) -> np.ndarr
         row = db.index.get(alpha)
         if row is not None:
             mat[row, col] = 1
+    mat.flags.writeable = False
     return mat
 
 
@@ -286,6 +287,12 @@ class DoubleComplexSlice:
     horizontal map restricts stars and the vertical map is the Koszul
     step, which commute. The total differential applies the vertical map
     with sign (-1)^a and squares to zero.
+
+    The three maps are ``SparseMatrix`` instances, a fraction of a percent
+    full: the horizontal map repeats the nonzeros of the star-cover
+    differential once per wedge basis vector, and the vertical map places
+    the nonzeros of the cached multiplication matrices with their Koszul
+    signs. Only ``rank`` consumes them.
     """
 
     def __init__(self, pspec: PartitionComplexSpec, theta: LinearFormSequence,
@@ -307,50 +314,47 @@ class DoubleComplexSlice:
             return 0
         return math.comb(self.n, b) * self.pspec.space_dim(a, t)
 
-    def horizontal(self, a: int, b: int) -> np.ndarray:
+    def horizontal(self, a: int, b: int) -> SparseMatrix:
+        """Star restriction (a, b) -> (a + 1, b), one copy per wedge basis vector."""
         t = self._t(b)
         pd = self.pspec.differential(a, t, self.field)
+        block = SparseMatrix.from_dense(pd, self.field.p)
         wedge = math.comb(self.n, b)
-        return np.kron(np.eye(wedge, dtype=np.int64), pd)
+        rows, cols = pd.shape
+        return SparseMatrix.from_blocks(
+            (wedge * rows, wedge * cols),
+            [(w * rows, w * cols, block, 1) for w in range(wedge)], self.field.p)
 
-    def vertical(self, a: int, b: int) -> np.ndarray:
+    def vertical(self, a: int, b: int) -> SparseMatrix:
         """Koszul step (a, b) -> (a, b + 1), summandwise multiplication."""
-        if b < 0 or b >= self.n:
-            return np.zeros((self.grid_dim(a, b + 1), self.grid_dim(a, b)), dtype=np.int64)
+        p = self.field.p
+        shape = (self.grid_dim(a, b + 1), self.grid_dim(a, b))
+        if 0 in shape:  # every b outside [0, n) gives an empty side
+            return SparseMatrix(shape, [], [], [], p)
         t = self._t(b)
         msrc = self.pspec.space_dim(a, t)
         mdst = self.pspec.space_dim(a, t + 1)
-        rows = math.comb(self.n, b + 1) * mdst
-        cols = math.comb(self.n, b) * msrc
-        mat = np.zeros((rows, cols), dtype=np.int64)
-        if not mat.size:
-            return mat
-        p = self.field.p
-        dst_index = {S: k for k, S in enumerate(combinations(range(self.n), b + 1))}
-        mults = {}
-        for u in range(self.n):
-            diag = np.zeros((mdst, msrc), dtype=np.int64)
+        mults = []
+        for form in self.theta:
+            coeffs = tuple(int(c) % p for c in form)
+            blocks = []
             r = c = 0
             for _, mod in self.pspec.summands(a):
-                sb = len(monomial_basis(mod, t))
-                db = len(monomial_basis(mod, t + 1))
-                if sb and db:
-                    diag[r:r + db, c:c + sb] = multiplication_matrix(
-                        mod, self.theta[u], t, self.field)
-                r += db
-                c += sb
-            mults[u] = diag
+                block = _mult_matrix(mod, coeffs, t, p)
+                blocks.append((r, c, SparseMatrix.from_dense(block, p), 1))
+                r += block.shape[0]
+                c += block.shape[1]
+            mults.append(SparseMatrix.from_blocks((mdst, msrc), blocks, p))
+        dst_index = {S: k for k, S in enumerate(combinations(range(self.n), b + 1))}
+        blocks = []
         for ci, S in enumerate(combinations(range(self.n), b)):
-            inside = set(S)
             for u in range(self.n):
-                if u in inside:
+                if u in S:
                     continue
-                block = mults[u]
-                if sum(1 for s in S if s < u) % 2:
-                    block = (p - block) % p
+                sign = -1 if sum(1 for s in S if s < u) % 2 else 1
                 ri = dst_index[tuple(sorted(S + (u,)))]
-                mat[ri * mdst:(ri + 1) * mdst, ci * msrc:(ci + 1) * msrc] = block
-        return mat
+                blocks.append((ri * mdst, ci * msrc, mults[u], sign))
+        return SparseMatrix.from_blocks(shape, blocks, p)
 
     def _pairs(self, k: int) -> list[tuple[int, int]]:
         out = []
@@ -363,32 +367,26 @@ class DoubleComplexSlice:
     def tot_dim(self, k: int) -> int:
         return sum(self.grid_dim(a, b) for a, b in self._pairs(k))
 
-    def tot_differential(self, k: int) -> np.ndarray:
+    def tot_differential(self, k: int) -> SparseMatrix:
         src = self._pairs(k)
         dst = self._pairs(k + 1)
         src_dims = [self.grid_dim(a, b) for a, b in src]
         dst_dims = [self.grid_dim(a, b) for a, b in dst]
-        offs_src = np.cumsum([0] + src_dims)
-        offs_dst = np.cumsum([0] + dst_dims)
-        mat = np.zeros((sum(dst_dims), sum(src_dims)), dtype=np.int64)
-        if not mat.size:
-            return mat
-        p = self.field.p
+        offs_src = np.cumsum([0] + src_dims).tolist()
+        offs_dst = np.cumsum([0] + dst_dims).tolist()
         dpos = {ab: k2 for k2, ab in enumerate(dst)}
+        blocks = []
         for ci, (a, b) in enumerate(src):
             if src_dims[ci] == 0:
                 continue
             hi = dpos.get((a + 1, b))
             if hi is not None and dst_dims[hi]:
-                block = self.horizontal(a, b)
-                mat[offs_dst[hi]:offs_dst[hi + 1], offs_src[ci]:offs_src[ci + 1]] = block
+                blocks.append((offs_dst[hi], offs_src[ci], self.horizontal(a, b), 1))
             vi = dpos.get((a, b + 1))
             if vi is not None and dst_dims[vi]:
-                block = self.vertical(a, b)
-                if a % 2:
-                    block = (p - block) % p
-                mat[offs_dst[vi]:offs_dst[vi + 1], offs_src[ci]:offs_src[ci + 1]] = block
-        return mat
+                blocks.append((offs_dst[vi], offs_src[ci], self.vertical(a, b),
+                               -1 if a % 2 else 1))
+        return SparseMatrix.from_blocks((offs_dst[-1], offs_src[-1]), blocks, self.field.p)
 
     def homology_dims(self) -> dict[int, int]:
         h = LazyHomology(self.tot_dim, self.tot_differential, (1,), self.field.p)

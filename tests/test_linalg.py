@@ -12,10 +12,11 @@ from srlab.linalg import (
     LazyHomology,
     LinAlgError,
     PrimeField,
+    SparseMatrix,
     _LARGE_CELLS,
     _TINY_CELLS,
     _eliminate,
-    _sparse_rank,
+    _markowitz_rank,
     identity,
     is_prime,
     kernel_basis,
@@ -99,7 +100,7 @@ def test_kernel_basis_spans_kernel():
             assert rank(k, 13) == k.shape[1]
 
 
-def test_sparse_rank_agrees_with_frozen_elimination():
+def test_markowitz_rank_agrees_with_frozen_elimination():
     rng = np.random.default_rng(7)
     for trial in range(12):
         rows = int(rng.integers(30, 90))
@@ -110,12 +111,14 @@ def test_sparse_rank_agrees_with_frozen_elimination():
         c = rng.integers(0, cols, size=nnz)
         m[r, c] = rng.integers(1, 97, size=nnz)
         _, piv = _eliminate(m, 97, reduced=False)
-        assert _sparse_rank(m, 97) == len(piv)
+        assert _markowitz_rank(SparseMatrix.from_dense(m, 97), 97) == len(piv)
 
 
-def test_sparse_rank_densifies_when_the_active_block_fills(monkeypatch):
+def test_markowitz_rank_densifies_the_live_block_past_its_budget(monkeypatch):
+    # past the size threshold and under 1/20 full, but random: it fills in
     rng = np.random.default_rng(4)
     m = _random_matrix(rng, (700, 690), 97, 0.045)
+    assert m.size > _LARGE_CELLS and np.count_nonzero(m) * 20 < m.size
     handed = []
     real = linalg._eliminate
 
@@ -124,13 +127,12 @@ def test_sparse_rank_densifies_when_the_active_block_fills(monkeypatch):
         return real(sub, p, reduced)
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
-    got = _sparse_rank(m, 97)
+    got = rank(m, 97)
     assert len(handed) == 1
     sub = handed[0]
-    live = np.count_nonzero(sub.any(axis=0))
-    # the running counts must match the block they describe when the switch fires
-    assert sub.shape[0] * live > 250_000
-    assert np.count_nonzero(sub) * 4 > sub.shape[0] * live
+    # only live rows and columns are densified, and some pivots came first
+    assert sub.any(axis=1).all() and sub.any(axis=0).all()
+    assert sub.shape[0] < 700 and sub.shape[1] < 690
     _, piv = real(m, 97, reduced=False)
     assert got == len(piv)
 
@@ -280,7 +282,7 @@ def test_kernel_regimes_match_python_gauss_jordan(monkeypatch, p, shape, density
     else:
         m = _low_rank_matrix(rng, shape, p, density, entries)
     taken = []
-    for name in ("_list_rank", "_unit_rank", "_sparse_rank", "_eliminate"):
+    for name in ("_list_rank", "_unit_rank", "_markowitz_rank", "_eliminate"):
         real = getattr(linalg, name)
 
         def spy(*args, _real=real, _name=name, **kwargs):
@@ -290,12 +292,78 @@ def test_kernel_regimes_match_python_gauss_jordan(monkeypatch, p, shape, density
         monkeypatch.setattr(linalg, name, spy)
     want, want_piv = _oracle_rref(m, p)
     assert rank(m, p) == len(want_piv)
-    kernel = {"_list_rank": "list", "_unit_rank": "unit", "_sparse_rank": "sparse",
+    kernel = {"_list_rank": "list", "_unit_rank": "unit", "_markowitz_rank": "sparse",
               "_eliminate": "dense"}
     assert "+".join(kernel[name] for name in taken) in _expected_regimes(shape, p, regimes)
     red, piv = rref(m, p)
     assert piv == want_piv
     assert red.tolist() == want
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+@pytest.mark.parametrize("entries", ["signs", None])
+@pytest.mark.parametrize("shape,density", [((520, 490), 0.005), ((490, 520), 0.008)])
+def test_markowitz_rank_matches_python_gauss_jordan(monkeypatch, p, entries, shape, density):
+    rng = np.random.default_rng([p % 1000, *shape, entries is None])
+    if entries == "signs":
+        m = _sign_matrix(rng, shape, p, density)
+    else:
+        m = _random_matrix(rng, shape, p, density)
+    assert m.size > _LARGE_CELLS
+    taken = []
+    for name in ("_markowitz_rank", "_eliminate"):
+        real = getattr(linalg, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            taken.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, spy)
+    _, want = _oracle_rref(m, p)
+    sparse = SparseMatrix.from_dense(m, p)
+    assert rank(m, p) == rank(sparse, p) == rank(sparse.T, p) == len(want)
+    assert taken == ["_markowitz_rank"] * 3
+
+
+def test_sparse_matrix_drops_zeros_and_keeps_empty_rows_and_columns():
+    p = 7
+    # row 1 and columns 0 and 4 hold nothing; 14 and -7 are zero mod 7
+    a = SparseMatrix((4, 6), [0, 0, 2, 2, 3, 1, 3], [1, 2, 1, 3, 5, 2, 3],
+                     [3, 14, -4, 1, 8, -7, 2], p)
+    assert a.vals.tolist() == [3, 3, 1, 1, 2]
+    assert a.rows.tolist() == [0, 2, 2, 3, 3] and a.cols.tolist() == [1, 1, 3, 5, 3]
+    dense = a.toarray()
+    assert dense.tolist() == [[0, 3, 0, 0, 0, 0], [0] * 6, [0, 3, 0, 1, 0, 0],
+                              [0, 0, 0, 2, 0, 1]]
+    assert np.array_equal(a.T.toarray(), dense.T)
+    assert rank(a, p) == rank(a.T, p) == len(_oracle_rref(dense, p)[1]) == 3
+    assert rank(SparseMatrix((3, 3), [0, 1], [0, 1], [7, 21], p), p) == 0
+    assert rank(SparseMatrix((0, 5), [], [], [], p), p) == 0
+    assert rank(SparseMatrix((4, 0), [], [], [], p), p) == 0
+    with pytest.raises(LinAlgError, match="outside"):
+        SparseMatrix((2, 2), [0, 2], [0, 0], [1, 1], p)
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+def test_sparse_matrix_from_dense_round_trips_reduced_entries(p):
+    rng = np.random.default_rng(p % 1000)
+    for shape in [(0, 3), (3, 0), (1, 1), (9, 14), (40, 23)]:
+        m = _random_matrix(rng, shape, p, 0.3)
+        a = SparseMatrix.from_dense(m, p)
+        assert a.shape == shape and isinstance(a.shape[0], int)
+        assert np.array_equal(a.toarray(), m % p)
+        assert a.vals.size == np.count_nonzero(m % p) and ((a.vals > 0) & (a.vals < p)).all()
+
+
+def test_sparse_matrix_blocks_are_placed_with_their_signs():
+    p = 5
+    b = SparseMatrix.from_dense(np.array([[1, 0], [2, 3]]), p)
+    a = SparseMatrix.from_blocks((4, 5), [(0, 0, b, 1), (2, 3, b, -1)], p)
+    want = np.zeros((4, 5), dtype=np.int64)
+    want[:2, :2] = [[1, 0], [2, 3]]
+    want[2:, 3:] = [[4, 0], [3, 2]]
+    assert np.array_equal(a.toarray(), want)
+    assert SparseMatrix.from_blocks((2, 2), [], p).vals.size == 0
 
 
 def test_entry_points_leave_their_input_untouched():
@@ -324,6 +392,14 @@ def test_entry_points_leave_their_input_untouched():
         rref(m, p)
         kernel_basis(m, p)
         assert np.array_equal(m, before)
+    sparse = SparseMatrix.from_dense(_random_matrix(rng, (600, 500), p, 0.003), p)
+    arrays = (sparse.rows, sparse.cols, sparse.vals)
+    before = [x.copy() for x in arrays]
+    for x in arrays:
+        x.setflags(write=False)
+    rank(sparse, p)
+    rank(sparse.T, p)
+    assert all(np.array_equal(x, y) for x, y in zip(arrays, before))
     assert _mult_matrix(builtin_complex("torus7"), (1, 2, 3, 4, 5, 6, 0), 1, p) is shared
     assert _restriction(torus, star, 3) is restriction
 

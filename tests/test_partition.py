@@ -1,5 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,13 +18,20 @@ from srlab.complexes import (
     relative_cohomology_dims,
 )
 from srlab.duality import build_B
-from srlab.facering import LinearFormSequence, expected_lsop_length, monomial_basis, sample_lsop
+from srlab.facering import (
+    LinearFormSequence,
+    expected_lsop_length,
+    monomial_basis,
+    multiplication_matrix,
+    sample_lsop,
+)
 from srlab.linalg import DEFAULT_PRIME, PrimeField, rank
 from srlab.partition import (
     DoubleComplexSlice,
     PartitionComplexSpec,
     PartitionError,
     ReducedPartitionComplex,
+    _restriction,
     SubdivisionStructure,
     barycentric_subdivision_structure,
     interior_partition_check,
@@ -86,6 +99,17 @@ def test_restriction_matrix_kills_foreign_monomials():
                 assert column.sum() == 1 and column[dst.index[alpha]] == 1
             else:
                 assert not column.any()
+
+
+def test_cached_restrictions_are_read_only():
+    tor = builtin_complex("torus7")
+    star = tor.star(tor.delta.vertex_masks()[0])
+    cached = _restriction(tor, star, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0, 0] = 5
+    copy = restriction_matrix(tor, star, 2)
+    copy[0, 0] = 5
+    assert cached[0, 0] != 5
 
 
 def _fine_slice_dims(psi, alpha):
@@ -201,12 +225,130 @@ def test_double_complex_commutes_and_total_squares_to_zero():
     p = F.p
     for a in (-1, 0, 1):
         for b in (0, 1):
-            lhs = sl.vertical(a + 1, b) @ sl.horizontal(a, b) % p
-            rhs = sl.horizontal(a, b + 1) @ sl.vertical(a, b) % p
+            lhs = sl.vertical(a + 1, b).toarray() @ sl.horizontal(a, b).toarray() % p
+            rhs = sl.horizontal(a, b + 1).toarray() @ sl.vertical(a, b).toarray() % p
             assert np.array_equal(lhs, rhs)
     for k in (-1, 0, 1, 2):
-        m2 = sl.tot_differential(k + 1) @ sl.tot_differential(k) % p
+        m2 = sl.tot_differential(k + 1).toarray() @ sl.tot_differential(k).toarray() % p
         assert not m2.any()
+
+
+def _dense_horizontal(sl, a, b):
+    """The star restriction of a double complex slice as one dense Kronecker product."""
+    pd = sl.pspec.differential(a, sl._t(b), sl.field)
+    return np.kron(np.eye(math.comb(sl.n, b), dtype=np.int64), pd)
+
+
+def _dense_vertical(sl, a, b):
+    """The Koszul step of a double complex slice, assembled densely block by block."""
+    if b < 0 or b >= sl.n:
+        return np.zeros((sl.grid_dim(a, b + 1), sl.grid_dim(a, b)), dtype=np.int64)
+    t = sl._t(b)
+    msrc = sl.pspec.space_dim(a, t)
+    mdst = sl.pspec.space_dim(a, t + 1)
+    mat = np.zeros((math.comb(sl.n, b + 1) * mdst, math.comb(sl.n, b) * msrc), dtype=np.int64)
+    if not mat.size:
+        return mat
+    p = sl.field.p
+    dst_index = {S: k for k, S in enumerate(combinations(range(sl.n), b + 1))}
+    mults = {}
+    for u in range(sl.n):
+        diag = np.zeros((mdst, msrc), dtype=np.int64)
+        r = c = 0
+        for _, mod in sl.pspec.summands(a):
+            sb = len(monomial_basis(mod, t))
+            db = len(monomial_basis(mod, t + 1))
+            if sb and db:
+                diag[r:r + db, c:c + sb] = multiplication_matrix(mod, sl.theta[u], t, sl.field)
+            r += db
+            c += sb
+        mults[u] = diag
+    for ci, S in enumerate(combinations(range(sl.n), b)):
+        for u in range(sl.n):
+            if u in S:
+                continue
+            block = mults[u]
+            if sum(1 for s in S if s < u) % 2:
+                block = (p - block) % p
+            ri = dst_index[tuple(sorted(S + (u,)))]
+            mat[ri * mdst:(ri + 1) * mdst, ci * msrc:(ci + 1) * msrc] = block
+    return mat
+
+
+def _dense_tot_differential(sl, k):
+    """The total differential of a double complex slice, assembled densely."""
+    src, dst = sl._pairs(k), sl._pairs(k + 1)
+    src_dims = [sl.grid_dim(a, b) for a, b in src]
+    dst_dims = [sl.grid_dim(a, b) for a, b in dst]
+    offs_src = np.cumsum([0] + src_dims)
+    offs_dst = np.cumsum([0] + dst_dims)
+    mat = np.zeros((sum(dst_dims), sum(src_dims)), dtype=np.int64)
+    if not mat.size:
+        return mat
+    p = sl.field.p
+    dpos = {ab: k2 for k2, ab in enumerate(dst)}
+    for ci, (a, b) in enumerate(src):
+        if src_dims[ci] == 0:
+            continue
+        hi = dpos.get((a + 1, b))
+        if hi is not None and dst_dims[hi]:
+            mat[offs_dst[hi]:offs_dst[hi + 1], offs_src[ci]:offs_src[ci + 1]] = \
+                _dense_horizontal(sl, a, b)
+        vi = dpos.get((a, b + 1))
+        if vi is not None and dst_dims[vi]:
+            block = _dense_vertical(sl, a, b)
+            if a % 2:
+                block = (p - block) % p
+            mat[offs_dst[vi]:offs_dst[vi + 1], offs_src[ci]:offs_src[ci + 1]] = block
+    return mat
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+@pytest.mark.parametrize("name", ["moebius", "torus7", "rp2_6", "boundary_simplex_3"])
+def test_sparse_double_complex_equals_the_dense_assembly(name, p):
+    psi = builtin_complex(name)
+    field = PrimeField(p)
+    pspec = PartitionComplexSpec.full(psi)
+    # any forms do: the builders do not need a parameter system
+    theta = LinearFormSequence.random(psi, expected_lsop_length(psi), 3, field)
+    for j in range(psi.dim + 3):
+        sl = DoubleComplexSlice(pspec, theta, field, j)
+        for k in range(-2, pspec.max_position + sl.n + 2):
+            got = sl.tot_differential(k)
+            assert got.shape == (sl.tot_dim(k + 1), sl.tot_dim(k))
+            assert np.array_equal(got.toarray(), _dense_tot_differential(sl, k))
+        for a in range(-1, pspec.max_position + 1):
+            for b in range(-1, sl.n + 1):
+                assert np.array_equal(sl.vertical(a, b).toarray(), _dense_vertical(sl, a, b))
+                if b >= 0:
+                    assert np.array_equal(sl.horizontal(a, b).toarray(),
+                                          _dense_horizontal(sl, a, b))
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_total_complex_of_boundary_simplex_4_stays_small_in_memory():
+    # The dense total differentials of this instance peaked at 415-443 MB. The
+    # child reports VmHWM, its own peak RSS since exec: its ru_maxrss would
+    # also count the peak of the test process that started it.
+    code = textwrap.dedent("""
+        from srlab import (PrimeField, builtin_complex, expected_lsop_length, sample_lsop,
+                           total_complex_homology)
+        field = PrimeField(2147483647)
+        psi = builtin_complex("boundary_simplex_4")
+        theta = next(t for t in (sample_lsop(psi, expected_lsop_length(psi), s, field)
+                                 for s in (0, 1, 2)) if t is not None)
+        table = total_complex_homology(psi, theta, field)
+        print(sorted(k for k, v in table.items() if v))
+        with open("/proc/self/status") as status:
+            print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+    """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    table, peak_kib = out.splitlines()
+    # a 3-sphere: C(4, j) in total degree i = 7 - j, j = 0..4
+    assert table == str([(7 - j, j) for j in range(4, -1, -1)])
+    assert int(peak_kib) < 200 * 1024
 
 
 def test_exact_columns_force_an_exact_total_complex():
@@ -218,10 +360,8 @@ def test_exact_columns_force_an_exact_total_complex():
         sl = DoubleComplexSlice(pspec, theta, F, j)
         for a in range(-1, pspec.max_position + 1):
             for b in range(sl.n + 1):
-                up = sl.vertical(a, b)
-                dn = sl.vertical(a, b - 1)
-                hom = sl.grid_dim(a, b) - (rank(up, p) if up.size else 0) \
-                    - (rank(dn, p) if dn.size else 0)
+                hom = sl.grid_dim(a, b) - rank(sl.vertical(a, b), p) \
+                    - rank(sl.vertical(a, b - 1), p)
                 assert hom == 0
         assert not any(sl.homology_dims().values())
 

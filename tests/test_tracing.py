@@ -24,3 +24,25 @@ def test_tracer_binds_and_restores_every_target(monkeypatch):
     finally:
         tracer.restore()
     assert tracer.bindings_problems(installed=False) == []
+
+
+def test_tracer_measures_sparse_total_complex_differentials(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    import tracing
+
+    from srlab import (PrimeField, builtin_complex, expected_lsop_length, sample_lsop,
+                       total_complex_homology)
+
+    field = PrimeField(2147483647)
+    psi = builtin_complex("boundary_simplex_2")
+    theta = sample_lsop(psi, expected_lsop_length(psi), 0, field)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        table = total_complex_homology(psi, theta, field)
+    finally:
+        tracer.restore()
+    assert sorted(k for k, v in table.items() if v) == [(1, 2), (2, 1), (3, 0)]
+    assert tracer.spans["partition.differential"].cells > 0
+    assert tracer.spans["linalg.rank"].cells > 0
