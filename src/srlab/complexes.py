@@ -26,7 +26,7 @@ from importlib import resources
 
 import numpy as np
 
-from .linalg import ChainComplexSpec, PrimeField
+from .linalg import LazyHomology, PrimeField
 
 MAX_VERTICES = 64
 
@@ -427,8 +427,8 @@ def relative_cohomology_dims(psi, field: PrimeField) -> dict[int, int]:
     if psi.is_void:
         return {}
     dims, diffs = coboundary_matrices(psi, field)
-    spec = ChainComplexSpec(dims, diffs, field, check=False)
-    return spec.homology_dims()
+    h = LazyHomology(lambda i: dims.get(i, 0), diffs.__getitem__, (1,), field.p)
+    return {i: h.homology(i) for i in dims}
 
 
 def betti_numbers(psi, field: PrimeField) -> dict[int, int]:

@@ -37,7 +37,9 @@ shape, fill and entries:
 Rank does not depend on the pivot order, and the reduced row echelon form
 of a matrix is unique, so ``rref`` and ``kernel_basis`` return the same
 arrays however the kernel is written; the frozen order pins down only the
-unreduced echelon form.
+unreduced echelon form. Every regime can also report the rows its pivots
+came from (``rank(..., pivot_rows=...)``); which rows they are depends on
+the regime, but they are always ``rank`` independent rows of the input.
 
 No entry point mutates its argument: each works on one reduced copy made
 per call. The cached multiplication matrices of ``facering`` and
@@ -47,9 +49,10 @@ Everything downstream (cohomology, Hilbert functions, Koszul and
 partition homology, pairing ranks) reduces to rank/kernel computations
 done here. The two moves the complexes and quotients downstream are
 built from have one home each here as well: ``LazyHomology`` reads
-homology off a complex as dim - rank - rank, and ``FrozenQuotient``
-quotients a space by a span in frozen coordinates, extending the span
-batch by batch.
+homology off a complex as dim - rank - rank, ranking each differential
+without the columns that the map into its source pivoted on, and
+``FrozenQuotient`` quotients a space by a span in frozen coordinates,
+extending the span batch by batch.
 """
 
 from __future__ import annotations
@@ -198,7 +201,8 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (((hi @ b) % p << 16) + lo @ b) % p
 
 
-def _eliminate(m: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[int]]:
+def _eliminate(m: np.ndarray, p: int, reduced: bool, *,
+               pivots: list | None = None) -> tuple[np.ndarray, list[int]]:
     """Row echelon form (reduced if asked) and pivot columns; the dense regime.
 
     Columns are scanned left to right and the first nonzero row at or
@@ -207,11 +211,13 @@ def _eliminate(m: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[i
     so ``rref`` output and the coset representatives read off it do not
     depend on it. Each pivot clears its column in one slice update of the
     rows ``m[targets, c:]``. The input is not modified: the working array
-    is the one copy that reducing it mod p makes.
+    is the one copy that reducing it mod p makes. If ``pivots`` is given,
+    each pivot's (row of the input, column) is appended to it.
     """
     m = np.asarray(m, dtype=np.int64) % p
     rows, cols = m.shape
-    pivots: list[int] = []
+    pivot_cols: list[int] = []
+    order = list(range(rows))  # order[k]: the input row now at row k
     r = 0
     for c in range(cols):
         if r == rows:
@@ -222,6 +228,7 @@ def _eliminate(m: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[i
         i = r + int(nz[0])
         if i != r:
             m[[r, i]] = m[[i, r]]
+            order[r], order[i] = order[i], order[r]
         inv = pow(int(m[r, c]), -1, p)
         m[r, c:] = m[r, c:] * inv % p
         if reduced:
@@ -232,15 +239,21 @@ def _eliminate(m: np.ndarray, p: int, reduced: bool) -> tuple[np.ndarray, list[i
             targets = r + nz[1:]
         if targets.size:
             m[targets, c:] = (m[targets, c:] - m[targets, c][:, None] * m[r, c:]) % p
-        pivots.append(c)
+        pivot_cols.append(c)
+        if pivots is not None:
+            pivots.append((order[r], c))
         r += 1
-    return m, pivots
+    return m, pivot_cols
 
 
-def _list_rank(rows: list[list[int]], p: int) -> int:
-    """Rank by Gaussian elimination on Python ints; the list regime for tiny matrices."""
+def _list_rank(rows: list[list[int]], p: int, *, pivots: list | None = None) -> int:
+    """Rank by Gaussian elimination on Python ints; the list regime for tiny matrices.
+
+    If ``pivots`` is given, each pivot's (row, column) is appended to it.
+    """
     rows = [[x % p for x in row] for row in rows]
     n = len(rows)
+    order = list(range(n))  # order[k]: the input row now at row k
     r = 0
     for c in range(len(rows[0])):
         for i in range(r, n):
@@ -250,6 +263,9 @@ def _list_rank(rows: list[list[int]], p: int) -> int:
             continue
         piv = rows[i]
         rows[i], rows[r] = rows[r], piv
+        order[i], order[r] = order[r], order[i]
+        if pivots is not None:
+            pivots.append((order[r], c))
         inv = pow(piv[c], -1, p)
         for j in range(r + 1, n):
             f = rows[j][c]
@@ -262,8 +278,8 @@ def _list_rank(rows: list[list[int]], p: int) -> int:
     return r
 
 
-def _unit_rows(m: np.ndarray, p: int) -> list[dict[int, int]] | None:
-    """The nonzero rows of m as {column: value} dicts, shortest first.
+def _unit_rows(m: np.ndarray, p: int) -> tuple[np.ndarray, list[dict[int, int]]] | None:
+    """The nonzero rows of m as {column: value} dicts, shortest first, and their row ids.
 
     None unless every entry nonzero mod p is 1 or p - 1. One pass over
     the cells finds the nonzeros; the rest of the work follows them.
@@ -280,31 +296,37 @@ def _unit_rows(m: np.ndarray, p: int) -> list[dict[int, int]] | None:
     order = np.argsort(counts[r], kind="stable")
     cols = c[order].tolist()
     vals = v[order].tolist()
-    ends = np.cumsum(np.sort(counts[counts > 0])).tolist()
-    return [dict(zip(cols[a:b], vals[a:b])) for a, b in zip([0] + ends, ends)]
+    held = np.flatnonzero(counts)
+    ids = held[np.argsort(counts[held], kind="stable")]
+    ends = np.cumsum(counts[ids]).tolist()
+    return ids, [dict(zip(cols[a:b], vals[a:b])) for a, b in zip([0] + ends, ends)]
 
 
-def _unit_rank(rows: list[dict[int, int]], p: int, budget: int) -> int | None:
+def _unit_rank(rows: list[dict[int, int]], p: int, budget: int, *,
+               pivots: list | None = None) -> int | None:
     """Rank of row dicts with entries in [1, p), by reducing on leading columns.
 
     Each row is reduced by the pivot row of its leading (least) column
     until that column has no pivot yet; the row, scaled to lead with 1,
     becomes its pivot. The rows are consumed. None once more than
     ``budget`` dict updates have been made: on a matrix that fills in,
-    the dense path is faster.
+    the dense path is faster. If ``pivots`` is given, each pivot's (index
+    in ``rows``, column) is appended to it.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    pivot_rows: dict[int, dict[int, int]] = {}
     work = 0
-    for row in rows:
+    for k, row in enumerate(rows):
         while row:
             lead = min(row)
-            piv = pivots.get(lead)
+            piv = pivot_rows.get(lead)
             f = row[lead]
             if piv is None:
                 if f != 1:
                     inv = pow(f, -1, p)
                     row = {j: x * inv % p for j, x in row.items()}
-                pivots[lead] = row
+                pivot_rows[lead] = row
+                if pivots is not None:
+                    pivots.append((k, lead))
                 break
             for j, x in piv.items():
                 y = (row.get(j, 0) - f * x) % p
@@ -315,7 +337,7 @@ def _unit_rank(rows: list[dict[int, int]], p: int, budget: int) -> int | None:
             work += len(piv)
             if work > budget:
                 return None
-    return len(pivots)
+    return len(pivot_rows)
 
 
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -323,7 +345,7 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return _eliminate(m, p, reduced=True)
 
 
-def _markowitz_rank(a: SparseMatrix, p: int) -> int:
+def _markowitz_rank(a: SparseMatrix, p: int, *, pivots: list | None = None) -> int:
     """Rank of a sparse matrix by Markowitz pivoting on row dicts; the sparse regime.
 
     Rows are ``{column: value}`` dicts, and each column keeps the set of
@@ -334,7 +356,8 @@ def _markowitz_rank(a: SparseMatrix, p: int) -> int:
     entry whose count is out of date is skipped when popped. Once more
     dict updates have been made than the matrix has cells, the live rows
     and columns are handed to ``_eliminate`` as one dense block, a safety
-    net against fill-in.
+    net against fill-in. If ``pivots`` is given, each pivot's (row,
+    column) is appended to it.
     """
     nrows, ncols = a.shape
     rows: list[dict[int, int] | None] = [{} for _ in range(nrows)]
@@ -352,6 +375,8 @@ def _markowitz_rank(a: SparseMatrix, p: int) -> int:
         if count != len(targets):
             continue
         pr = min(targets, key=lambda i: len(rows[i]))
+        if pivots is not None:
+            pivots.append((pr, c))
         piv = rows[pr]
         rows[pr] = None
         holders[c] = set()
@@ -381,23 +406,33 @@ def _markowitz_rank(a: SparseMatrix, p: int) -> int:
                 heapq.heappush(heap, (len(holders[j]), j))
         r += 1
         if work > budget:
-            return r + _dense_rank_of_live(rows, holders, p)
+            return r + _dense_rank_of_live(rows, holders, p, pivots)
     return r
 
 
-def _dense_rank_of_live(rows: list, holders: list[set[int]], p: int) -> int:
-    """Rank of the live rows and columns left by ``_markowitz_rank``, densified."""
-    live_rows = [row for row in rows if row]
+def _dense_rank_of_live(rows: list, holders: list[set[int]], p: int,
+                        pivots: list | None) -> int:
+    """Rank of the live rows and columns left by ``_markowitz_rank``, densified.
+
+    If ``pivots`` is given, each pivot's (row, column) of the sparse
+    matrix is appended to it.
+    """
+    live_rows = [i for i, row in enumerate(rows) if row]
     live_cols = [j for j, held in enumerate(holders) if held]
     position = {j: k for k, j in enumerate(live_cols)}
     sub = np.zeros((len(live_rows), len(live_cols)), dtype=np.int64)
-    for k, row in enumerate(live_rows):
-        sub[k, [position[j] for j in row]] = list(row.values())
-    _, pivots = _eliminate(sub, p, reduced=False)
-    return len(pivots)
+    for k, i in enumerate(live_rows):
+        sub[k, [position[j] for j in rows[i]]] = list(rows[i].values())
+    if pivots is None:
+        _, cols = _eliminate(sub, p, False)
+        return len(cols)
+    found: list[tuple[int, int]] = []
+    _, cols = _eliminate(sub, p, False, pivots=found)
+    pivots.extend((live_rows[i], live_cols[j]) for i, j in found)
+    return len(cols)
 
 
-def rank(m: np.ndarray | SparseMatrix, p: int) -> int:
+def rank(m: np.ndarray | SparseMatrix, p: int, *, pivot_rows: list | None = None) -> int:
     """Rank over F_p; 0 for empty matrices.
 
     The regime follows the input (see the module docstring): a
@@ -405,30 +440,50 @@ def rank(m: np.ndarray | SparseMatrix, p: int) -> int:
     unit matrices of at most ``_LARGE_CELLS`` cells the unit path within
     its work budget, larger sparse ones the sparse path, and the rest the
     dense path.
+
+    If ``pivot_rows`` is given, the rows of ``m`` that hold the pivots of
+    the elimination are appended to it: ``rank`` distinct row indices
+    whose rows of ``m`` are independent. Every regime reports them.
     """
     if not isinstance(m, SparseMatrix):
         m = np.asarray(m, dtype=np.int64)
     if m.shape[0] == 0 or m.shape[1] == 0:
         return 0
+    pivots = None if pivot_rows is None else []
     # Eliminating along the shorter axis is faster and rank is transpose-invariant.
-    if m.shape[1] > m.shape[0]:
-        m = m.T
+    flip = m.shape[1] > m.shape[0]
+    r = _tall_rank(m.T if flip else m, p, pivots)
+    if pivot_rows is not None:
+        pivot_rows.extend(j if flip else i for i, j in pivots)
+    return r
+
+
+def _tall_rank(m: np.ndarray | SparseMatrix, p: int, pivots: list | None) -> int:
+    """``rank`` of a matrix with at least as many rows as columns, by regime.
+
+    If ``pivots`` is given, each pivot's (row, column) is appended to it.
+    """
     if isinstance(m, SparseMatrix):
-        return _markowitz_rank(m, p)
+        return _markowitz_rank(m, p, pivots=pivots)
     if m.size <= _TINY_CELLS:
-        return _list_rank(m.tolist(), p)
+        return _list_rank(m.tolist(), p, pivots=pivots)
     if m.size <= _LARGE_CELLS:
         # The shorter axis holds the row dicts: fewer rows to build, and less
         # fill-in on coboundaries than the other way round.
-        rows = _unit_rows(m.T, p)
-        if rows is not None:
-            r = _unit_rank(rows, p, m.size)
+        unit = _unit_rows(m.T, p)
+        if unit is not None:
+            ids, rows = unit
+            found = None if pivots is None else []
+            r = _unit_rank(rows, p, m.size, pivots=found)
             if r is not None:
+                if pivots is not None:
+                    # the dicts are columns of m, keyed by rows of m
+                    pivots.extend((i, int(ids[k])) for k, i in found)
                 return r
     elif np.count_nonzero(m) * 20 < m.size:
-        return _markowitz_rank(SparseMatrix.from_dense(m, p), p)
-    _, pivots = _eliminate(m, p, reduced=False)
-    return len(pivots)
+        return _markowitz_rank(SparseMatrix.from_dense(m, p), p, pivots=pivots)
+    _, cols = _eliminate(m, p, False, pivots=pivots)
+    return len(cols)
 
 
 def _free_columns(pivots: list[int], cols: int) -> np.ndarray:
@@ -551,6 +606,19 @@ class FrozenQuotient:
         return m
 
 
+def _without_columns(m: np.ndarray | SparseMatrix, cols: list[int]) -> np.ndarray | SparseMatrix:
+    """m with the columns ``cols`` removed, the others kept in order."""
+    keep = np.ones(m.shape[1], dtype=bool)
+    keep[cols] = False
+    if not isinstance(m, SparseMatrix):
+        return np.asarray(m)[:, keep]
+    take = keep[m.cols]
+    out = object.__new__(SparseMatrix)
+    out.shape = (m.shape[0], int(keep.sum()))
+    out.rows, out.cols, out.vals = m.rows[take], (np.cumsum(keep) - 1)[m.cols[take]], m.vals[take]
+    return out
+
+
 class LazyHomology:
     """Homology dimensions of a complex read off cell by cell.
 
@@ -558,11 +626,24 @@ class LazyHomology:
     space and ``differential(*cell)`` the matrix of the map out of it,
     which lands at ``cell + step``. Then
 
-        H(cell) = dim(cell) - rank(out of cell) - rank(into cell),
+        H(cell) = dim(cell) - rank(into cell) - rank(out of cell),
 
     where a rank whose source or target has dimension 0 is 0 without
     building the matrix. Each rank is computed once, on first demand, so
     a scan that stops at the first nonzero cell builds no later matrix.
+
+    The cells must form a complex: the map out of a cell kills the image
+    of the map into it. Each rank is then taken on the fewest columns it
+    needs (Kaczynski-Mrozek-Slusarek, Comput. Math. Appl. 1998):
+
+        if ranking d_in pivots on the rows Y of the cell, those rows hold a
+        nonsingular minor, so im d_in is a complement of the coordinates
+        outside Y; d_out kills im d_in, so rank d_out = rank d_out[:, not Y].
+
+    ``rank_out_of`` keeps the pivot rows of every rank it computes and drops
+    the columns Y when the map into the cell has been ranked. ``homology``
+    ranks the map into a cell before the map out of it, so a scan in
+    increasing order drops them at every cell.
     """
 
     def __init__(self, dim, differential, step: tuple[int, ...], p: int):
@@ -571,6 +652,8 @@ class LazyHomology:
         self._step = step
         self._p = p
         self._ranks: dict[tuple[int, ...], int] = {}
+        # cell -> the rows of its space that the rank of the map into it pivoted on
+        self._pivot_rows: dict[tuple[int, ...], list[int]] = {}
 
     def rank_out_of(self, cell: tuple[int, ...]) -> int:
         """Rank of the differential out of ``cell``."""
@@ -580,13 +663,19 @@ class LazyHomology:
             if self._dim(*cell) == 0 or self._dim(*target) == 0:
                 r = 0
             else:
-                r = rank(self._differential(*cell), self._p)
+                m = self._differential(*cell)
+                drop = self._pivot_rows.get(cell)
+                if drop:
+                    m = _without_columns(m, drop)
+                rows: list[int] = []
+                r = rank(m, self._p, pivot_rows=rows)
+                self._pivot_rows[target] = rows
             self._ranks[cell] = r
         return r
 
     def homology(self, *cell: int) -> int:
         source = tuple(a - b for a, b in zip(cell, self._step))
-        return self._dim(*cell) - self.rank_out_of(cell) - self.rank_out_of(source)
+        return self._dim(*cell) - self.rank_out_of(source) - self.rank_out_of(cell)
 
 
 class ChainComplexSpec:
@@ -595,6 +684,11 @@ class ChainComplexSpec:
     dims[i] is the dimension at index i for i in [lo, hi]; diffs[i] is the
     matrix of d^i: C^i -> C^{i+1} (shape dims[i+1] x dims[i]). Missing
     differentials are zero maps.
+
+    Built with ``check=False``, the maps need not compose to zero, so
+    ``homology_dims`` ranks every differential in full rather than through
+    ``LazyHomology``, whose column dropping assumes a complex: on such
+    input dim - rank - rank may come out negative, and that is reported.
     """
 
     def __init__(self, dims: dict[int, int], diffs: dict[int, np.ndarray], field: PrimeField,
@@ -629,12 +723,10 @@ class ChainComplexSpec:
 
     def homology_dims(self) -> dict[int, int]:
         # A missing differential is a zero map, and an empty matrix has rank 0.
-        zero = np.zeros((0, 0), dtype=np.int64)
-        h = LazyHomology(lambda i: self.dims.get(i, 0), lambda i: self.diffs.get(i, zero),
-                         (1,), self.field.p)
+        ranks = {i: rank(d, self.field.p) for i, d in self.diffs.items()}
         out = {}
         for i in range(self.lo, self.hi + 1):
-            out[i] = h.homology(i)
+            out[i] = self.dims[i] - ranks.get(i - 1, 0) - ranks.get(i, 0)
             if out[i] < 0:
                 raise LinAlgError(f"negative homology dimension at index {i}: invalid complex")
         return out

@@ -154,6 +154,16 @@ class PartitionComplexSpec:
             return 0
         return _cech_sign(dst_desc, extra)
 
+    def _require_complex(self) -> None:
+        """Raise unless the maps form a complex, as ``LazyHomology`` assumes.
+
+        The subdivision variant's front map, k[Delta] into the top cells, is
+        not a cochain map; only its kernel (``front_kernel_dims``) is read.
+        """
+        if self.variant == "subdivision":
+            raise PartitionError("the subdivision variant is not a complex: "
+                                 "only the kernel of its front map is defined")
+
     def differential(self, i: int, j: int, field: PrimeField) -> np.ndarray:
         """Matrix of position i into position i + 1 at coarse degree j."""
         src = self.summands(i)
@@ -178,6 +188,7 @@ class PartitionComplexSpec:
 
     def homology_dims(self, field: PrimeField, max_degree: int | None = None) -> dict:
         """{(i, j): dim} over i in [-1, max position], j in [0, max_degree]."""
+        self._require_complex()
         h = LazyHomology(self.space_dim, lambda i, j: self.differential(i, j, field),
                          (1, 0), field.p)
         return _homology_table(h, self.psi, self.max_position, max_degree)
@@ -260,6 +271,7 @@ class ReducedPartitionComplex:
         return LazyHomology(self.space_dim, self.differential, (1, 0), self.field.p)
 
     def homology_dims(self, max_degree: int | None = None) -> dict:
+        self.pspec._require_complex()
         return _homology_table(self._homology(), self.pspec.psi, self.max_position,
                                max_degree)
 

@@ -490,3 +490,71 @@ def test_chain_complex_negative_homology_is_an_error():
                             check=False)
     with pytest.raises(LinAlgError, match="negative homology"):
         spec.homology_dims()
+
+
+def _pivot_rows(m, p, want_rank):
+    """The pivot rows rank() reports for m, checked to be want_rank distinct rows."""
+    rows = []
+    assert rank(m, p, pivot_rows=rows) == want_rank
+    assert len(rows) == len(set(rows)) == want_rank
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+@pytest.mark.parametrize("shape,density,entries,regimes", KERNEL_CASES)
+def test_pivot_rows_hold_the_rank_in_every_regime(monkeypatch, p, shape, density, entries,
+                                                  regimes):
+    # the matrices of test_kernel_regimes_match_python_gauss_jordan, so the regimes hold
+    rng = np.random.default_rng([p % 1000, *shape, int(1000 * density)])
+    if entries is None:
+        m = _random_matrix(rng, shape, p, density)
+    elif entries in ("signs", "doubled"):
+        m = _sign_matrix(rng, shape, p, density) * (2 if entries == "doubled" else 1)
+    else:
+        m = _low_rank_matrix(rng, shape, p, density, entries)
+    want = rank(m, p)
+    taken = []
+    for name in ("_list_rank", "_unit_rank", "_markowitz_rank", "_eliminate"):
+        real = getattr(linalg, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            taken.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, spy)
+    kernel = {"_list_rank": "list", "_unit_rank": "unit", "_markowitz_rank": "sparse",
+              "_eliminate": "dense"}
+    sparse = SparseMatrix.from_dense(m, p)
+    # both orientations: rank() transposes the wider one, whose pivot rows are then
+    # the pivot columns of its kernel
+    for a, dense, sequences in [(m, m, _expected_regimes(shape, p, regimes)),
+                                (m.T, m.T, _expected_regimes(shape, p, regimes)),
+                                (sparse, m, ["sparse", "sparse+dense"]),
+                                (sparse.T, m.T, ["sparse", "sparse+dense"])]:
+        taken.clear()
+        rows = _pivot_rows(a, p, want)
+        assert "+".join(kernel[name] for name in taken) in sequences
+        assert rank(dense[rows], p) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+def test_pivot_rows_survive_the_densify_fallback(monkeypatch, p):
+    rng = np.random.default_rng([p % 1000, 60, 50])
+    m = _random_matrix(rng, (60, 50), p, 0.5)
+    taken = []
+    for name in ("_markowitz_rank", "_eliminate"):
+        real = getattr(linalg, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            taken.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, spy)
+    want = len(_oracle_rref(m, p)[1])
+    sparse = SparseMatrix.from_dense(m, p)
+    for a, dense in [(sparse, m), (sparse.T, m.T)]:
+        taken.clear()
+        rows = _pivot_rows(a, p, want)
+        # fills in: the live block left after some pivots is eliminated densely
+        assert taken == ["_markowitz_rank", "_eliminate"]
+        assert rank(dense[rows], p) == want

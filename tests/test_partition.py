@@ -435,6 +435,22 @@ def test_subdivision_round_trip_preserves_incidence():
             assert not m2.any()
 
 
+def test_subdivision_variant_has_no_homology_table():
+    st = barycentric_subdivision_structure(
+        SimplicialComplex.from_facets((1, 2, 3, 4), [(1, 2, 3), (1, 3, 4)]))
+    pspec = PartitionComplexSpec.subdivision(st)
+    # the front map is not a cochain map, so homology past position -1 is undefined
+    assert any((pspec.differential(0, j, F) @ pspec.differential(-1, j, F) % F.p).any()
+               for j in (1, 2))
+    with pytest.raises(PartitionError, match="not a complex"):
+        pspec.homology_dims(F)
+    reduced = ReducedPartitionComplex(pspec, lsop(RelativeComplex(st.delta)), F)
+    with pytest.raises(PartitionError, match="not a complex"):
+        reduced.homology_dims()
+    # nothing maps into position -1: its kernel is still read
+    assert reduced.front_kernel_dims(3) == {0: 0, 1: 0, 2: 1, 3: 0}
+
+
 def test_subdivision_structure_validation_errors():
     st = barycentric_subdivision_structure(
         SimplicialComplex.from_facets((1, 2, 3, 4), [(1, 2, 3), (1, 3, 4)]))
