@@ -3,7 +3,9 @@
 The degree-j piece of k[Psi] has the monomials x^alpha with |alpha| = j
 and support(alpha) a face of Delta outside Gamma as a basis. Everything
 here is phrased in those coordinates: multiplication by a linear form is
-a matrix (cached and read-only), the quotient A = k[Psi]/<Theta> is
+a matrix, built fresh from a support pattern that is cached once per
+complex and degree (read-only, shared by every form and field), the
+quotient A = k[Psi]/<Theta> is
 computed degree by degree, one form at a time, by eliminating the
 relations each form adds, and coset representatives are the non-pivot
 monomials of the reduced row echelon form of all relations, so that
@@ -145,25 +147,47 @@ class LinearFormSequence:
 
 
 @lru_cache(maxsize=None)
-def _mult_matrix(psi: RelativeComplex, coeffs: tuple[int, ...], j: int, p: int) -> np.ndarray:
+def _mult_pattern(psi: RelativeComplex, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero pattern of multiplication by a linear form, k[Psi]_j -> k[Psi]_{j+1}.
+
+    (rows, cols, verts): x^alpha of column cols[k] times x_v for v =
+    verts[k] is the monomial of row rows[k], one entry for each pair
+    (alpha, v) whose support stays a face. A form with coefficients c
+    has c[verts[k]] at (rows[k], cols[k]); distinct v give distinct
+    monomials, so the positions are distinct. The pattern depends on
+    neither the field nor the form, so it is built once per (Psi, j) and
+    shared, as read-only int32/int16 arrays.
+    """
     src = monomial_basis(psi, j)
     dst = monomial_basis(psi, j + 1)
-    mat = np.zeros((len(dst), len(src)), dtype=np.int64)
     delta_faces = psi.delta.faces
+    rows: list[int] = []
+    cols: list[int] = []
+    verts: list[int] = []
     for col, alpha in enumerate(src):
         # support of alpha | v must stay a face of Delta; leaving Gamma is automatic
         supp = 0
         for v, e in enumerate(alpha):
             if e:
                 supp |= 1 << v
-        for v, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            if (supp | (1 << v)) not in delta_faces:
-                continue
-            beta = alpha[:v] + (alpha[v] + 1,) + alpha[v + 1:]
-            mat[dst.index[beta], col] = (mat[dst.index[beta], col] + c) % p
-    mat.flags.writeable = False
+        for v in range(len(alpha)):
+            if (supp | (1 << v)) in delta_faces:
+                rows.append(dst.index[alpha[:v] + (alpha[v] + 1,) + alpha[v + 1:]])
+                cols.append(col)
+                verts.append(v)
+    out = (np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32),
+           np.array(verts, dtype=np.int16))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _mult_matrix(psi: RelativeComplex, coeffs: tuple[int, ...], j: int, p: int) -> np.ndarray:
+    """Multiplication by the form ``coeffs`` from k[Psi]_j to k[Psi]_{j+1}, a fresh array."""
+    rows, cols, verts = _mult_pattern(psi, j)
+    mat = np.zeros((len(monomial_basis(psi, j + 1)), len(monomial_basis(psi, j))),
+                   dtype=np.int64)
+    mat[rows, cols] = np.array([c % p for c in coeffs], dtype=np.int64)[verts]
     return mat
 
 
@@ -173,7 +197,7 @@ def multiplication_matrix(psi, form, j: int, field: PrimeField) -> np.ndarray:
     coeffs = tuple(int(c) % field.p for c in form)
     if len(coeffs) != len(psi.delta.labels):
         raise FaceRingError("form needs one coefficient per ground-set vertex")
-    return _mult_matrix(psi, coeffs, j, field.p).copy()
+    return _mult_matrix(psi, coeffs, j, field.p)
 
 
 def variable_form(psi, v, field: PrimeField) -> tuple[int, ...]:
@@ -219,7 +243,7 @@ class GradedQuotientPresentation:
     because k[Psi]_{j-1} = span(R_{i-1,j-1}) + (theta_1..theta_{i-1})_{j-1}
     and theta_i times the second summand lies in (theta_1..theta_{i-1})_j.
     This holds for any Theta and any relative Psi. So stage i of degree j
-    extends the quotient only by the columns R_{i-1,j-1} of the cached
+    extends the quotient only by the columns R_{i-1,j-1} of the
     multiplication matrix of theta_i, and the free monomials of every
     stage one degree down are all the state kept between degrees. The
     last stage spans the whole relation space, and the RREF of a space is

@@ -85,13 +85,14 @@ class KoszulComplex:
         mdst = self.module_dim(t + 1)
         src_subsets = list(combinations(range(self.n), i))
         dst_offset = {S: k * mdst for k, S in enumerate(combinations(range(self.n), i + 1))}
+        mults = [multiplication_matrix(self.psi, form, t, self.field) for form in self.theta]
         for ci, S in enumerate(src_subsets):
             inside = set(S)
             col0 = ci * msrc
             for t_add in range(self.n):
                 if t_add in inside:
                     continue
-                block = multiplication_matrix(self.psi, self.theta[t_add], t, self.field)
+                block = mults[t_add]
                 if sum(1 for s in S if s < t_add) % 2:
                     block = (p - block) % p
                 row0 = dst_offset[tuple(sorted(S + (t_add,)))]

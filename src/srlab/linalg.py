@@ -27,12 +27,14 @@ shape, fill and entries:
   as one slice ``m[targets, c:]``;
 - sparse path: ``rank`` of a ``SparseMatrix``, or of a dense matrix with
   more than ``_LARGE_CELLS`` cells under 1/20 of them nonzero, pivots
-  Markowitz-style on row dicts in ``_markowitz_rank``: sparsest column
-  first, then the shortest row in it. Past as many dict updates as the
-  matrix has cells, the rows and columns still live go to the dense path
-  as one block. Unit matrices this large stay there: testing the entries
-  means finding the nonzeros of every large matrix, which costs more on
-  the large non-unit differentials than it saves on the rest.
+  Markowitz-style on row dicts in ``_markowitz_rank``: row first, on the
+  shortest live row, found through a bucket queue on row lengths, in
+  its column with the fewest live rows. Row singletons thus go first and
+  cost no update. Past as many dict updates as the matrix has cells, the
+  rows and columns still live go to the dense path as one block. Unit
+  matrices this large stay there: testing the entries means finding the
+  nonzeros of every large matrix, which costs more on the large non-unit
+  differentials than it saves on the rest.
 
 Rank does not depend on the pivot order, and the reduced row echelon form
 of a matrix is unique, so ``rref`` and ``kernel_basis`` return the same
@@ -42,7 +44,7 @@ came from (``rank(..., pivot_rows=...)``); which rows they are depends on
 the regime, but they are always ``rank`` independent rows of the input.
 
 No entry point mutates its argument: each works on one reduced copy made
-per call. The cached multiplication matrices of ``facering`` and
+per call. The cached multiplication patterns of ``facering`` and
 restriction matrices of ``partition`` are shared, read-only arrays.
 
 Everything downstream (cohomology, Hilbert functions, Koszul and
@@ -57,7 +59,6 @@ extending the span batch by batch.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
@@ -349,15 +350,18 @@ def _markowitz_rank(a: SparseMatrix, p: int, *, pivots: list | None = None) -> i
     """Rank of a sparse matrix by Markowitz pivoting on row dicts; the sparse regime.
 
     Rows are ``{column: value}`` dicts, and each column keeps the set of
-    live rows that hold it. Every step pivots in the live column with the
-    fewest rows, then on the shortest of those rows, which keeps fill-in
-    low; rank does not depend on the pivot order. A heap of column counts
-    finds that column: every count change pushes a fresh entry, and an
-    entry whose count is out of date is skipped when popped. Once more
-    dict updates have been made than the matrix has cells, the live rows
-    and columns are handed to ``_eliminate`` as one dense block, a safety
-    net against fill-in. If ``pivots`` is given, each pivot's (row,
-    column) is appended to it.
+    live rows that hold it. Every step pivots on the shortest live row,
+    in the column of that row with the fewest live rows: the update costs
+    (row length - 1) * (column count - 1) dict updates, and the rule keeps
+    both factors small, so fill-in stays low. A row singleton is a free
+    pivot: it only leaves its column. Rank does not depend on the pivot
+    order. A bucket queue indexed by row length finds the shortest row:
+    a row whose length changes is queued again under its new length, and
+    an entry whose length is out of date is skipped when popped. Once
+    more dict updates have been made than the matrix has cells, the live
+    rows and columns are handed to ``_eliminate`` as one dense block, a
+    safety net against fill-in. If ``pivots`` is given, each pivot's
+    (row, column) is appended to it.
     """
     nrows, ncols = a.shape
     rows: list[dict[int, int] | None] = [{} for _ in range(nrows)]
@@ -365,20 +369,27 @@ def _markowitz_rank(a: SparseMatrix, p: int, *, pivots: list | None = None) -> i
     for i, j, x in zip(a.rows.tolist(), a.cols.tolist(), a.vals.tolist()):
         rows[i][j] = x
         holders[j].add(i)
-    heap = [(len(held), j) for j, held in enumerate(holders) if held]
-    heapq.heapify(heap)
+    # buckets[k]: rows queued when they held k entries; a row never holds more than ncols
+    buckets: list[list[int]] = [[] for _ in range(ncols + 1)]
+    for i, row in enumerate(rows):
+        if row:
+            buckets[len(row)].append(i)
     budget = nrows * ncols
     work = r = 0
-    while heap:
-        count, c = heapq.heappop(heap)
-        targets = holders[c]
-        if count != len(targets):
+    short = 1
+    while short <= ncols:
+        if not buckets[short]:
+            short += 1
             continue
-        pr = min(targets, key=lambda i: len(rows[i]))
+        pr = buckets[short].pop()
+        piv = rows[pr]
+        if piv is None or len(piv) != short:
+            continue
+        c = min(piv, key=lambda j: len(holders[j]))
         if pivots is not None:
             pivots.append((pr, c))
-        piv = rows[pr]
         rows[pr] = None
+        targets = holders[c]
         holders[c] = set()
         targets.discard(pr)
         inv = pow(piv.pop(c), -1, p)
@@ -387,6 +398,7 @@ def _markowitz_rank(a: SparseMatrix, p: int, *, pivots: list | None = None) -> i
             holders[j].discard(pr)
         for t in targets:
             row = rows[t]
+            before = len(row)
             f = row.pop(c) * inv % p
             for j, x in rest:
                 y = row.get(j)
@@ -400,10 +412,12 @@ def _markowitz_rank(a: SparseMatrix, p: int, *, pivots: list | None = None) -> i
                     else:
                         del row[j]
                         holders[j].discard(t)
+            k = len(row)
+            if k and k != before:
+                buckets[k].append(t)
+                if k < short:
+                    short = k
         work += len(targets) * len(rest)
-        for j, _ in rest:
-            if holders[j]:
-                heapq.heappush(heap, (len(holders[j]), j))
         r += 1
         if work > budget:
             return r + _dense_rank_of_live(rows, holders, p, pivots)

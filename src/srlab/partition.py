@@ -39,7 +39,7 @@ from .complexes import (
 )
 from .facering import (
     LinearFormSequence,
-    _mult_matrix,
+    _mult_pattern,
     monomial_basis,
     quotient_presentation,
 )
@@ -84,7 +84,7 @@ class PartitionComplexSpec:
     step (1, 0): the differential keeps the degree j.
     """
 
-    __slots__ = ("psi", "variant", "positions", "structure", "_signs")
+    __slots__ = ("psi", "variant", "positions", "structure", "_signs", "_dims")
 
     def __init__(self, psi: RelativeComplex, variant: str, positions: dict,
                  structure=None, signs=None):
@@ -95,6 +95,7 @@ class PartitionComplexSpec:
         self.positions = positions
         self.structure = structure
         self._signs = signs or {}
+        self._dims: dict[tuple[int, int], int] = {}
 
     @classmethod
     def full(cls, psi) -> "PartitionComplexSpec":
@@ -141,7 +142,10 @@ class PartitionComplexSpec:
     def space_dim(self, i: int, j: int) -> int:
         if j < 0:
             return 0
-        return sum(len(monomial_basis(mod, j)) for _, mod in self.summands(i))
+        d = self._dims.get((i, j))
+        if d is None:
+            d = self._dims[i, j] = sum(len(monomial_basis(mod, j)) for _, mod in self.summands(i))
+        return d
 
     def _block_sign(self, i: int, src_desc, dst_desc) -> int:
         if self.variant == "subdivision":
@@ -303,8 +307,9 @@ class DoubleComplexSlice:
     The three maps are ``SparseMatrix`` instances, a fraction of a percent
     full: the horizontal map repeats the nonzeros of the star-cover
     differential once per wedge basis vector, and the vertical map places
-    the nonzeros of the cached multiplication matrices with their Koszul
-    signs. Only ``rank`` consumes them.
+    each form's coefficients on the cached multiplication patterns of the
+    summands (``facering._mult_pattern``), with their Koszul signs, without
+    a dense block in between. Only ``rank`` consumes them.
     """
 
     def __init__(self, pspec: PartitionComplexSpec, theta: LinearFormSequence,
@@ -346,17 +351,19 @@ class DoubleComplexSlice:
         t = self._t(b)
         msrc = self.pspec.space_dim(a, t)
         mdst = self.pspec.space_dim(a, t + 1)
-        mults = []
-        for form in self.theta:
-            coeffs = tuple(int(c) % p for c in form)
-            blocks = []
-            r = c = 0
-            for _, mod in self.pspec.summands(a):
-                block = _mult_matrix(mod, coeffs, t, p)
-                blocks.append((r, c, SparseMatrix.from_dense(block, p), 1))
-                r += block.shape[0]
-                c += block.shape[1]
-            mults.append(SparseMatrix.from_blocks((mdst, msrc), blocks, p))
+        # the summands' multiplication patterns down the diagonal, shared by every form
+        rows, cols, verts = [], [], []
+        r = c = 0
+        for _, mod in self.pspec.summands(a):
+            pr, pc, pv = _mult_pattern(mod, t)
+            rows.append(pr + r)
+            cols.append(pc + c)
+            verts.append(pv)
+            r += len(monomial_basis(mod, t + 1))
+            c += len(monomial_basis(mod, t))
+        rows, cols, verts = (np.concatenate(x) for x in (rows, cols, verts))
+        mults = [SparseMatrix((mdst, msrc), rows, cols, np.array(form, dtype=np.int64)[verts], p)
+                 for form in self.theta]
         dst_index = {S: k for k, S in enumerate(combinations(range(self.n), b + 1))}
         blocks = []
         for ci, S in enumerate(combinations(range(self.n), b)):

@@ -20,6 +20,7 @@ from srlab.facering import (
     _generator_max_degree,
     _hilbert_by_face_counts,
     _mult_matrix,
+    _mult_pattern,
     _uniform,
     expected_lsop_length,
     first_lsop,
@@ -150,6 +151,38 @@ def test_variable_multiplication_hits_single_monomials():
     m = multiplication_matrix(psi, variable_form(psi, 1, F), 1, F)
     assert set(np.count_nonzero(m, axis=0)) <= {0, 1}
     assert set(m.ravel()) <= {0, 1}
+
+
+def _loop_mult_matrix(psi, coeffs, j, p):
+    """Multiplication by a form, one monomial and one vertex at a time."""
+    src = monomial_basis(psi, j)
+    dst = monomial_basis(psi, j + 1)
+    mat = np.zeros((len(dst), len(src)), dtype=np.int64)
+    for col, alpha in enumerate(src):
+        supp = sum(1 << v for v, e in enumerate(alpha) if e)
+        for v, c in enumerate(coeffs):
+            if c == 0 or (supp | (1 << v)) not in psi.delta.faces:
+                continue
+            beta = alpha[:v] + (alpha[v] + 1,) + alpha[v + 1:]
+            mat[dst.index[beta], col] = (mat[dst.index[beta], col] + c) % p
+    return mat
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+@pytest.mark.parametrize("name", sorted(BUILTIN_EXAMPLES))
+def test_multiplication_matrix_matches_the_monomial_loop(name, p):
+    psi = as_relative(builtin_complex(name))
+    n = len(psi.delta.labels)
+    rng = random.Random(f"{name}:{p}")
+    forms = [tuple(rng.randrange(p) for _ in range(n)),
+             tuple(0 if v % 2 else rng.randrange(1, p) for v in range(n)),   # zeros
+             tuple(p * rng.randrange(1, 4) + rng.randrange(p) for _ in range(n)),  # >= p
+             (0,) * n]
+    for j in range(psi.dim + 3):
+        for form in forms:
+            got = _mult_matrix(psi, form, j, p)
+            assert got.flags.writeable
+            assert np.array_equal(got, _loop_mult_matrix(psi, form, j, p)), (j, form)
 
 
 def test_expected_lsop_length():
@@ -303,14 +336,17 @@ def test_staged_quotient_matches_the_stacked_rref_off_lsop(p):
 
 
 def test_cached_multiplication_matrices_are_read_only():
+    # the cache holds the support pattern; every matrix is built fresh from it
     tor = builtin_complex("torus7")
     form = (1, 2, 3, 4, 5, 6, 0)
-    cached = _mult_matrix(tor, form, 1, F.p)
-    with pytest.raises(ValueError):
-        cached[0, 0] = 1
+    cached = _mult_pattern(tor, 1)
+    for a in cached:
+        with pytest.raises(ValueError):
+            a[0] = 1
     fresh = multiplication_matrix(tor, form, 1, F)
-    fresh[0, 0] = 1  # the public function hands out a writable copy
-    assert _mult_matrix(tor, form, 1, F.p) is cached
+    fresh[0, 0] = 1  # the public function hands out a writable array
+    assert _mult_matrix(tor, form, 1, F.p) is not _mult_matrix(tor, form, 1, F.p)
+    assert _mult_pattern(tor, 1) is cached
 
 
 def test_non_lsop_quotient_is_infinite_at_cap():

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from srlab import linalg
 from srlab.complexes import as_relative, builtin_complex
-from srlab.facering import _mult_matrix
+from srlab.facering import _mult_matrix, _mult_pattern, first_lsop
 from srlab.linalg import (
     ChainComplexSpec,
     DEFAULT_PRIME,
@@ -24,7 +24,7 @@ from srlab.linalg import (
     rank,
     rref,
 )
-from srlab.partition import _restriction
+from srlab.partition import DoubleComplexSlice, PartitionComplexSpec, _restriction
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -135,6 +135,43 @@ def test_markowitz_rank_densifies_the_live_block_past_its_budget(monkeypatch):
     assert sub.shape[0] < 700 and sub.shape[1] < 690
     _, piv = real(m, 97, reduced=False)
     assert got == len(piv)
+
+
+@pytest.mark.parametrize("name,p", [("rp2_6", 2), ("rp2_6", 3), ("torus7", DEFAULT_PRIME),
+                                    ("boundary_simplex_3", DEFAULT_PRIME)])
+def test_markowitz_rank_on_total_complex_differentials(monkeypatch, name, p):
+    psi = builtin_complex(name)
+    field = PrimeField(p)
+    _, theta = first_lsop(psi, 0, field)
+    spec = PartitionComplexSpec.full(psi)
+    real = linalg._eliminate
+    densified = []
+
+    def spy(*args, **kwargs):
+        densified.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    checked = 0
+    for j in range(psi.dim + 2):
+        sl = DoubleComplexSlice(spec, theta, field, j)
+        for k in range(-1, spec.max_position + sl.n + 1):
+            d = sl.tot_differential(k)
+            if not d.vals.size:
+                continue
+            for a in (d, d.T):
+                dense = a.toarray()
+                want = len(real(dense, p, False)[1])
+                found = []
+                monkeypatch.setattr(linalg, "_eliminate", spy)
+                got = _markowitz_rank(a, p, pivots=found)
+                monkeypatch.setattr(linalg, "_eliminate", real)
+                assert got == want, (j, k)
+                rows = [i for i, _ in found]
+                assert len(set(rows)) == len({c for _, c in found}) == want
+                assert len(real(dense[rows], p, False)[1]) == want
+                checked += 1
+    assert checked > 20
+    assert densified == []
 
 
 def test_rank_uses_sparse_path_on_large_sparse_input():
@@ -369,14 +406,14 @@ def test_sparse_matrix_blocks_are_placed_with_their_signs():
 def test_entry_points_leave_their_input_untouched():
     p = 7
     rng = np.random.default_rng(17)
-    shared = _mult_matrix(builtin_complex("torus7"), (1, 2, 3, 4, 5, 6, 0), 1, p)
     tor = builtin_complex("torus7")
+    pattern = _mult_pattern(tor, 1)
     torus = as_relative(tor)
     star = as_relative(tor.star(tor.delta.vertex_masks()[0]))
     restriction = _restriction(torus, star, 3)
     assert restriction.size > _TINY_CELLS
     inputs = [
-        shared,
+        _mult_matrix(tor, (1, 2, 3, 4, 5, 6, 0), 1, p),        # built from the cached pattern
         restriction,                                            # unit regime, cached
         rng.integers(-20, 20, size=(3, 4), dtype=np.int64),     # list regime
         rng.integers(-20, 20, size=(9, 14), dtype=np.int64),    # dense regime
@@ -386,7 +423,7 @@ def test_entry_points_leave_their_input_untouched():
     ]
     for m in inputs:
         before = m.copy()
-        if m is not shared and m is not restriction:
+        if m is not restriction:
             m.setflags(write=False)  # a write now raises instead of corrupting silently
         rank(m, p)
         rref(m, p)
@@ -400,7 +437,8 @@ def test_entry_points_leave_their_input_untouched():
     rank(sparse, p)
     rank(sparse.T, p)
     assert all(np.array_equal(x, y) for x, y in zip(arrays, before))
-    assert _mult_matrix(builtin_complex("torus7"), (1, 2, 3, 4, 5, 6, 0), 1, p) is shared
+    assert all(not a.flags.writeable for a in pattern)
+    assert _mult_pattern(tor, 1) is pattern
     assert _restriction(torus, star, 3) is restriction
 
 
