@@ -461,6 +461,10 @@ def run(config: RunConfig, out=None, err=None) -> int:
             DualityError, LinAlgError) as e:
         print(f"error: {e}", file=err)
         return EXIT_INPUT
+    except MemoryError:
+        # exit 1 would read as "the statement fails"
+        print(f"error: out of memory running {config.command}", file=err)
+        return EXIT_INPUT
     if config.format == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")), file=out)
     else:

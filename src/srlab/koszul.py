@@ -14,7 +14,10 @@ a staircase whose homology at (i, t) sits between the maps in from
 (i-1, t-1) and out to (i+1, t+1). Depth is the smallest i with nonzero
 homology; for a certified linear system of parameters it equals dim + 1
 exactly on Cohen-Macaulay modules. The CM test itself decides by the
-Hilbert function of one quotient and reports Koszul depth when not CM.
+Hilbert function of one quotient. When that says not CM it reports a depth
+given by the caller (``reisner_report`` reads it off the link table), or
+else scans Koszul depth once, on the first certified Theta: depth does not
+depend on Theta, so later trials record the same value.
 """
 
 from __future__ import annotations
@@ -151,8 +154,9 @@ def depth(psi, theta, field: PrimeField, max_degree: int | None = None) -> int:
 
 
 def is_algebraically_cm(psi, field: PrimeField | None = None, seed=0, trials: int = 3,
-                        budget: int = 20000, max_degree: int | None = None) -> dict:
-    """Cohen-Macaulay test: Hilbert-function certificate, Koszul depth when not CM.
+                        budget: int = 20000, max_degree: int | None = None,
+                        known_depth: int | None = None) -> dict:
+    """Cohen-Macaulay test: Hilbert-function certificate, depth when not CM.
 
     The trials come from ``lsop_trials``: each draws its own coefficient
     stream and rejection-samples until the l.s.o.p. certificate passes; a
@@ -160,12 +164,14 @@ def is_algebraically_cm(psi, field: PrimeField | None = None, seed=0, trials: in
     contributes no verdict. The first certified Theta decides CM by
     ``hilbert_certificate``. If it holds, depth is dim + 1 (CM means full
     depth for every l.s.o.p.), the trial is recorded with that depth and
-    the loop stops. Otherwise that trial and every later certified one
-    records its Koszul ``depth`` with coefficient degrees up to max_degree,
-    which bounds only this scan; a scan that reaches dim + 1 on a non-CM
-    module saw too few degrees and raises KoszulError. inconclusive is True
-    when no trial completed (possible over tiny fields where parameter
-    systems are scarce or absent).
+    the loop stops. Otherwise the depth is known_depth when given, taken
+    as is; if not, it is the Koszul ``depth`` of that first certified Theta
+    with coefficient degrees up to max_degree, which bounds only this scan,
+    and a scan that reaches dim + 1 on a non-CM module saw too few degrees
+    and raises KoszulError. Depth does not depend on Theta, so the scan runs
+    at most once and every later certified trial records the same depth.
+    inconclusive is True when no trial completed (possible over tiny fields
+    where parameter systems are scarce or absent).
     """
     psi = as_relative(psi)
     if field is None:
@@ -175,7 +181,7 @@ def is_algebraically_cm(psi, field: PrimeField | None = None, seed=0, trials: in
         return {"cm": True, "expected_depth": 0, "depth": None, "prime": field.p,
                 "trials": [], "inconclusive": False, "note": "zero module"}
     trial_rows = []
-    best = None
+    dep = None
     cm = None
     for s, theta in lsop_trials(psi, seed, field, trials, budget):
         if theta is None:
@@ -183,19 +189,21 @@ def is_algebraically_cm(psi, field: PrimeField | None = None, seed=0, trials: in
             continue
         if cm is None:
             cm = hilbert_certificate(psi, theta, field)
-        if cm:
-            trial_rows.append({"seed": s, "found_lsop": True, "depth": expected})
-            best = expected
-            break
-        dep = depth(psi, theta, field, max_degree=max_degree)
-        if dep == expected:
-            raise KoszulError("degree window too narrow to find the depth")
+            if cm:
+                dep = expected
+            elif known_depth is not None:
+                dep = known_depth
+            else:
+                dep = depth(psi, theta, field, max_degree=max_degree)
+                if dep == expected:
+                    raise KoszulError("degree window too narrow to find the depth")
         trial_rows.append({"seed": s, "found_lsop": True, "depth": dep})
-        best = dep if best is None else max(best, dep)
+        if cm:
+            break
     return {
         "cm": bool(cm),
         "expected_depth": expected,
-        "depth": best,
+        "depth": dep,
         "prime": field.p,
         "trials": trial_rows,
         "inconclusive": cm is None,

@@ -261,3 +261,14 @@ def test_cm_on_the_seven_vertex_five_sphere():
     # the Hilbert certificate on the staged quotient; depth itself is not run here
     code, out, err = go(command="cm", input="builtin:boundary_simplex_6", prime=2147483647)
     assert (code, out, err) == (0, "cm: yes\ndepth: 6\nexpected: 6\n", "")
+
+
+def test_out_of_memory_exits_as_an_input_error(monkeypatch):
+    # exit 1 means "the statement fails"; running out of memory says nothing of the kind
+    def handler(cfg, field):
+        raise MemoryError
+
+    monkeypatch.setitem(_COMMANDS, "cm", handler)
+    code, out, err = go(command="cm", input="builtin:torus7")
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory running cm\n"

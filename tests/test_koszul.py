@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from srlab import koszul
 from srlab.complexes import (
     BUILTIN_EXAMPLES,
     RelativeComplex,
@@ -211,6 +212,36 @@ def test_cm_verdicts_on_known_complexes():
 
     res = is_algebraically_cm(builtin_complex("rp2_6"), PrimeField(3), budget=4000)
     assert res["cm"] and res["depth"] == 3
+
+
+def test_cm_scans_koszul_depth_once(monkeypatch):
+    # depth does not depend on Theta: the first certified non-CM trial scans,
+    # the later ones record its value
+    scans = []
+    scan = koszul.depth
+    monkeypatch.setattr(koszul, "depth", lambda *a, **kw: scans.append(1) or scan(*a, **kw))
+    res = is_algebraically_cm(builtin_complex("torus7"))
+    assert scans == [1]
+    assert res["depth"] == 2
+    assert res["trials"] == [{"seed": s, "found_lsop": True, "depth": 2} for s in (0, 1, 2)]
+
+
+def test_cm_takes_a_known_depth_without_scanning(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Koszul depth scanned although the depth was given")
+
+    monkeypatch.setattr(koszul, "depth", refuse)
+    torus = builtin_complex("torus7")
+    res = is_algebraically_cm(torus, max_degree=0, known_depth=2)
+    assert not res["cm"] and res["depth"] == 2
+    assert [row["depth"] for row in res["trials"]] == [2, 2, 2]
+    # a given full depth under a non-CM certificate is recorded, not raised:
+    # the caller compares the routes
+    res = is_algebraically_cm(torus, known_depth=3)
+    assert not res["cm"] and res["depth"] == res["expected_depth"] == 3
+    # a CM certificate records full depth whatever was given
+    res = is_algebraically_cm(builtin_complex("boundary_simplex_3"), known_depth=1)
+    assert res["cm"] and res["trials"] == [{"seed": 0, "found_lsop": True, "depth": 3}]
 
 
 def _assert_routes_agree(psi, field) -> set[bool]:

@@ -2,11 +2,18 @@
 
 import itertools
 import json
+import random
 
 import pytest
 
-from srlab.complexes import RelativeComplex, SimplicialComplex, builtin_complex
-from srlab.facering import LinearFormSequence, expected_lsop_length, sample_lsop
+from srlab import koszul, verdicts
+from srlab.complexes import (
+    RelativeComplex,
+    SimplicialComplex,
+    builtin_complex,
+    random_relative_complex,
+)
+from srlab.facering import LinearFormSequence, expected_lsop_length, lsop_trials, sample_lsop
 from srlab.linalg import DEFAULT_PRIME, PrimeField
 from srlab.partition import barycentric_subdivision_structure
 from srlab.verdicts import (
@@ -15,6 +22,7 @@ from srlab.verdicts import (
     dehn_sommerville_check,
     kuhnel_report,
     lefschetz_report,
+    link_depth,
     partition_of_unity_report,
     reisner_link_table,
     reisner_report,
@@ -82,11 +90,7 @@ def test_reisner_link_table_matches_the_report():
 def test_reisner_on_a_relative_pair_with_a_dangling_edge():
     # two triangles glued along an edge plus an edge hanging off vertex 4,
     # relative to one of the triangles
-    delta = SimplicialComplex.from_facets(
-        (1, 2, 3, 4, 5), [(1, 2, 3), (1, 2, 4), (4, 5)]
-    )
-    gamma = SimplicialComplex.from_facets((1, 2, 3, 4, 5), [(1, 2, 4)])
-    rep = reisner_report(RelativeComplex(delta, gamma))
+    rep = reisner_report(_dangling_edge_pair())
     assert rep.verdict == "holds"
     table = rep.tables[0]
     assert table["topological_cm"] is False
@@ -106,6 +110,101 @@ def test_reisner_is_inconclusive_without_a_parameter_system():
     rep = reisner_report(RelativeComplex(k5), PrimeField(2), trials=2)
     assert rep.verdict == "inconclusive"
     assert rep.diagnostics == ["no certified parameter system found within budget"]
+    # K_4 has none either; no depth is reported without one
+    k4 = SimplicialComplex.from_facets(
+        (1, 2, 3, 4), list(itertools.combinations((1, 2, 3, 4), 2))
+    )
+    rep = reisner_report(RelativeComplex(k4), PrimeField(2))
+    assert rep.verdict == "inconclusive"
+    table = rep.tables[0]
+    assert table["depth"] is None
+    assert [row["found_lsop"] for row in table["trials"]] == [False] * 3
+
+
+def _dangling_edge_pair():
+    delta = SimplicialComplex.from_facets(
+        (1, 2, 3, 4, 5), [(1, 2, 3), (1, 2, 4), (4, 5)]
+    )
+    gamma = SimplicialComplex.from_facets((1, 2, 3, 4, 5), [(1, 2, 4)])
+    return RelativeComplex(delta, gamma)
+
+
+def test_link_depth_agrees_with_koszul_depth_on_random_pairs():
+    """Hochster's formula against the Koszul scan of a certified Theta.
+
+    Hochster's formula for local cohomology is cited for absolute
+    complexes only; on relative pairs the link-table depth rests on this
+    comparison.
+    """
+    rng = random.Random(1105)
+    fields = (PrimeField(2), PrimeField(3), F)
+    conclusive = []
+    for k in range(200):
+        psi = random_relative_complex(rng)
+        field = fields[k % 3]
+        if psi.is_void:
+            continue
+        budget = 2000 if field.p < 100 else 20000
+        theta = next((t for _, t in lsop_trials(psi, 0, field, 3, budget)
+                      if t is not None), None)
+        if theta is None:
+            continue
+        conclusive.append(psi)
+        table = reisner_link_table(psi, field)
+        assert link_depth(psi, table) == koszul.depth(psi, theta, field)
+    assert len(conclusive) >= 150
+    assert {psi.is_absolute for psi in conclusive} == {True, False}
+    assert any(link_depth(psi, reisner_link_table(psi, F)) < expected_lsop_length(psi)
+               for psi in conclusive)
+
+
+def _koszul_route(monkeypatch):
+    """Route reisner_report through is_algebraically_cm without known_depth."""
+    scans = []
+
+    def counted_depth(*args, **kwargs):
+        scans.append(1)
+        return depth(*args, **kwargs)
+
+    def koszul_cm(*args, known_depth=None, **kwargs):
+        return is_algebraically_cm(*args, **kwargs)
+
+    depth = koszul.depth
+    is_algebraically_cm = verdicts.is_algebraically_cm
+    monkeypatch.setattr(koszul, "depth", counted_depth)
+    monkeypatch.setattr(verdicts, "is_algebraically_cm", koszul_cm)
+    return scans
+
+
+@pytest.mark.parametrize("psi, field", [
+    (builtin_complex("torus7"), F),
+    (builtin_complex("rp2_6"), PrimeField(2)),
+    (_dangling_edge_pair(), F),
+], ids=["torus7", "rp2_6-F2", "relative-pair"])
+def test_reisner_report_builds_no_koszul_complex(psi, field, monkeypatch):
+    with monkeypatch.context() as m:
+        scans = _koszul_route(m)
+        want = reisner_report(psi, field).to_json()
+    assert scans == [1]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reisner_report ran a Koszul scan")
+
+    monkeypatch.setattr(koszul, "depth", refuse)
+    monkeypatch.setattr(koszul.KoszulComplex, "differential", refuse)
+    got = reisner_report(psi, field).to_json()
+    assert got == want
+    assert got["tables"][0]["depth"] < got["tables"][0]["expected_depth"]
+
+
+def test_reisner_route_disagreement_is_a_failing_verdict(monkeypatch):
+    # a full link depth under a non-CM certificate: the routes disagree
+    monkeypatch.setattr(koszul, "hilbert_certificate", lambda *args: False)
+    rep = reisner_report(builtin_complex("boundary_simplex_3"))
+    assert rep.verdict == "fails"
+    table = rep.tables[0]
+    assert table["topological_cm"] is True and table["algebraic_cm"] is False
+    assert table["depth"] == table["expected_depth"] == 3
 
 
 def test_partition_of_unity_on_the_torus():
