@@ -11,13 +11,23 @@ raising the coefficient degree of m by one. In the shifted grading
 deg(alpha) + n - i the differential preserves degree, so each shifted
 degree is an honest cochain complex; the natural grading deg(alpha) gives
 a staircase whose homology at (i, t) sits between the maps in from
-(i-1, t-1) and out to (i+1, t+1). Depth is the smallest i with nonzero
-homology; for a certified linear system of parameters it equals dim + 1
-exactly on Cohen-Macaulay modules. The CM test itself decides by the
-Hilbert function of one quotient. When that says not CM it reports a depth
-given by the caller (``reisner_report`` reads it off the link table), or
-else scans Koszul depth once, on the first certified Theta: depth does not
-depend on Theta, so later trials record the same value.
+(i-1, t-1) and out to (i+1, t+1).
+
+One builder, ``koszul_step``, makes every Koszul map in srlab, as a
+``SparseMatrix`` holding only the nonzeros: the maps of K(Theta; k[Psi])
+here, and the vertical maps of the partition complex tensored with Koszul
+(``partition.DoubleComplexSlice``), where the module is a direct sum of
+star modules. A dense map would have C(n, i + 1) dim k[Psi]_{t+1} by
+C(n, i) dim k[Psi]_t cells, of which each column holds at most n times the
+number of vertices nonzeros.
+
+Depth is the smallest i with nonzero homology; for a certified linear
+system of parameters it equals dim + 1 exactly on Cohen-Macaulay modules.
+The CM test itself decides by the Hilbert function of one quotient. When
+that says not CM it reports a depth given by the caller (``reisner_report``
+reads it off the link table), or else scans Koszul depth once, on the
+first certified Theta: depth does not depend on Theta, so later trials
+record the same value.
 """
 
 from __future__ import annotations
@@ -30,13 +40,13 @@ import numpy as np
 from .complexes import as_relative
 from .facering import (
     LinearFormSequence,
+    _mult_pattern,
     expected_lsop_length,
     hilbert_certificate,
     lsop_trials,
     monomial_basis,
-    multiplication_matrix,
 )
-from .linalg import DEFAULT_PRIME, LazyHomology, PrimeField
+from .linalg import DEFAULT_PRIME, LazyHomology, PrimeField, SparseMatrix
 
 GRADINGS = ("natural", "shifted")
 
@@ -45,10 +55,54 @@ class KoszulError(ValueError):
     pass
 
 
+def koszul_step(modules, theta, i: int, t: int, p: int) -> SparseMatrix:
+    """The Koszul map on the direct sum of ``modules``, wedge i at degree t to i + 1 at t + 1.
+
+    Rows and columns are ordered subset-major: i-subsets S of the forms
+    lexicographically, then the summands in the given order, then each
+    summand's monomial basis. Down the diagonal of every block sit the
+    summands' cached multiplication patterns (``facering._mult_pattern``),
+    carrying each form's coefficients; the block e_S -> e_{S + u} is that of
+    theta_u with sign (-1)^{#{s in S : s < u}}. A side whose wedge index
+    lies outside [0, n] or whose degree is negative has dimension 0.
+    """
+    n = len(theta)
+    msrc = sum(len(monomial_basis(mod, t)) for mod in modules) if t >= 0 else 0
+    mdst = sum(len(monomial_basis(mod, t + 1)) for mod in modules) if t >= -1 else 0
+    shape = (math.comb(n, i + 1) * mdst if i >= -1 else 0,
+             math.comb(n, i) * msrc if i >= 0 else 0)
+    if 0 in shape:
+        return SparseMatrix(shape, [], [], [], p)
+    # the summands' patterns down the diagonal, shared by every form
+    rows, cols, verts = [], [], []
+    r = c = 0
+    for mod in modules:
+        pr, pc, pv = _mult_pattern(mod, t)
+        rows.append(pr + r)
+        cols.append(pc + c)
+        verts.append(pv)
+        r += len(monomial_basis(mod, t + 1))
+        c += len(monomial_basis(mod, t))
+    rows, cols, verts = (np.concatenate(x) for x in (rows, cols, verts))
+    mults = [SparseMatrix((mdst, msrc), rows, cols, np.array(form, dtype=np.int64)[verts], p)
+             for form in theta]
+    dst_index = {S: k for k, S in enumerate(combinations(range(n), i + 1))}
+    blocks = []
+    for ci, S in enumerate(combinations(range(n), i)):
+        for u in range(n):
+            if u in S:
+                continue
+            sign = -1 if sum(1 for s in S if s < u) % 2 else 1
+            ri = dst_index[tuple(sorted(S + (u,)))]
+            blocks.append((ri * mdst, ci * msrc, mults[u], sign))
+    return SparseMatrix.from_blocks(shape, blocks, p)
+
+
 class KoszulComplex:
     """K(Theta; k[Psi]) assembled one coefficient degree at a time.
 
-    Subsets are ordered lexicographically, monomials inside each subset
+    Each differential is the one-module ``koszul_step``, a ``SparseMatrix``:
+    subsets are ordered lexicographically, monomials inside each subset
     block in the fixed monomial-basis order, so every matrix is
     reproducible. Homology comes from a ``LazyHomology`` over the cells
     (i, t) with step (1, 1): the map out of position i at degree t is the
@@ -76,31 +130,9 @@ class KoszulComplex:
             return 0
         return math.comb(self.n, i) * self.module_dim(t)
 
-    def differential(self, i: int, t: int) -> np.ndarray:
+    def differential(self, i: int, t: int) -> SparseMatrix:
         """Matrix of K^i at coefficient degree t into K^{i+1} at degree t + 1."""
-        rows = self.space_dim(i + 1, t + 1)
-        cols = self.space_dim(i, t)
-        mat = np.zeros((rows, cols), dtype=np.int64)
-        if rows == 0 or cols == 0:
-            return mat
-        p = self.field.p
-        msrc = self.module_dim(t)
-        mdst = self.module_dim(t + 1)
-        src_subsets = list(combinations(range(self.n), i))
-        dst_offset = {S: k * mdst for k, S in enumerate(combinations(range(self.n), i + 1))}
-        mults = [multiplication_matrix(self.psi, form, t, self.field) for form in self.theta]
-        for ci, S in enumerate(src_subsets):
-            inside = set(S)
-            col0 = ci * msrc
-            for t_add in range(self.n):
-                if t_add in inside:
-                    continue
-                block = mults[t_add]
-                if sum(1 for s in S if s < t_add) % 2:
-                    block = (p - block) % p
-                row0 = dst_offset[tuple(sorted(S + (t_add,)))]
-                mat[row0:row0 + mdst, col0:col0 + msrc] = block
-        return mat
+        return koszul_step([self.psi], self.theta, i, t, self.field.p)
 
     def homology_dim(self, i: int, t: int) -> int:
         """dim of the homology at position i, coefficient degree t."""

@@ -1,13 +1,13 @@
 """Exact linear algebra over a prime field F_p.
 
 Matrices are dense numpy int64 arrays, except that ``rank`` also takes a
-``SparseMatrix``, which holds only the nonzeros; the total-complex
-differentials are built that way, being a fraction of a percent full.
-Inputs may hold unreduced entries (the -1 signs of a coboundary, say);
-every result has entries in [0, p). The modulus is capped at 2^31 - 1 so
-that a single multiply-accumulate step of Gaussian elimination stays
-inside int64; matrix products use a 16-bit split so the accumulated dot
-products are exact as well.
+``SparseMatrix``, which holds only the nonzeros; the Koszul and
+total-complex differentials are built that way, the large ones being a
+fraction of a percent full. Inputs may hold unreduced entries (the -1
+signs of a coboundary, say); every result has entries in [0, p). The
+modulus is capped at 2^31 - 1 so that a single multiply-accumulate step
+of Gaussian elimination stays inside int64; matrix products use a 16-bit
+split so the accumulated dot products are exact as well.
 
 Elimination runs in one of four regimes, chosen from the input's type,
 shape, fill and entries:
@@ -690,57 +690,3 @@ class LazyHomology:
     def homology(self, *cell: int) -> int:
         source = tuple(a - b for a, b in zip(cell, self._step))
         return self._dim(*cell) - self.rank_out_of(source) - self.rank_out_of(cell)
-
-
-class ChainComplexSpec:
-    """A finite cohomologically graded complex of F_p spaces.
-
-    dims[i] is the dimension at index i for i in [lo, hi]; diffs[i] is the
-    matrix of d^i: C^i -> C^{i+1} (shape dims[i+1] x dims[i]). Missing
-    differentials are zero maps.
-
-    Built with ``check=False``, the maps need not compose to zero, so
-    ``homology_dims`` ranks every differential in full rather than through
-    ``LazyHomology``, whose column dropping assumes a complex: on such
-    input dim - rank - rank may come out negative, and that is reported.
-    """
-
-    def __init__(self, dims: dict[int, int], diffs: dict[int, np.ndarray], field: PrimeField,
-                 check: bool = True):
-        dims = dict(dims)
-        if dims:
-            self.lo = min(dims)
-            self.hi = max(dims)
-            for i in range(self.lo, self.hi + 1):
-                dims.setdefault(i, 0)
-        else:
-            self.lo, self.hi = 0, -1
-        self.dims = dims
-        self.diffs = {i: np.asarray(d, dtype=np.int64) % field.p for i, d in diffs.items()}
-        self.field = field
-        for i, d in self.diffs.items():
-            expect = (self.dims.get(i + 1, 0), self.dims.get(i, 0))
-            if d.shape != expect:
-                raise LinAlgError(f"differential at {i} has shape {d.shape}, expected {expect}")
-        if check:
-            self.check_complex()
-
-    def check_complex(self) -> None:
-        p = self.field.p
-        for i in sorted(self.diffs):
-            nxt = self.diffs.get(i + 1)
-            if nxt is None or nxt.size == 0 or self.diffs[i].size == 0:
-                continue
-            comp = matmul(nxt, self.diffs[i], p)
-            if np.any(comp):
-                raise LinAlgError(f"composition d^{i + 1} d^{i} is nonzero: not a complex")
-
-    def homology_dims(self) -> dict[int, int]:
-        # A missing differential is a zero map, and an empty matrix has rank 0.
-        ranks = {i: rank(d, self.field.p) for i, d in self.diffs.items()}
-        out = {}
-        for i in range(self.lo, self.hi + 1):
-            out[i] = self.dims[i] - ranks.get(i - 1, 0) - ranks.get(i, 0)
-            if out[i] < 0:
-                raise LinAlgError(f"negative homology dimension at index {i}: invalid complex")
-        return out

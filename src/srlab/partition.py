@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
@@ -39,10 +39,10 @@ from .complexes import (
 )
 from .facering import (
     LinearFormSequence,
-    _mult_pattern,
     monomial_basis,
     quotient_presentation,
 )
+from .koszul import koszul_step
 from .linalg import LazyHomology, PrimeField, SparseMatrix, matmul
 
 VARIANTS = ("full", "interior", "subdivision")
@@ -139,13 +139,16 @@ class PartitionComplexSpec:
     def summands(self, i: int) -> list:
         return self.positions.get(i, [])
 
-    def space_dim(self, i: int, j: int) -> int:
-        if j < 0:
-            return 0
+    def summand_dims(self, i: int, j: int) -> tuple[int, ...]:
+        """Degree-j dimension of each summand at position i, cached per (i, j)."""
         d = self._dims.get((i, j))
         if d is None:
-            d = self._dims[i, j] = sum(len(monomial_basis(mod, j)) for _, mod in self.summands(i))
+            d = self._dims[i, j] = tuple(len(monomial_basis(mod, j)) if j >= 0 else 0
+                                         for _, mod in self.summands(i))
         return d
+
+    def space_dim(self, i: int, j: int) -> int:
+        return sum(self.summand_dims(i, j))
 
     def _block_sign(self, i: int, src_desc, dst_desc) -> int:
         if self.variant == "subdivision":
@@ -168,27 +171,37 @@ class PartitionComplexSpec:
             raise PartitionError("the subdivision variant is not a complex: "
                                  "only the kernel of its front map is defined")
 
+    def _assemble(self, i: int, src_dims, dst_dims, block, p: int) -> np.ndarray:
+        """The map of position i into position i + 1, summand pair by summand pair.
+
+        src_dims and dst_dims give the dimension of each summand's space on
+        either side, and block(s, d) the unsigned map from the s-th summand
+        at position i to the d-th at position i + 1; it is asked for only
+        where both dimensions and the sign of the pair are nonzero.
+        """
+        mat = np.zeros((sum(dst_dims), sum(src_dims)), dtype=np.int64)
+        if not mat.size:
+            return mat
+        src = self.summands(i)
+        dst = self.summands(i + 1)
+        col = 0
+        for s, ((sdesc, _), sdim) in enumerate(zip(src, src_dims)):
+            row = 0
+            for d, ((ddesc, _), ddim) in enumerate(zip(dst, dst_dims)):
+                sign = self._block_sign(i, sdesc, ddesc)
+                if sign and sdim and ddim:
+                    b = block(s, d)
+                    mat[row:row + ddim, col:col + sdim] = b if sign > 0 else (p - b) % p
+                row += ddim
+            col += sdim
+        return mat
+
     def differential(self, i: int, j: int, field: PrimeField) -> np.ndarray:
         """Matrix of position i into position i + 1 at coarse degree j."""
         src = self.summands(i)
         dst = self.summands(i + 1)
-        src_dims = [len(monomial_basis(mod, j)) for _, mod in src] if j >= 0 else []
-        dst_dims = [len(monomial_basis(mod, j)) for _, mod in dst] if j >= 0 else []
-        mat = np.zeros((sum(dst_dims), sum(src_dims)), dtype=np.int64)
-        if not mat.size:
-            return mat
-        p = field.p
-        col = 0
-        for (sdesc, smod), sdim in zip(src, src_dims):
-            row = 0
-            for (ddesc, dmod), ddim in zip(dst, dst_dims):
-                sign = self._block_sign(i, sdesc, ddesc)
-                if sign and sdim and ddim:
-                    block = _restriction(smod, dmod, j)
-                    mat[row:row + ddim, col:col + sdim] = block if sign > 0 else (p - block) % p
-                row += ddim
-            col += sdim
-        return mat
+        return self._assemble(i, self.summand_dims(i, j), self.summand_dims(i + 1, j),
+                              lambda s, d: _restriction(src[s][1], dst[d][1], j), field.p)
 
     def homology_dims(self, field: PrimeField, max_degree: int | None = None) -> dict:
         """{(i, j): dim} over i in [-1, max position], j in [0, max_degree]."""
@@ -252,24 +265,14 @@ class ReducedPartitionComplex:
         src = self.quotients.get(i, [])
         dst = self.quotients.get(i + 1, [])
         src_dims = [q.dim(j) for _, _, q in src]
-        dst_dims = [q.dim(j) for _, _, q in dst]
-        mat = np.zeros((sum(dst_dims), sum(src_dims)), dtype=np.int64)
-        if not mat.size:
-            return mat
         p = self.field.p
-        col = 0
-        for (sdesc, smod, sq), sdim in zip(src, src_dims):
-            row = 0
-            lifted = sq.lift(j) if sdim else None
-            for (ddesc, dmod, dq), ddim in zip(dst, dst_dims):
-                sign = self.pspec._block_sign(i, sdesc, ddesc)
-                if sign and sdim and ddim:
-                    r = _restriction(smod, dmod, j)
-                    block = dq.reduce(j, matmul(r, lifted, p))
-                    mat[row:row + ddim, col:col + sdim] = block if sign > 0 else (p - block) % p
-                row += ddim
-            col += sdim
-        return mat
+        lifts = [q.lift(j) if dim else None for (_, _, q), dim in zip(src, src_dims)]
+
+        def block(s, d):
+            r = _restriction(src[s][1], dst[d][1], j)
+            return dst[d][2].reduce(j, matmul(r, lifts[s], p))
+
+        return self.pspec._assemble(i, src_dims, [q.dim(j) for _, _, q in dst], block, p)
 
     def _homology(self) -> LazyHomology:
         return LazyHomology(self.space_dim, self.differential, (1, 0), self.field.p)
@@ -306,10 +309,10 @@ class DoubleComplexSlice:
 
     The three maps are ``SparseMatrix`` instances, a fraction of a percent
     full: the horizontal map repeats the nonzeros of the star-cover
-    differential once per wedge basis vector, and the vertical map places
-    each form's coefficients on the cached multiplication patterns of the
-    summands (``facering._mult_pattern``), with their Koszul signs, without
-    a dense block in between. Only ``rank`` consumes them.
+    differential once per wedge basis vector, and the vertical map is
+    ``koszul.koszul_step`` on the direct sum of the position-a summands,
+    the builder behind ``KoszulComplex`` as well. Only ``rank`` consumes
+    them.
     """
 
     def __init__(self, pspec: PartitionComplexSpec, theta: LinearFormSequence,
@@ -344,36 +347,8 @@ class DoubleComplexSlice:
 
     def vertical(self, a: int, b: int) -> SparseMatrix:
         """Koszul step (a, b) -> (a, b + 1), summandwise multiplication."""
-        p = self.field.p
-        shape = (self.grid_dim(a, b + 1), self.grid_dim(a, b))
-        if 0 in shape:  # every b outside [0, n) gives an empty side
-            return SparseMatrix(shape, [], [], [], p)
-        t = self._t(b)
-        msrc = self.pspec.space_dim(a, t)
-        mdst = self.pspec.space_dim(a, t + 1)
-        # the summands' multiplication patterns down the diagonal, shared by every form
-        rows, cols, verts = [], [], []
-        r = c = 0
-        for _, mod in self.pspec.summands(a):
-            pr, pc, pv = _mult_pattern(mod, t)
-            rows.append(pr + r)
-            cols.append(pc + c)
-            verts.append(pv)
-            r += len(monomial_basis(mod, t + 1))
-            c += len(monomial_basis(mod, t))
-        rows, cols, verts = (np.concatenate(x) for x in (rows, cols, verts))
-        mults = [SparseMatrix((mdst, msrc), rows, cols, np.array(form, dtype=np.int64)[verts], p)
-                 for form in self.theta]
-        dst_index = {S: k for k, S in enumerate(combinations(range(self.n), b + 1))}
-        blocks = []
-        for ci, S in enumerate(combinations(range(self.n), b)):
-            for u in range(self.n):
-                if u in S:
-                    continue
-                sign = -1 if sum(1 for s in S if s < u) % 2 else 1
-                ri = dst_index[tuple(sorted(S + (u,)))]
-                blocks.append((ri * mdst, ci * msrc, mults[u], sign))
-        return SparseMatrix.from_blocks(shape, blocks, p)
+        return koszul_step([mod for _, mod in self.pspec.summands(a)], self.theta, b,
+                           self._t(b), self.field.p)
 
     def _pairs(self, k: int) -> list[tuple[int, int]]:
         out = []

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from srlab import koszul
 from srlab.cli import _COMMANDS, RunConfig, main, parse_complex_file, run
+from srlab.linalg import SparseMatrix
 
 
 def go(**kwargs):
@@ -261,6 +263,22 @@ def test_cm_on_the_seven_vertex_five_sphere():
     # the Hilbert certificate on the staged quotient; depth itself is not run here
     code, out, err = go(command="cm", input="builtin:boundary_simplex_6", prime=2147483647)
     assert (code, out, err) == (0, "cm: yes\ndepth: 6\nexpected: 6\n", "")
+
+
+def test_depth_scan_builds_only_sparse_koszul_differentials(monkeypatch):
+    # a dense Koszul differential has C(n, i + 1) dim k[Psi]_{t+1} x C(n, i) dim k[Psi]_t
+    # cells: on the seven-vertex five-sphere the dense build ran out of 3 GB
+    built = []
+    differential = koszul.KoszulComplex.differential
+
+    def spy(self, i, t):
+        built.append(differential(self, i, t))
+        return built[-1]
+
+    monkeypatch.setattr(koszul.KoszulComplex, "differential", spy)
+    assert go(command="depth", input="builtin:cross_polytope_4") == (
+        0, "depth: 4\nexpected: 4\n", "")
+    assert built and all(isinstance(m, SparseMatrix) for m in built)
 
 
 def test_out_of_memory_exits_as_an_input_error(monkeypatch):

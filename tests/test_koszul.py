@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,13 +17,14 @@ from srlab.facering import (
     expected_lsop_length,
     hilbert_certificate,
     lsop_trials,
+    monomial_basis,
     multiplication_matrix,
     quotient_presentation,
     sample_lsop,
     variable_form,
 )
 from srlab.koszul import KoszulComplex, KoszulError, depth, is_algebraically_cm, koszul_homology_dims
-from srlab.linalg import DEFAULT_PRIME, PrimeField, kernel_basis, rank
+from srlab.linalg import DEFAULT_PRIME, PrimeField, SparseMatrix, kernel_basis, rank
 
 import random
 
@@ -92,6 +94,64 @@ def test_top_position_recovers_the_quotient_dimensions():
     assert seen >= 6
 
 
+def dense_koszul_step(modules, theta, i, t, field):
+    """The Koszul map on the direct sum of modules, 0 <= i < n, assembled densely.
+
+    Each form acts by the block diagonal of its multiplication matrices on
+    the summands; the block e_S -> e_{S + u} carries theta_u with sign
+    (-1)^{#{s in S : s < u}}.
+    """
+    n = len(theta)
+    msrc = sum(len(monomial_basis(mod, t)) for mod in modules) if t >= 0 else 0
+    mdst = sum(len(monomial_basis(mod, t + 1)) for mod in modules) if t >= -1 else 0
+    mat = np.zeros((math.comb(n, i + 1) * mdst, math.comb(n, i) * msrc), dtype=np.int64)
+    if not mat.size:
+        return mat
+    p = field.p
+    dst_index = {S: k for k, S in enumerate(combinations(range(n), i + 1))}
+    mults = {}
+    for u in range(n):
+        diag = np.zeros((mdst, msrc), dtype=np.int64)
+        r = c = 0
+        for mod in modules:
+            sb = len(monomial_basis(mod, t))
+            db = len(monomial_basis(mod, t + 1))
+            if sb and db:
+                diag[r:r + db, c:c + sb] = multiplication_matrix(mod, theta[u], t, field)
+            r += db
+            c += sb
+        mults[u] = diag
+    for ci, S in enumerate(combinations(range(n), i)):
+        for u in range(n):
+            if u in S:
+                continue
+            block = mults[u]
+            if sum(1 for s in S if s < u) % 2:
+                block = (p - block) % p
+            ri = dst_index[tuple(sorted(S + (u,)))]
+            mat[ri * mdst:(ri + 1) * mdst, ci * msrc:(ci + 1) * msrc] = block
+    return mat
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+@pytest.mark.parametrize("name", sorted(BUILTIN_EXAMPLES))
+def test_sparse_koszul_differential_equals_the_dense_assembly(name, p):
+    psi = builtin_complex(name)
+    field = PrimeField(p)
+    # any forms do: the builder does not need a parameter system
+    theta = LinearFormSequence.random(psi, expected_lsop_length(psi), 5, field)
+    K = KoszulComplex(psi, theta, field)
+    for i in range(-1, K.n + 2):
+        for t in range(-1, psi.dim + 4):
+            got = K.differential(i, t)
+            assert isinstance(got, SparseMatrix)
+            assert got.shape == (K.space_dim(i + 1, t + 1), K.space_dim(i, t))
+            if 0 <= i < K.n:
+                assert np.array_equal(got.toarray(), dense_koszul_step([psi], theta, i, t, field))
+            else:
+                assert got.rows.size == 0
+
+
 def test_differential_squares_to_zero():
     for name in ("boundary_simplex_2", "two_points", "moebius"):
         psi = builtin_complex(name)
@@ -99,8 +159,8 @@ def test_differential_squares_to_zero():
         K = KoszulComplex(psi, theta, F)
         for i in range(K.n):
             for t in range(3):
-                left = K.differential(i + 1, t + 1)
-                right = K.differential(i, t)
+                left = K.differential(i + 1, t + 1).toarray()
+                right = K.differential(i, t).toarray()
                 if left.size and right.size:
                     assert not (left @ right % F.p).any()
 
@@ -112,8 +172,8 @@ def test_wedge_differential_signs_on_an_edge():
     K = KoszulComplex(edge, theta, F)
     p = F.p
     # degree-1 monomial basis is (x_a, x_b); e_0 picks up -theta_1, e_1 picks up +theta_0
-    assert K.differential(1, 0).tolist() == [[0, 1], [p - 1, 0]]
-    assert K.differential(0, 0).tolist() == [[1], [0], [0], [1]]
+    assert K.differential(1, 0).toarray().tolist() == [[0, 1], [p - 1, 0]]
+    assert K.differential(0, 0).toarray().tolist() == [[1], [0], [0], [1]]
 
 
 def test_depth_oracles():
@@ -157,15 +217,15 @@ def test_forms_in_the_ideal_annihilate_homology():
             for t in range(5):
                 if K.homology_dim(i, t) <= 0 or K.module_dim(t) == 0:
                     continue
-                out = K.differential(i, t)
+                out = K.differential(i, t).toarray()
                 cycles = kernel_basis(out, p) if out.size else np.eye(K.space_dim(i, t), dtype=np.int64)
-                boundaries = K.differential(i - 1, t)
+                boundaries = K.differential(i - 1, t).toarray()
                 for z in (theta[0], combo):
                     mult = np.kron(np.eye(math.comb(K.n, i), dtype=np.int64),
                                    multiplication_matrix(psi, z, t, F))
                     for col in range(cycles.shape[1]):
                         w = mult @ cycles[:, col] % p
-                        nxt = K.differential(i, t + 1)
+                        nxt = K.differential(i, t + 1).toarray()
                         if nxt.size:
                             assert not (nxt @ w % p).any()
                         stacked = np.hstack([boundaries, w[:, None]]) if boundaries.size else w[:, None]

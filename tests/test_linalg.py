@@ -6,7 +6,6 @@ from srlab import linalg
 from srlab.complexes import as_relative, builtin_complex
 from srlab.facering import _mult_matrix, _mult_pattern, first_lsop
 from srlab.linalg import (
-    ChainComplexSpec,
     DEFAULT_PRIME,
     FrozenQuotient,
     LazyHomology,
@@ -197,26 +196,6 @@ def test_rank_transpose_invariant_and_bounded(seed, p, rows, cols):
     assert 0 <= r <= min(rows, cols)
     stacked = np.vstack([m, m])
     assert rank(stacked, p) == r
-
-
-def test_chain_complex_rejects_bad_composition():
-    d0 = np.array([[1], [1]])
-    d1 = np.array([[1, 0]])
-    with pytest.raises(LinAlgError):
-        ChainComplexSpec({0: 1, 1: 2, 2: 1}, {0: d0, 1: d1}, PrimeField(5))
-
-
-def test_chain_complex_circle_homology():
-    # triangle boundary as a cochain complex: H^0 = H^1 = k
-    d0 = np.array([[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
-    spec = ChainComplexSpec({0: 3, 1: 3}, {0: d0}, PrimeField(7))
-    assert spec.homology_dims() == {0: 1, 1: 1}
-
-
-def test_chain_complex_shape_mismatch():
-    with pytest.raises(LinAlgError):
-        ChainComplexSpec({0: 2, 1: 2}, {0: np.zeros((3, 2), dtype=np.int64)},
-                         PrimeField(5))
 
 
 def _oracle_rref(m, p):
@@ -518,14 +497,6 @@ def test_lazy_homology_builds_each_needed_matrix_once():
     assert h.homology(5) == 0
     # the maps into 0 and out of 1 have a zero side and are never built
     assert built == [0]
-
-
-def test_chain_complex_negative_homology_is_an_error():
-    one = np.array([[1]])
-    spec = ChainComplexSpec({0: 1, 1: 1, 2: 1}, {0: one, 1: one}, PrimeField(5),
-                            check=False)
-    with pytest.raises(LinAlgError, match="negative homology"):
-        spec.homology_dims()
 
 
 def _pivot_rows(m, p, want_rank):

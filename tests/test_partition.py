@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 import textwrap
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,6 @@ from srlab.facering import (
     LinearFormSequence,
     expected_lsop_length,
     monomial_basis,
-    multiplication_matrix,
     sample_lsop,
 )
 from srlab.linalg import DEFAULT_PRIME, PrimeField, rank
@@ -41,6 +39,7 @@ from srlab.partition import (
     subdivision_partition_check,
     total_complex_homology,
 )
+from test_koszul import dense_koszul_step
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -243,36 +242,8 @@ def _dense_vertical(sl, a, b):
     """The Koszul step of a double complex slice, assembled densely block by block."""
     if b < 0 or b >= sl.n:
         return np.zeros((sl.grid_dim(a, b + 1), sl.grid_dim(a, b)), dtype=np.int64)
-    t = sl._t(b)
-    msrc = sl.pspec.space_dim(a, t)
-    mdst = sl.pspec.space_dim(a, t + 1)
-    mat = np.zeros((math.comb(sl.n, b + 1) * mdst, math.comb(sl.n, b) * msrc), dtype=np.int64)
-    if not mat.size:
-        return mat
-    p = sl.field.p
-    dst_index = {S: k for k, S in enumerate(combinations(range(sl.n), b + 1))}
-    mults = {}
-    for u in range(sl.n):
-        diag = np.zeros((mdst, msrc), dtype=np.int64)
-        r = c = 0
-        for _, mod in sl.pspec.summands(a):
-            sb = len(monomial_basis(mod, t))
-            db = len(monomial_basis(mod, t + 1))
-            if sb and db:
-                diag[r:r + db, c:c + sb] = multiplication_matrix(mod, sl.theta[u], t, sl.field)
-            r += db
-            c += sb
-        mults[u] = diag
-    for ci, S in enumerate(combinations(range(sl.n), b)):
-        for u in range(sl.n):
-            if u in S:
-                continue
-            block = mults[u]
-            if sum(1 for s in S if s < u) % 2:
-                block = (p - block) % p
-            ri = dst_index[tuple(sorted(S + (u,)))]
-            mat[ri * mdst:(ri + 1) * mdst, ci * msrc:(ci + 1) * msrc] = block
-    return mat
+    return dense_koszul_step([mod for _, mod in sl.pspec.summands(a)], sl.theta, b,
+                             sl._t(b), sl.field)
 
 
 def _dense_tot_differential(sl, k):

@@ -31,7 +31,7 @@ def test_tracer_measures_sparse_total_complex_differentials(monkeypatch):
     monkeypatch.delitem(sys.modules, "tracing", raising=False)
     import tracing
 
-    from srlab import (PrimeField, builtin_complex, expected_lsop_length, sample_lsop,
+    from srlab import (PrimeField, builtin_complex, depth, expected_lsop_length, sample_lsop,
                        total_complex_homology)
 
     field = PrimeField(2147483647)
@@ -41,8 +41,12 @@ def test_tracer_measures_sparse_total_complex_differentials(monkeypatch):
     try:
         tracer.install()
         table = total_complex_homology(psi, theta, field)
+        dep = depth(psi, theta, field)
     finally:
         tracer.restore()
     assert sorted(k for k, v in table.items() if v) == [(1, 2), (2, 1), (3, 0)]
+    assert dep == 2
     assert tracer.spans["partition.differential"].cells > 0
+    assert tracer.spans["koszul.differential"].calls > 0
+    assert tracer.spans["koszul.differential"].cells > 0
     assert tracer.spans["linalg.rank"].cells > 0
