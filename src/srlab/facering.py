@@ -10,6 +10,14 @@ computed degree by degree, one form at a time, by eliminating the
 relations each form adds, and coset representatives are the non-pivot
 monomials of the reduced row echelon form of all relations, so that
 every downstream matrix is reproducible bit for bit.
+
+Theta is drawn from a seeded randrange stream and kept when it passes the
+exact finiteness test on every maximal face (Kind-Kleinschmidt). The test
+has two paths with the same answer: over small fields each face's
+coefficient submatrix is looked up in a cached, read-only table of full
+column rank over all such matrices (at most 2^16 of them), otherwise the
+submatrices are eliminated. The path never changes which draws pass, so
+a seed gives the same Theta either way.
 """
 
 from __future__ import annotations
@@ -441,8 +449,38 @@ def _full_column_rank(mats: np.ndarray, p: int) -> np.ndarray:
     return full
 
 
-# Maximal faces _certified eliminates at once before it drops the failed draws.
+# Maximal faces _certified checks at once before it drops the failed draws.
 _FACE_CHUNK = 8
+# Largest number of matrices _rank_table tabulates.
+_TABLE_CELLS = 1 << 16
+
+
+@lru_cache(maxsize=16)
+def _rank_table(p: int, length: int, size: int) -> np.ndarray:
+    """Read-only mask over all p^(length * size) length x size matrices mod p: full column rank.
+
+    Entry i is the matrix whose entry (r, m) is base-p digit r + length * m
+    of i: column m has the code sum_r a[r, m] * p^r, and i is the sum of
+    code_m * (p^length)^m. The table grows one column at a time: a matrix
+    has full column rank iff its first columns do and its last column lies
+    outside their span, so each new column repeats the table once per code
+    and every prefix strikes out the codes of its p^m span vectors. No
+    matrix is eliminated, and no array held has more than
+    length * p^(length * size) entries.
+    """
+    rows = p ** np.arange(length, dtype=np.int64)
+    table = np.ones(1, dtype=bool)  # the one length x 0 matrix
+    for m in range(size):
+        prefixes = np.arange(table.size, dtype=np.int64)
+        columns = (prefixes[:, None] // p ** np.arange(length * m, dtype=np.int64) % p
+                   ).reshape(table.size, m, length)
+        coeffs = np.arange(p ** m, dtype=np.int64)[:, None] // p ** np.arange(m, dtype=np.int64) % p
+        span = (coeffs @ columns % p) @ rows  # (prefixes, p^m) codes
+        grown = np.broadcast_to(table, (p ** length, table.size)).copy()
+        grown[span, prefixes[:, None]] = False
+        table = grown.reshape(-1)
+    table.flags.writeable = False
+    return table
 
 
 def _certified(block: np.ndarray, psi: RelativeComplex, p: int) -> np.ndarray:
@@ -451,25 +489,43 @@ def _certified(block: np.ndarray, psi: RelativeComplex, p: int) -> np.ndarray:
     V(Theta) meets the coordinate subspace of a maximal support face sigma
     only at 0 iff the coefficient submatrix on sigma's columns has rank
     |sigma|; the quotient M/<Theta>M is finite iff this holds for all
-    maximal faces of Psi. The faces are taken _FACE_CHUNK at a time, size
-    group by size group: each chunk is gathered into one (live draws *
-    faces, length, size) stack and eliminated at once, the draws it fails
-    are dropped, and the scan stops when none are left. Over small fields
-    most draws fail on the first faces.
+    maximal faces of Psi, so no draw passes when a face has more than
+    length vertices. The faces are taken _FACE_CHUNK at a time, size group
+    by size group; the draws a chunk fails are dropped, and the scan stops
+    when none are left. Over small fields most draws fail on the first
+    faces. A chunk is checked in one of two ways, with the same answer:
+
+    - table: when p^(length * size) <= _TABLE_CELLS for the largest face
+      size (F_2 and F_3 on small complexes), each vertex column of each
+      draw becomes one integer code, each face the index of its length x
+      size submatrix, and the answer is read from _rank_table;
+    - elimination: otherwise (the large default prime, longer forms), the
+      chunk is gathered into one (live draws * faces, length, size) stack
+      and eliminated at once by _full_column_rank.
     """
     draws, length, _ = block.shape
+    groups = _maximal_columns(psi)
+    if groups and groups[-1].shape[1] > length:
+        return np.zeros(draws, dtype=bool)
+    table = bool(groups) and p ** (length * groups[-1].shape[1]) <= _TABLE_CELLS
+    # the table path keeps one (draws, n) code per column, the other the block itself
+    data = p ** np.arange(length, dtype=np.int64) @ block if table else block
     live = np.arange(draws)
-    for cols in _maximal_columns(psi):
+    for cols in groups:
         faces, size = cols.shape
-        if size > length:
-            return np.zeros(draws, dtype=bool)
+        if table:
+            ranks = _rank_table(p, length, size)
+            weights = (p ** length) ** np.arange(size, dtype=np.int64)
         for start in range(0, faces, _FACE_CHUNK):
             chunk = cols[start:start + _FACE_CHUNK]
-            k = len(chunk)
-            stack = block[:, :, chunk].transpose(0, 2, 1, 3).reshape(live.size * k, length, size)
-            keep = _full_column_rank(stack, p).reshape(live.size, k).all(axis=1)
+            if table:
+                keep = ranks[data[:, chunk] @ weights].all(axis=1)
+            else:
+                k = len(chunk)
+                stack = data[:, :, chunk].transpose(0, 2, 1, 3).reshape(live.size * k, length, size)
+                keep = _full_column_rank(stack, p).reshape(live.size, k).all(axis=1)
             if not keep.all():
-                live, block = live[keep], block[keep]
+                live, data = live[keep], data[keep]
                 if not live.size:
                     return np.zeros(draws, dtype=bool)
     ok = np.zeros(draws, dtype=bool)
@@ -483,7 +539,9 @@ def lsop_certificate(psi, forms, field: PrimeField) -> bool:
     The one-draw call of _certified, the test sample_lsop applies to each
     block of draws from the seeded randrange stream, so forms pass here
     exactly when sample_lsop accepts them as a draw, in whichever block
-    they come. Entries are read mod p.
+    they come. Entries are read mod p. Over small fields the answer is
+    read from _rank_table (built on first use), otherwise eliminated; both
+    paths give the same answer.
     """
     psi = as_relative(psi)
     nverts = len(psi.delta.labels)
@@ -502,7 +560,9 @@ def sample_lsop(psi, length: int, seed, field: PrimeField,
     draws left in the budget. Blocks are consecutive slices of one stream
     and each returns its first certified draw, so the block size never
     changes which Theta is returned, and None comes after exactly budget
-    draws.
+    draws. Whether _certified reads a block's verdicts from _rank_table or
+    eliminates them, it returns the same mask, so neither the stream, nor
+    the block schedule, nor the Theta returned depends on the path.
 
     Over the default large prime the first draw passes essentially always;
     over tiny fields the good locus can be a sub-percent fraction of all

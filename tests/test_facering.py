@@ -1,5 +1,9 @@
 import math
 import random
+import subprocess
+import sys
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,15 +16,20 @@ from srlab.complexes import (
     builtin_complex,
     random_relative_complex,
 )
+from srlab import facering
 from srlab.complexes import BUILTIN_EXAMPLES
 from srlab.facering import (
     FaceRingError,
     LinearFormSequence,
+    _TABLE_CELLS,
     _certified,
+    _full_column_rank,
     _generator_max_degree,
     _hilbert_by_face_counts,
+    _maximal_columns,
     _mult_matrix,
     _mult_pattern,
+    _rank_table,
     _uniform,
     expected_lsop_length,
     first_lsop,
@@ -531,16 +540,26 @@ BUDGETS = (0, 1, 2, 3, 4, 5, 6, 20, 21, 22, 20000)
 def _assert_sampler_matches_reference(psi, p: int, seed) -> None:
     field = PrimeField(p)
     e = expected_lsop_length(psi)
+    drawn = []
+
+    def counted(block, *args):
+        drawn.append(len(block))
+        return _certified(block, *args)
+
     for length in (e - 1, e, e + 1):
         ref = _reference_first_draw(psi, length, seed, p, max(BUDGETS))
         for budget in BUDGETS:
-            theta = sample_lsop(psi, length, seed, field, budget=budget)
+            drawn.clear()
+            with mock.patch.object(facering, "_certified", counted):
+                theta = sample_lsop(psi, length, seed, field, budget=budget)
             if ref is None or ref[0] >= budget:
                 assert theta is None, (length, budget)
+                assert sum(drawn) == budget, (length, budget)
             else:
                 assert theta is not None, (length, budget)
                 assert [list(f) for f in theta.forms] == ref[1]
                 assert theta.seed == seed and theta.p == p
+                assert ref[0] < sum(drawn) <= budget
 
 
 @pytest.mark.parametrize("p", (2, 3, DEFAULT_PRIME))
@@ -613,3 +632,150 @@ def test_certified_blocks_match_the_per_draw_certificate():
                                 for k in range(draws)]
                 accepted += sum(want)
     assert accepted  # a block that certifies nothing would not test the kept draws
+
+
+# every (p, length, size) with a rank table, p in {2, 3, 5, 7} and size <= length
+TABLED = [(p, length, size) for p in (2, 3, 5, 7) for length in range(1, 17)
+          for size in range(1, length + 1) if p ** (length * size) <= _TABLE_CELLS]
+
+
+def _all_matrices(p: int, length: int, size: int) -> np.ndarray:
+    """Every length x size matrix mod p; entry (r, m) of matrix i is base-p digit r + length * m of i."""
+    cells = length * size
+    digits = np.indices((p,) * cells).reshape(cells, -1)[::-1].T  # digit j of i in column j
+    return np.ascontiguousarray(digits.reshape(-1, size, length).transpose(0, 2, 1))
+
+
+def _tabled_and_eliminated(block: np.ndarray, psi, p: int) -> list[bool]:
+    """_certified on block by the table path and by elimination, which must agree."""
+    got = _certified(block.copy(), psi, p)
+    with mock.patch.object(facering, "_TABLE_CELLS", 0):
+        want = _certified(block.copy(), psi, p)
+    assert got.tolist() == want.tolist()
+    return got.tolist()
+
+
+@pytest.mark.parametrize("p, length, size", TABLED)
+def test_rank_table_is_full_column_rank_of_every_matrix(p, length, size):
+    mats = _all_matrices(p, length, size)
+    table = _rank_table(p, length, size)
+    assert table.dtype == bool and table.shape == (p ** (length * size),)
+    assert not table.flags.writeable
+    assert table.tolist() == _full_column_rank(mats.copy(), p).tolist()
+    rng = random.Random(f"{p},{length},{size}")
+    for i in rng.sample(range(len(mats)), min(len(mats), 50)):
+        assert table[i] == (_gauss_jordan_rank(mats[i].tolist(), p) == size)
+
+
+def test_rank_table_counts_the_invertible_matrices():
+    # |GL_n(F_p)| = prod_k (p^n - p^k)
+    for p, n in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (7, 2), (3, 3)):
+        assert _rank_table(p, n, n).sum() == math.prod(p ** n - p ** k for k in range(n))
+
+
+@pytest.mark.parametrize("p, length, size", TABLED)
+def test_table_path_matches_elimination_and_the_reference(p, length, size):
+    # the boundary of a size-simplex, and for size > 1 an isolated vertex too,
+    # so the maximal faces come in two sizes
+    facets = [list(f) for f in combinations(range(size + 1), size)]
+    if size > 1:
+        facets.append([size + 1])
+    psi = as_relative(SimplicialComplex.from_facets(range(size + 2), facets))
+    n = len(psi.delta.labels)
+    rng = random.Random(f"table:{p},{length},{size}")
+    block = np.array([rng.randrange(p) for _ in range(40 * length * n)],
+                     dtype=np.int64).reshape(40, length, n)
+    _rank_table.cache_clear()
+    got = _tabled_and_eliminated(block, psi, p)
+    assert got == [_reference_certificate(psi, block[k].tolist(), p) for k in range(40)]
+    assert _rank_table.cache_info().currsize >= 1  # the table path ran
+
+
+def test_table_path_edge_cases():
+    rng = random.Random(23)
+
+    def block_for(psi, p, length, draws):
+        n = len(psi.delta.labels)
+        return np.array([rng.randrange(p) for _ in range(draws * length * n)],
+                        dtype=np.int64).reshape(draws, length, n)
+
+    # more faces than one chunk: K_6 has 15 edges, with an isolated vertex beside it
+    k6 = as_relative(SimplicialComplex.from_facets(
+        range(7), [list(e) for e in combinations(range(6), 2)] + [[6]]))
+    assert max(len(c) for c in _maximal_columns(k6)) > facering._FACE_CHUNK
+    accepted = 0
+    for p, length in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (5, 3), (7, 2)):
+        block = block_for(k6, p, length, 300)
+        got = _tabled_and_eliminated(block, k6, p)
+        assert got == [_reference_certificate(k6, block[k].tolist(), p) for k in range(300)]
+        accepted += sum(got)
+    assert accepted
+    # a face larger than length: no draw passes and no table is built
+    tri = as_relative(SimplicialComplex.from_facets((1, 2, 3, 4), [(1, 2, 3), (4,)]))
+    _rank_table.cache_clear()
+    for p in (2, 3):
+        assert _tabled_and_eliminated(block_for(tri, p, 2, 20), tri, p) == [False] * 20
+    assert _rank_table.cache_info().currsize == 0
+    # no nonempty maximal face: every draw passes, also with no forms at all
+    empty_only = RelativeComplex(SimplicialComplex.from_facets(("a",), []))
+    edge = SimplicialComplex.from_facets(("a", "b"), [("a", "b")])
+    for psi in (empty_only, RelativeComplex(edge, edge)):
+        assert _maximal_columns(psi) == ()
+        for length in (0, 1, 2):
+            assert _tabled_and_eliminated(block_for(psi, 2, length, 5), psi, 2) == [True] * 5
+    assert _rank_table.cache_info().currsize == 0
+
+
+def test_sample_lsop_at_the_table_cap_past_it_and_without_an_lsop():
+    # boundary_simplex_4 has five facets of size 4: over F_2 at length 4 the
+    # table has exactly 2^16 entries; at length 5 (2^20), and over F_3 at
+    # length 4 (3^16), sampling falls back to elimination
+    sphere = builtin_complex("boundary_simplex_4")
+    assert [c.shape[1] for c in _maximal_columns(as_relative(sphere))] == [4]
+    assert expected_lsop_length(sphere) == 4
+    _rank_table.cache_clear()
+    _assert_sampler_matches_reference(sphere, 2, seed=4)
+    assert _rank_table.cache_info().currsize == 1
+    assert _rank_table(2, 4, 4).size == _TABLE_CELLS
+    _rank_table.cache_clear()
+    _assert_sampler_matches_reference(sphere, 3, seed=4)
+    assert _rank_table.cache_info().currsize == 0
+    # K_4 over F_2 has no l.s.o.p. of length 2: four pairwise independent
+    # columns in F_2^2, which has three nonzero vectors. Every budget is
+    # used up draw by draw (the helper counts them).
+    k4 = as_relative(SimplicialComplex.from_facets((1, 2, 3, 4), list(combinations((1, 2, 3, 4), 2))))
+    assert expected_lsop_length(k4) == 2
+    assert sample_lsop(k4, 2, 4, F2) is None
+    _assert_sampler_matches_reference(k4, 2, seed=4)
+
+
+def test_rank_table_cache_is_bounded_and_read_only():
+    assert _rank_table.cache_info().maxsize is not None
+    _rank_table.cache_clear()
+    for name in ("torus7", "rp2_6", "boundary_simplex_3"):
+        lsop(builtin_complex(name), F, seed=1)
+    assert _rank_table.cache_info().currsize == 0  # the large prime never tabulates
+    keys = set()
+    for name in ("torus7", "rp2_6", "moebius", "path_4", "two_points"):
+        psi = as_relative(builtin_complex(name))
+        length = expected_lsop_length(psi)
+        sizes = [c.shape[1] for c in _maximal_columns(psi)]
+        for p in (2, 3):
+            sample_lsop(psi, length, 1, PrimeField(p), budget=200)
+            if p ** (length * sizes[-1]) <= _TABLE_CELLS:
+                keys.update((p, length, size) for size in sizes)
+    assert keys and _rank_table.cache_info().currsize <= len(keys)
+    for key in keys:
+        table = _rank_table(*key)
+        assert table.size <= _TABLE_CELLS and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = not table[0]
+    assert _rank_table.cache_info().currsize == len(keys)
+
+
+def test_importing_srlab_builds_no_rank_table():
+    code = ("import srlab, srlab.cli; from srlab import facering; "
+            "print(facering._rank_table.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "0"
