@@ -95,6 +95,17 @@ def monomial_basis(psi: RelativeComplex, degree: int) -> MonomialBasis:
     return MonomialBasis(psi, degree, tuple(out))
 
 
+def support_monomial_count(j: int, m: int) -> int:
+    """Number of degree-j monomials whose support is a fixed face of m vertices.
+
+    A positive exponent on each of the m vertices summing to j: C(j-1, m-1)
+    compositions for m >= 1, and the constant monomial alone for m = 0.
+    """
+    if m == 0:
+        return 1 if j == 0 else 0
+    return math.comb(j - 1, m - 1) if j >= 1 else 0
+
+
 def _hilbert_by_face_counts(psi, up_to: int) -> list[int]:
     """Hilbert function via supports: each m-face contributes C(j-1, m-1) in degree j.
 
@@ -108,14 +119,8 @@ def _hilbert_by_face_counts(psi, up_to: int) -> list[int]:
     counts: dict[int, int] = {}
     for f in faces:
         counts[_popcount(f)] = counts.get(_popcount(f), 0) + 1
-    coeffs = []
-    for j in range(up_to + 1):
-        c = counts.get(0, 0) if j == 0 else 0
-        for m, cnt in counts.items():
-            if 1 <= m <= j:
-                c += cnt * math.comb(j - 1, m - 1)
-        coeffs.append(c)
-    return coeffs
+    return [sum(cnt * support_monomial_count(j, m) for m, cnt in counts.items())
+            for j in range(up_to + 1)]
 
 
 class LinearFormSequence:

@@ -10,6 +10,18 @@ reduced complex behind the partition-of-unity dimension identity, and
 tensoring with the Koszul complex gives double complexes totalized slice
 by slice.
 
+The complex is finely graded, and its homology is read monomial by
+monomial. A restriction sends a monomial to itself or to 0, so in degree
+j the complex is the direct sum, over the degree-j monomials, of the
+complexes they span. The piece of a monomial with support sigma has one
+basis vector per summand whose module contains sigma, and between two of
+them the sign of the summand pair: it is a small Cech complex C_sigma
+that depends on sigma alone. So H^i_j is the sum over faces sigma of
+h^i(C_sigma) times the number of degree-j monomials with support sigma,
+an exact block diagonalisation of the degree-j differential. The dense
+differentials serve the double complex, whose Koszul maps do not respect
+supports.
+
 Two variants change the columns. The interior complex of a disk keeps
 only stars of strongly interior faces (every vertex off the boundary)
 with the absolute face ring up front. The subdivision complex of a
@@ -41,6 +53,7 @@ from .facering import (
     LinearFormSequence,
     monomial_basis,
     quotient_presentation,
+    support_monomial_count,
 )
 from .koszul import koszul_step
 from .linalg import LazyHomology, PrimeField, SparseMatrix, matmul
@@ -80,11 +93,19 @@ class PartitionComplexSpec:
     positions maps the cohomological index i to an ordered list of
     (descriptor, module) pairs; descriptors are face masks for the full
     and interior variants and cell indices for the subdivision variant.
-    Homology is read off by a ``LazyHomology`` over the cells (i, j) with
-    step (1, 0): the differential keeps the degree j.
+
+    ``differential(i, j)`` is the map of position i into position i + 1 in
+    degree j on monomial bases. ``homology_dims`` never builds it: it ranks
+    the support piece C_sigma of every face sigma of the summand modules
+    (see the module docstring), whose map of position i has the entry
+    ``_block_sign(i, src, dst)`` for every pair of descriptors whose
+    modules both contain sigma, the entry the monomials of support sigma
+    get in the degree-j differential. Faces whose descriptor lists agree
+    share one piece, ranked once per prime.
     """
 
-    __slots__ = ("psi", "variant", "positions", "structure", "_signs", "_dims")
+    __slots__ = ("psi", "variant", "positions", "structure", "_signs", "_dims",
+                 "_pieces")
 
     def __init__(self, psi: RelativeComplex, variant: str, positions: dict,
                  structure=None, signs=None):
@@ -96,6 +117,8 @@ class PartitionComplexSpec:
         self.structure = structure
         self._signs = signs or {}
         self._dims: dict[tuple[int, int], int] = {}
+        # (descriptors per position, p) -> homology of that support piece
+        self._pieces: dict[tuple, tuple[int, ...]] = {}
 
     @classmethod
     def full(cls, psi) -> "PartitionComplexSpec":
@@ -203,24 +226,74 @@ class PartitionComplexSpec:
         return self._assemble(i, self.summand_dims(i, j), self.summand_dims(i + 1, j),
                               lambda s, d: _restriction(src[s][1], dst[d][1], j), field.p)
 
+    def _supports(self, max_degree: int) -> dict[tuple, dict[int, int]]:
+        """{descriptors per position: {|sigma|: count}} over faces |sigma| <= max_degree.
+
+        A key lists, for each position from -1 to the top, the descriptors
+        of the summands whose module contains sigma, in summand order.
+        """
+        top = self.max_position
+        lists: dict[int, list[list]] = {}
+        for i in range(-1, top + 1):
+            for desc, mod in self.summands(i):
+                for sigma in mod.faces():
+                    lists.setdefault(sigma, [[] for _ in range(top + 2)])[i + 1].append(desc)
+        out: dict[tuple, dict[int, int]] = {}
+        for sigma, descs in lists.items():
+            m = _popcount(sigma)
+            if m <= max_degree:
+                sizes = out.setdefault(tuple(map(tuple, descs)), {})
+                sizes[m] = sizes.get(m, 0) + 1
+        return out
+
+    def _piece_homology(self, key: tuple, p: int) -> tuple[int, ...]:
+        """(h^-1, ..., h^top) of the support piece with descriptors ``key``."""
+        h = self._pieces.get((key, p))
+        if h is None:
+            top = len(key) - 2
+
+            def dim(i: int) -> int:
+                return len(key[i + 1]) if -1 <= i <= top else 0
+
+            def signs(i: int) -> np.ndarray:
+                return np.array([[self._block_sign(i, s, d) % p for s in key[i + 1]]
+                                 for d in key[i + 2]], dtype=np.int64)
+
+            lazy = LazyHomology(dim, signs, (1,), p)
+            h = self._pieces[key, p] = tuple(lazy.homology(i) for i in range(-1, top + 1))
+        return h
+
     def homology_dims(self, field: PrimeField, max_degree: int | None = None) -> dict:
-        """{(i, j): dim} over i in [-1, max position], j in [0, max_degree]."""
+        """{(i, j): dim} over i in [-1, max position], j in [0, max_degree].
+
+        H^i_j = sum over faces sigma of h^i(C_sigma) times the number of
+        degree-j monomials with support sigma.
+        """
         self._require_complex()
-        h = LazyHomology(self.space_dim, lambda i, j: self.differential(i, j, field),
-                         (1, 0), field.p)
-        return _homology_table(h, self.psi, self.max_position, max_degree)
+        max_degree = _window(self.psi, max_degree)
+        table = {(i, j): 0 for i in range(-1, self.max_position + 1)
+                 for j in range(max_degree + 1)}
+        for key, sizes in self._supports(max_degree).items():
+            for i, h in enumerate(self._piece_homology(key, field.p), start=-1):
+                if h:
+                    for m, count in sizes.items():
+                        for j in range(m, max_degree + 1):
+                            table[i, j] += h * count * support_monomial_count(j, m)
+        return table
 
 
-def _homology_table(h: LazyHomology, psi, top: int, max_degree: int | None) -> dict:
-    """{(i, j): h.homology(i, j)} over i in [-1, top], j in [0, max_degree].
-
-    max_degree defaults to dim(Psi) + 2.
-    """
+def _window(psi, max_degree: int | None) -> int:
+    """max_degree, defaulting to dim(Psi) + 2."""
     if max_degree is None:
         d = psi.dim
         max_degree = (d if d is not None else -1) + 2
+    return max_degree
+
+
+def _homology_table(h: LazyHomology, psi, top: int, max_degree: int | None) -> dict:
+    """{(i, j): h.homology(i, j)} over i in [-1, top], j in [0, max_degree]."""
     return {(i, j): h.homology(i, j)
-            for i in range(-1, top + 1) for j in range(max_degree + 1)}
+            for i in range(-1, top + 1) for j in range(_window(psi, max_degree) + 1)}
 
 
 def partition_homology_dims(psi, field: PrimeField,
@@ -392,11 +465,8 @@ def total_complex_homology(psi, theta: LinearFormSequence, field: PrimeField,
     """{(i, j): dim H^i(Tot)_j} for the full star-cover complex tensored with Koszul."""
     psi = as_relative(psi)
     pspec = PartitionComplexSpec.full(psi)
-    if max_degree is None:
-        d = psi.dim
-        max_degree = (d if d is not None else -1) + 2
     out = {}
-    for j in range(max_degree + 1):
+    for j in range(_window(psi, max_degree) + 1):
         for i, dim in DoubleComplexSlice(pspec, theta, field, j).homology_dims().items():
             out[(i, j)] = dim
     return out

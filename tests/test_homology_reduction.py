@@ -10,7 +10,12 @@ import random
 
 import pytest
 
-from srlab.complexes import builtin_complex, random_relative_complex
+from srlab.complexes import (
+    RelativeComplex,
+    SimplicialComplex,
+    builtin_complex,
+    random_relative_complex,
+)
 from srlab.facering import expected_lsop_length, sample_lsop
 from srlab.koszul import KoszulComplex, koszul_homology_dims
 from srlab.linalg import DEFAULT_PRIME, PrimeField, rank
@@ -69,26 +74,70 @@ def _partition_oracle(space_dim, differential, top: int, max_degree: int, p: int
     return out
 
 
+def _gammas(psi, rng):
+    """Delta of psi over a void Gamma, over {emptyset} and over a proper Gamma."""
+    delta = psi.delta
+    proper = psi.gamma
+    if not proper.vertex_masks():
+        proper = SimplicialComplex(delta.labels, [rng.choice(delta.vertex_masks())])
+    return [RelativeComplex(delta),
+            RelativeComplex(delta, SimplicialComplex.empty_faces_only(delta.labels)),
+            RelativeComplex(delta, proper)]
+
+
+def _support_route_matches_oracle(pspec, field, dim):
+    """Every window of the support route against the matrix oracle on the widest."""
+    windows = (0, 1, dim + 2, dim + 5)
+    want = _partition_oracle(pspec.space_dim, lambda i, j: pspec.differential(i, j, field),
+                             pspec.max_position, windows[-1], field.p)
+    for w in windows:
+        assert pspec.homology_dims(field, max_degree=w) == {
+            (i, j): h for (i, j), h in want.items() if j <= w}
+    return want
+
+
 def test_partition_tables_match_full_ranks_on_random_pairs():
     rng = random.Random(909)
     checked = 0
     while checked < 20:
         psi = random_relative_complex(rng, max_vertices=5)
-        if psi.is_void:
+        if psi.delta.dim is None or psi.delta.dim < 0:
             continue
         checked += 1
-        max_degree = psi.dim + 2
-        pspec = PartitionComplexSpec.full(psi)
-        want = _partition_oracle(pspec.space_dim,
-                                 lambda i, j: pspec.differential(i, j, F),
-                                 pspec.max_position, max_degree, F.p)
-        assert partition_homology_dims(psi, F) == want
+        for pair in _gammas(psi, rng):
+            dim = pair.dim if pair.dim is not None else -1
+            for q in (2, 3, DEFAULT_PRIME):
+                want = _support_route_matches_oracle(PartitionComplexSpec.full(pair),
+                                                     PrimeField(q), dim)
+                if q == DEFAULT_PRIME:
+                    assert partition_homology_dims(pair, F) == {
+                        (i, j): h for (i, j), h in want.items() if j <= dim + 2}
 
+        if psi.is_void:
+            continue
+        pspec = PartitionComplexSpec.full(psi)
         theta = _theta(psi, F)
         reduced = ReducedPartitionComplex(pspec, theta, F)
         want = _partition_oracle(reduced.space_dim, reduced.differential,
-                                 pspec.max_position, max_degree, F.p)
+                                 pspec.max_position, psi.dim + 2, F.p)
         assert reduced_partition_homology(psi, theta, F) == want
+
+
+def _disk(facets):
+    delta = SimplicialComplex.from_facets(range(6), facets)
+    return RelativeComplex(delta, delta.boundary_subcomplex())
+
+
+@pytest.mark.parametrize("disk,exact", [
+    (builtin_complex("disk_with_induced_boundary_2"), True),
+    (_disk([(0, v, v % 5 + 1) for v in range(1, 6)]), True),  # cone with apex 0
+    (_disk([(1, 2, 3)]), False),  # no interior vertex: only k[Delta] in front
+], ids=["induced_disk", "pentagon_cone", "triangle"])
+@pytest.mark.parametrize("q", [2, 3, DEFAULT_PRIME])
+def test_interior_tables_match_full_ranks(disk, exact, q):
+    pspec = PartitionComplexSpec.interior(disk)
+    want = _support_route_matches_oracle(pspec, PrimeField(q), disk.delta.dim)
+    assert exact == (not any(want.values()))
 
 
 @pytest.mark.parametrize("name,q", [("rp2_6", 2), ("rp2_6", 3), ("torus7", DEFAULT_PRIME),

@@ -66,6 +66,22 @@ def test_star_cover_homology_equals_simplicial_cohomology():
             assert dim == (coh.get(i, 0) if j == 0 else 0)
 
 
+def test_wide_windows_build_no_monomial_matrices():
+    # the support route ranks small Cech pieces; a fallback to the degree-j
+    # matrices would fill the monomial_basis and _restriction caches
+    psi = builtin_complex("cross_polytope_4")
+
+    def caches():
+        return [(f.cache_info().misses, f.cache_info().currsize)
+                for f in (monomial_basis, _restriction)]
+
+    before = caches()
+    table = partition_homology_dims(psi, F, max_degree=8)
+    assert caches() == before
+    assert len(table) == 5 * 9
+    assert {k: v for k, v in table.items() if v} == {(3, 0): 1}
+
+
 def test_front_restrictions_are_unsigned():
     tor = builtin_complex("torus7")
     pspec = PartitionComplexSpec.full(tor)
