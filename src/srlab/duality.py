@@ -15,6 +15,15 @@ a perfect multiplication pairing B_i x B_{n-i} -> B_n.  This module
 builds B in frozen coordinates, checks the cone lemma that drives the
 construction, and verifies duality by two independent routes: pairing
 ranks into the fundamental class, and socle concentration in degree n.
+
+No star quotient is built.  Restriction k[Delta] -> k[st_v Delta] is a
+surjective ring map that kills exactly the monomials whose support
+together with v is not a face, so <Theta> k[st_v] is the image of
+<Theta> and
+
+    A(st_v Delta) = A / N_v,   N_v = span of those monomials in A,
+
+hence J_i = intersection over v of N_{v,i}, read off A alone.
 """
 
 import numpy as np
@@ -27,7 +36,6 @@ from .facering import (
     quotient_presentation,
 )
 from .linalg import FrozenQuotient, PrimeField, kernel_basis, matmul, rank
-from .partition import restriction_matrix
 
 
 class DualityError(ValueError):
@@ -174,6 +182,14 @@ def build_B(delta, theta, field: PrimeField, cap: int | None = None) -> DualityP
     diagnostics instead: without it B has no fundamental class and the
     duality verdict comes out false, which is the honest answer rather
     than a refusal to construct the quotient.
+
+    Only A is built.  A(st_v) = A/N_v, where N_v is spanned by the
+    monomials whose support together with v is not a face, so for each
+    degree i < n the A_i coordinates of the degree-i monomials give N_v
+    as a set of columns, one ``FrozenQuotient`` per vertex gives the map
+    A_i -> A(st_v)_i, and J_i is the kernel of the stacked maps.  Each
+    A(st_v) is a quotient of A, so once A is finite every star quotient
+    is finite too and needs no check of its own.
     """
     psi = as_relative(delta)
     if not psi.is_absolute:
@@ -187,25 +203,21 @@ def build_B(delta, theta, field: PrimeField, cap: int | None = None) -> DualityP
     base = quotient_presentation(psi, forms, field, cap=cap)
     if not base.finite_at_cap:
         raise DualityError("Theta is not a linear system of parameters for this complex")
-    stars = []
-    for vmask in dc.vertex_masks():
-        st = psi.star(vmask)
-        q = quotient_presentation(st, forms, field)
-        if not q.finite_at_cap:
-            raise DualityError(
-                f"Theta is not a parameter system for the star of {dc.labels_of(vmask)}")
-        stars.append((st, q))
+    vmasks = dc.vertex_masks()
     j_bases: dict[int, np.ndarray] = {}
     for i in range(n):
-        adim = base.dim(i)
-        if adim == 0:
+        if base.dim(i) == 0:
             j_bases[i] = np.zeros((0, 0), dtype=np.int64)
             continue
-        lift = base.lift(i)
-        blocks = [q.reduce(i, matmul(restriction_matrix(psi, st, i), lift, p))
-                  for st, q in stars]
-        stacked = np.vstack(blocks)
-        j_bases[i] = kernel_basis(stacked, p)
+        coords = base.coordinates(i)
+        basis = monomial_basis(psi, i)
+        masks = (np.array(basis.exponents) > 0) @ (1 << np.arange(basis.n, dtype=np.int64))
+        supports, where = np.unique(masks, return_inverse=True)
+        blocks = []
+        for vmask in vmasks:
+            outside = np.array([(int(s) | vmask) not in dc.faces for s in supports])[where]
+            blocks.append(FrozenQuotient(coords[:, outside].T, p).coordinates())
+        j_bases[i] = kernel_basis(np.vstack(blocks), p)
     diagnostics = {
         "betti": {int(k): int(v) for k, v in bet.items()},
         "orientable_like": bet.get(d, 0) == 1,

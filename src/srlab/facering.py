@@ -335,6 +335,13 @@ class GradedQuotientPresentation:
             return np.zeros((0, vectors.shape[1]), dtype=np.int64)
         return q.reduce(vectors)
 
+    def coordinates(self, j: int) -> np.ndarray:
+        """The A_j coordinates of every monomial of k[Psi]_j, one column each."""
+        q = self._at(j)
+        if q is None:
+            return np.zeros((0, len(monomial_basis(self.psi, j))), dtype=np.int64)
+        return q.coordinates()
+
     def lift(self, j: int) -> np.ndarray:
         """Embed A_j coordinates into k[Psi]_j via the representative monomials."""
         q = self._at(j)

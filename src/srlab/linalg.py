@@ -613,6 +613,17 @@ class FrozenQuotient:
         rows = np.asarray(vectors, dtype=np.int64).T % p
         return _minus_product(rows[:, self.free], rows[:, self.pivots], self.rfree, p).T
 
+    def coordinates(self) -> np.ndarray:
+        """The (dim x n) quotient coordinates of the n unit vectors, reduce(identity(n)).
+
+        A free column is its own unit vector and pivot column k is
+        -rfree[k] mod p, so no n x n identity is built.
+        """
+        m = np.zeros((self.dim, self.pivots.size + self.dim), dtype=np.int64)
+        m[np.arange(self.dim), self.free] = 1
+        m[:, self.pivots] = (-self.rfree % self.p).T
+        return m
+
     def lift(self) -> np.ndarray:
         """The (n x dim) embedding of quotient coordinates as free unit vectors."""
         m = np.zeros((self.pivots.size + self.dim, self.dim), dtype=np.int64)

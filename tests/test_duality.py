@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from srlab.complexes import RelativeComplex, SimplicialComplex, builtin_complex, f_h_vectors
+from srlab import facering, partition
+from srlab.complexes import RelativeComplex, SimplicialComplex, as_relative, builtin_complex, f_h_vectors
 from srlab.duality import (
     DualityError,
     DualityPresentation,
@@ -15,7 +16,7 @@ from srlab.duality import (
     socle_dims,
 )
 from srlab.facering import LinearFormSequence, expected_lsop_length, quotient_presentation, sample_lsop
-from srlab.linalg import DEFAULT_PRIME, PrimeField, matmul, rank
+from srlab.linalg import DEFAULT_PRIME, PrimeField, identity, kernel_basis, matmul, rank
 from srlab.partition import PartitionComplexSpec, ReducedPartitionComplex, restriction_matrix
 
 F = PrimeField(DEFAULT_PRIME)
@@ -72,6 +73,80 @@ def test_torus_duality_quotient():
     assert rep["pd"] and rep["routes"] == {"pairing": True, "socle": True}
     assert rep["pairings"][1] == {"rank": 4, "full": True, "dim_left": 4, "dim_right": 4}
     assert rep["socle"] == {3: 1}
+
+
+def _star_route_j_bases(delta, theta, field):
+    """J_i as the kernel of A_i -> A(st_v)_i through one quotient per vertex star."""
+    psi = as_relative(delta)
+    p = field.p
+    base = quotient_presentation(psi, theta, field)
+    stars = [(st, quotient_presentation(st, theta, field))
+             for st in map(psi.star, psi.delta.vertex_masks())]
+    out = {}
+    for i in range(psi.dim + 1):
+        if base.dim(i) == 0:
+            out[i] = np.zeros((0, 0), dtype=np.int64)
+            continue
+        lift = base.lift(i)
+        blocks = [q.reduce(i, matmul(restriction_matrix(psi, st, i), lift, p)) for st, q in stars]
+        out[i] = kernel_basis(np.vstack(blocks), p)
+    return out
+
+
+@pytest.mark.parametrize("name,p", [
+    ("torus7", DEFAULT_PRIME), ("rp2_6", 2), ("rp2_6", 3),
+    ("boundary_simplex_3", DEFAULT_PRIME), ("boundary_simplex_4", DEFAULT_PRIME),
+    ("boundary_simplex_5", DEFAULT_PRIME), ("cross_polytope_3", DEFAULT_PRIME),
+    ("cross_polytope_4", DEFAULT_PRIME),
+])
+def test_j_bases_match_the_star_quotient_route(name, p):
+    psi = builtin_complex(name)
+    field = PrimeField(p)
+    nonzero = 0
+    for seed in range(4):
+        theta = lsop(psi, seed, field)
+        P = build_B(psi.delta, theta, field)
+        want = _star_route_j_bases(psi.delta, theta, field)
+        # from degree n on J is zero, in build_B as in the definition
+        assert all(P._j_bases[i].shape[1] == 0 for i in P._j_bases if i not in want)
+        for i, jb in want.items():
+            got = P._j_bases[i]
+            assert got.dtype == jb.dtype and got.shape == jb.shape
+            assert got.tobytes() == jb.tobytes()
+            nonzero += jb.shape[1]
+    # the torus and the projective plane over F_2 have J_2 != 0 at every seed
+    assert nonzero == {"torus7": 24, "rp2_6": 12 if p == 2 else 0}.get(name, 0)
+
+
+def test_quotient_coordinates_of_monomials_are_reductions_of_unit_vectors():
+    for name, p in (("torus7", DEFAULT_PRIME), ("rp2_6", 2)):
+        psi = builtin_complex(name)
+        field = PrimeField(p)
+        A = quotient_presentation(psi, lsop(psi, field=field), field)
+        for i in range(A.vanishing_degree + 2):
+            m = len(facering.monomial_basis(psi, i))
+            assert np.array_equal(A.coordinates(i), A.reduce(i, identity(m)))
+
+
+def test_build_B_builds_one_quotient_and_no_restriction(monkeypatch):
+    built = []
+    init = facering.GradedQuotientPresentation.__init__
+
+    def spy(self, psi, *args, **kwargs):
+        built.append(psi)
+        init(self, psi, *args, **kwargs)
+
+    monkeypatch.setattr(facering.GradedQuotientPresentation, "__init__", spy)
+    for name in ("torus7", "cross_polytope_3"):
+        psi = builtin_complex(name)
+        theta = lsop(psi)
+        built.clear()
+        before = partition._restriction.cache_info()
+        P = build_B(psi.delta, theta, F)
+        after = partition._restriction.cache_info()
+        assert built == [psi]
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+        assert P.base.psi == psi
 
 
 def test_unquotiented_torus_algebra_is_not_self_dual():

@@ -482,6 +482,29 @@ def test_frozen_quotient_extension_edge_cases():
         q.extend(np.zeros((1, 4), dtype=np.int64))
 
 
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+def test_frozen_quotient_coordinates_equal_reduced_unit_vectors(p):
+    rng = np.random.default_rng(p % 1000 + 5)
+    cases = [np.zeros((0, 5), dtype=np.int64),              # no pivots
+             np.zeros((3, 4), dtype=np.int64),              # zero rows, no pivots
+             identity(4),                                   # dim 0
+             np.zeros((0, 0), dtype=np.int64)]              # F_p^0
+    for trial in range(20):
+        n = int(rng.integers(1, 12))
+        cases.append(_low_rank_matrix(rng, (int(rng.integers(1, 2 * n)), n), p, 0.5,
+                                      int(rng.integers(1, n + 1)))
+                     if trial % 2 else _random_matrix(rng, (int(rng.integers(1, n + 2)), n), p, 0.4))
+    dims = set()
+    for rows in cases:
+        q = FrozenQuotient(rows, p)
+        n = rows.shape[1]
+        got = q.coordinates()
+        assert got.dtype == np.int64 and got.shape == (q.dim, n)
+        assert np.array_equal(got, q.reduce(identity(n)))
+        dims.add((q.dim == 0, q.pivots.size == 0))
+    assert {(True, False), (False, True)} <= dims
+
+
 def test_lazy_homology_builds_each_needed_matrix_once():
     d0 = np.array([[-1, 1, 0], [-1, 0, 1], [0, -1, 1]])
     dims = {0: 3, 1: 3}
