@@ -211,7 +211,9 @@ def build_B(delta, theta, field: PrimeField, cap: int | None = None) -> DualityP
             continue
         coords = base.coordinates(i)
         basis = monomial_basis(psi, i)
-        masks = (np.array(basis.exponents) > 0) @ (1 << np.arange(basis.n, dtype=np.int64))
+        # uint64 holds the support of every vertex index up to MAX_VERTICES = 64
+        bits = np.left_shift(np.uint64(1), np.arange(basis.n, dtype=np.uint64))
+        masks = (np.array(basis.exponents) > 0) @ bits
         supports, where = np.unique(masks, return_inverse=True)
         blocks = []
         for vmask in vmasks:

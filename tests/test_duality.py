@@ -16,7 +16,7 @@ from srlab.duality import (
     socle_dims,
 )
 from srlab.facering import LinearFormSequence, expected_lsop_length, quotient_presentation, sample_lsop
-from srlab.linalg import DEFAULT_PRIME, PrimeField, identity, kernel_basis, matmul, rank
+from srlab.linalg import DEFAULT_PRIME, PrimeField, kernel_basis, matmul, rank
 from srlab.partition import PartitionComplexSpec, ReducedPartitionComplex, restriction_matrix
 
 F = PrimeField(DEFAULT_PRIME)
@@ -118,14 +118,20 @@ def test_j_bases_match_the_star_quotient_route(name, p):
     assert nonzero == {"torus7": 24, "rp2_6": 12 if p == 2 else 0}.get(name, 0)
 
 
-def test_quotient_coordinates_of_monomials_are_reductions_of_unit_vectors():
-    for name, p in (("torus7", DEFAULT_PRIME), ("rp2_6", 2)):
-        psi = builtin_complex(name)
-        field = PrimeField(p)
-        A = quotient_presentation(psi, lsop(psi, field=field), field)
-        for i in range(A.vanishing_degree + 2):
-            m = len(facering.monomial_basis(psi, i))
-            assert np.array_equal(A.coordinates(i), A.reduce(i, identity(m)))
+def test_j_bases_match_the_star_quotient_route_on_64_vertices():
+    # an 8 x 8 grid torus uses every vertex index up to the cap, 63 included
+    def v(i, j):
+        return (i % 8) * 8 + j % 8
+
+    facets = [f for i in range(8) for j in range(8)
+              for f in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)), (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+    tor = SimplicialComplex.from_facets(range(64), facets)
+    theta = lsop(as_relative(tor))
+    P = build_B(tor, theta, F)
+    want = _star_route_j_bases(tor, theta, F)
+    for i, jb in want.items():
+        assert P._j_bases[i].shape == jb.shape and P._j_bases[i].tobytes() == jb.tobytes()
+    assert [jb.shape[1] for jb in want.values()] == [0, 0, 6]
 
 
 def test_build_B_builds_one_quotient_and_no_restriction(monkeypatch):

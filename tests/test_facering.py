@@ -392,9 +392,11 @@ def test_quotient_degrees_past_vanishing_are_zero_and_others_raise():
     assert A.dim(past) == 0
     assert A.lift(past).shape == (nb, 0)
     assert A.reduce(past, np.ones((nb, 2), dtype=np.int64)).shape == (0, 2)
+    assert A.coordinates(past).shape == (0, nb)
     zero = LinearFormSequence([(0,) * 7] * 3, F.p)
     B = quotient_presentation(tor, zero, F)
     for call in (lambda: B.dim(B.cap + 1), lambda: B.lift(B.cap + 1),
+                 lambda: B.coordinates(B.cap + 1),
                  lambda: B.reduce(B.cap + 1, np.zeros((1, 1), dtype=np.int64))):
         with pytest.raises(FaceRingError):
             call()
