@@ -263,10 +263,24 @@ class GradedQuotientPresentation:
     unique: pivots, free monomials and coset coordinates are those of one
     elimination of all n * dim k[Psi]_{j-1} relation rows, while on a CM
     complex every row the stages eliminate is a pivot.
+
+    When Theta passes ``lsop_certificate``, A_j = 0 for every j > d =
+    dim Psi + 1, so the build stops at degree d + 1 without eliminating
+    it (Kind-Kleinschmidt; Stanley, Combinatorics and Commutative
+    Algebra, 2nd ed.). Proof, for relative Psi and any number of forms:
+    take a monomial m whose support F (a face of Psi) has deg m > |F|, and
+    a vertex v whose exponent in m is at least 2. The columns of Theta at
+    F are independent, so x_v = sum_i c_i theta_i + l with l a linear
+    form supported off F. Then m = (m/x_v) sum_i c_i theta_i + (m/x_v) l,
+    and each monomial of (m/x_v) l is 0 in k[Psi] or has a strictly
+    larger support, still a face of Psi. By induction on the support,
+    m lies in <Theta> plus the span of the squarefree face monomials,
+    whose degrees are at most d. ``is_lsop`` keeps the full elimination,
+    so finiteness there is decided by the quotient alone.
     """
 
     def __init__(self, psi, theta: LinearFormSequence, field: PrimeField,
-                 cap: int | None = None):
+                 cap: int | None = None, *, _stop_when_certified: bool = True):
         psi = as_relative(psi)
         if theta.p != field.p:
             raise FaceRingError("Theta and field use different moduli")
@@ -281,15 +295,25 @@ class GradedQuotientPresentation:
         self._quotients: dict[int, FrozenQuotient] = {}
         self.vanishing_degree: int | None = None
         self.finite_at_cap = True
-        self._build()
+        self._build(_stop_when_certified)
 
-    def _build(self) -> None:
+    def _build(self, stop_when_certified: bool) -> None:
         p = self.field.p
         gen_max = _generator_max_degree(self.psi)
+        # A_j = 0 for j > last by the lemma in the class docstring, and no generator
+        # of k[Psi] lies past last, so the build ends at degree last + 1 at the latest
+        last = None
+        if stop_when_certified and len(self.theta) and lsop_certificate(
+                self.psi, self.theta, self.field):
+            last = expected_lsop_length(self.psi)
         # below[i]: the free monomials of k[Psi]/(theta_1..theta_i) one degree down;
         # k[Psi]_{-1} = 0 has none
         below = [np.zeros(0, dtype=np.intp)] * len(self.theta)
         for j in range(self.cap + 1):
+            if last is not None and j > last:
+                self.dims[j] = 0
+                self.vanishing_degree = j
+                break
             q = FrozenQuotient(np.zeros((0, len(monomial_basis(self.psi, j))), dtype=np.int64), p)
             free = [q.free]
             for form, cols in zip(self.theta, below):
@@ -307,9 +331,9 @@ class GradedQuotientPresentation:
             self.finite_at_cap = False
 
     def _at(self, j: int) -> FrozenQuotient | None:
-        """The quotient at degree j; None past the vanishing degree."""
+        """The quotient at degree j; None from the vanishing degree on where none is built."""
         q = self._quotients.get(j)
-        if q is None and (self.vanishing_degree is None or j <= self.vanishing_degree):
+        if q is None and (self.vanishing_degree is None or j < self.vanishing_degree):
             raise FaceRingError(f"degree {j} beyond computed cap {self.cap}")
         return q
 
@@ -670,7 +694,7 @@ def is_lsop(psi, theta: LinearFormSequence, field: PrimeField) -> dict:
     """Theta is an l.s.o.p. iff it has the expected length and A is finite."""
     psi = as_relative(psi)
     expected = expected_lsop_length(psi)
-    pres = GradedQuotientPresentation(psi, theta, field)
+    pres = GradedQuotientPresentation(psi, theta, field, _stop_when_certified=False)
     finite = pres.vanishing_degree is not None
     return {
         "is_lsop": len(theta) == expected and finite,

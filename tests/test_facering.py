@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from srlab.complexes import (
     RelativeComplex,
     SimplicialComplex,
+    _popcount,
     as_relative,
     builtin_complex,
     random_relative_complex,
@@ -20,6 +21,7 @@ from srlab import facering
 from srlab.complexes import BUILTIN_EXAMPLES
 from srlab.facering import (
     FaceRingError,
+    GradedQuotientPresentation,
     LinearFormSequence,
     _TABLE_CELLS,
     _certified,
@@ -303,6 +305,13 @@ def _matches_stacked_quotient(psi, theta, field, cap=None):
     assert A.dims == {j: len(free) for j, (_, free, _) in want.items()}
     for j, (pivots, free, rfree) in want.items():
         q = A._at(j)
+        if q is None:
+            # a certified Theta stops the build at degree dim + 2 without
+            # eliminating it; the oracle's full elimination must find A_j = 0
+            assert lsop_certificate(psi, theta, field)
+            assert j == vanishing == expected_lsop_length(psi) + 1
+            assert free == [] and A.dims[j] == 0
+            continue
         assert q.pivots.tolist() == pivots
         assert q.free.tolist() == free
         assert q.rfree.tolist() == rfree
@@ -342,6 +351,96 @@ def test_staged_quotient_matches_the_stacked_rref_off_lsop(p):
         psi = random_relative_complex(random.Random(seed))
         forms = random_linear_forms(psi, expected_lsop_length(psi), seed, field)
         _matches_stacked_quotient(psi, forms, field, cap=4)
+
+
+def _mult_degrees(monkeypatch):
+    """Record the source degree of every _mult_matrix call the quotient makes."""
+    seen = []
+    real = facering._mult_matrix
+
+    def spy(psi, coeffs, j, p):
+        seen.append(j)
+        return real(psi, coeffs, j, p)
+
+    monkeypatch.setattr(facering, "_mult_matrix", spy)
+    return seen
+
+
+def test_is_lsop_decides_finiteness_by_elimination_alone(monkeypatch):
+    tor = builtin_complex("torus7")
+    zero = LinearFormSequence([(0,) * 7] * 3, F.p)
+    monkeypatch.setattr(facering, "lsop_certificate", lambda psi, forms, field: True)
+    # the patched certificate reaches the quotient: it now stops at degree 4
+    assert quotient_presentation(tor, zero, F).vanishing_degree == 4
+    res = is_lsop(tor, zero, F)
+    assert res["is_lsop"] is False and res["vanishing_degree"] is None
+
+
+def test_uncertified_forms_still_eliminate_the_top_degree(monkeypatch):
+    tor = builtin_complex("torus7")
+    theta = random_linear_forms(tor, 3, 0, F2)
+    assert not lsop_certificate(tor, theta, F2)
+    seen = _mult_degrees(monkeypatch)
+    A = quotient_presentation(tor, theta, F2)
+    d = expected_lsop_length(tor)
+    assert d in seen and not A.finite_at_cap
+    assert all(A._at(j) is not None for j in range(A.cap + 1))
+
+
+def test_certified_quotient_skips_the_vanishing_degree(monkeypatch):
+    psi = builtin_complex("boundary_simplex_5")
+    theta = lsop(psi)
+    d = expected_lsop_length(psi)
+    seen = _mult_degrees(monkeypatch)
+    A = quotient_presentation(psi, theta, F)
+    assert A.vanishing_degree == d + 1 and seen and d not in seen
+    seen.clear()
+    full = GradedQuotientPresentation(psi, theta, F, _stop_when_certified=False)
+    assert d in seen and full.dims == A.dims
+    # past the last built degree every accessor answers as the full build does
+    for name in ("torus7", "disk_with_induced_boundary_2"):
+        psi = builtin_complex(name)
+        theta = lsop(psi)
+        d = expected_lsop_length(psi)
+        A = quotient_presentation(psi, theta, F)
+        full = GradedQuotientPresentation(psi, theta, F, _stop_when_certified=False)
+        assert A.vanishing_degree == full.vanishing_degree == d + 1
+        assert A._at(d + 1) is None and full._at(d + 1) is not None
+        nb = len(monomial_basis(psi, d + 1))
+        vecs = np.ones((nb, 2), dtype=np.int64)
+        form = random_linear_forms(psi, 1, 3, F)[0]
+        assert A.dim(d + 1) == full.dim(d + 1) == 0
+        for got, want in ((A.reduce(d + 1, vecs), full.reduce(d + 1, vecs)),
+                          (A.coordinates(d + 1), full.coordinates(d + 1)),
+                          (A.lift(d + 1), full.lift(d + 1)),
+                          (A.quotient_mult_matrix(form, d),
+                           full.quotient_mult_matrix(form, d))):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert not got.any() and not want.any()
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+def test_certified_quotient_is_bounded_by_the_face_counts(p):
+    # A is spanned by the squarefree face monomials: dim A_j <= #{j-element faces}
+    field = PrimeField(p)
+    cases = [builtin_complex(name) for name in BUILTIN_EXAMPLES]
+    rng = random.Random(16)
+    cases += [random_relative_complex(rng) for _ in range(30)]
+    checked = 0
+    for psi in cases:
+        psi = as_relative(psi)
+        theta = sample_lsop(psi, expected_lsop_length(psi), 0, field)
+        if theta is None:
+            continue
+        A = quotient_presentation(psi, theta, field)
+        faces = psi.faces()
+        d = expected_lsop_length(psi)
+        assert A.vanishing_degree is not None and A.vanishing_degree <= d + 1
+        for j in range(A.vanishing_degree + 1):
+            count = sum(1 for f in faces if _popcount(f) == j)
+            assert A.dim(j) <= count, (psi, j)
+        checked += 1
+    assert checked >= 30
 
 
 def test_cached_multiplication_matrices_are_read_only():
