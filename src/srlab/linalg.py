@@ -44,8 +44,8 @@ came from (``rank(..., pivot_rows=...)``); which rows they are depends on
 the regime, but they are always ``rank`` independent rows of the input.
 
 No entry point mutates its argument: each works on one reduced copy made
-per call. The cached multiplication patterns of ``facering`` and
-restriction matrices of ``partition`` are shared, read-only arrays.
+per call. The cached multiplication patterns of ``facering`` are
+shared, read-only arrays.
 
 Everything downstream (cohomology, Hilbert functions, Koszul and
 partition homology, pairing ranks) reduces to rank/kernel computations

@@ -18,9 +18,9 @@ basis vector per summand whose module contains sigma, and between two of
 them the sign of the summand pair: it is a small Cech complex C_sigma
 that depends on sigma alone. So H^i_j is the sum over faces sigma of
 h^i(C_sigma) times the number of degree-j monomials with support sigma,
-an exact block diagonalisation of the degree-j differential. The dense
-differentials serve the double complex, whose Koszul maps do not respect
-supports.
+an exact block diagonalisation of the degree-j differential. Sparse
+differentials built from monomial index maps serve the double complex,
+whose Koszul maps do not respect supports.
 
 Two variants change the columns. The interior complex of a disk keeps
 only stars of strongly interior faces (every vertex off the boundary)
@@ -35,7 +35,6 @@ survives on boundary walls), but only its kernel is ever consumed.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -56,7 +55,7 @@ from .facering import (
     support_monomial_count,
 )
 from .koszul import koszul_step
-from .linalg import LazyHomology, PrimeField, SparseMatrix, matmul
+from .linalg import LazyHomology, PrimeField, SparseMatrix
 
 VARIANTS = ("full", "interior", "subdivision")
 
@@ -65,22 +64,24 @@ class PartitionError(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
-def _restriction(src: RelativeComplex, dst: RelativeComplex, j: int) -> np.ndarray:
-    """Monomial kill map k[src]_j -> k[dst]_j; entries 0/1, field independent."""
-    sb = monomial_basis(src, j)
-    db = monomial_basis(dst, j)
-    mat = np.zeros((len(db), len(sb)), dtype=np.int64)
-    for col, alpha in enumerate(sb):
-        row = db.index.get(alpha)
-        if row is not None:
-            mat[row, col] = 1
-    mat.flags.writeable = False
-    return mat
+def _monomial_map(src: RelativeComplex, dst: RelativeComplex, j: int) -> tuple:
+    """Restriction k[src]_j -> k[dst]_j as index arrays (cols, rows); field independent.
+
+    It sends the monomial at cols[k] of src's basis to the one at rows[k]
+    of dst's and every other monomial to 0. It need not be onto, and walks
+    dst's basis, the smaller one when dst is the star of a larger face.
+    """
+    index = monomial_basis(src, j).index
+    pairs = [(index[a], r) for r, a in enumerate(monomial_basis(dst, j)) if a in index]
+    return tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
 
 
 def restriction_matrix(src, dst, j: int) -> np.ndarray:
-    return _restriction(as_relative(src), as_relative(dst), j).copy()
+    """``_monomial_map`` as a dense 0/1 matrix, built on every call."""
+    src, dst = as_relative(src), as_relative(dst)
+    mat = np.zeros((len(monomial_basis(dst, j)), len(monomial_basis(src, j))), dtype=np.int64)
+    mat[_monomial_map(src, dst, j)[::-1]] = 1
+    return mat
 
 
 def _cech_sign(tau: int, bit: int) -> int:
@@ -194,37 +195,33 @@ class PartitionComplexSpec:
             raise PartitionError("the subdivision variant is not a complex: "
                                  "only the kernel of its front map is defined")
 
-    def _assemble(self, i: int, src_dims, dst_dims, block, p: int) -> np.ndarray:
-        """The map of position i into position i + 1, summand pair by summand pair.
+    def _assemble(self, i: int, j: int, src_dims, dst_dims):
+        """The blocks of the map of position i into position i + 1 in degree j.
 
         src_dims and dst_dims give the dimension of each summand's space on
-        either side, and block(s, d) the unsigned map from the s-th summand
-        at position i to the d-th at position i + 1; it is asked for only
-        where both dimensions and the sign of the pair are nonzero.
+        either side. For every summand pair whose dimensions and sign are
+        nonzero this yields (row offset, column offset, s, d, index map,
+        sign): the pair is the s-th summand at position i and the d-th at
+        position i + 1, and the index map the ``_monomial_map`` of their
+        modules.
         """
-        mat = np.zeros((sum(dst_dims), sum(src_dims)), dtype=np.int64)
-        if not mat.size:
-            return mat
-        src = self.summands(i)
-        dst = self.summands(i + 1)
         col = 0
-        for s, ((sdesc, _), sdim) in enumerate(zip(src, src_dims)):
+        for s, ((sdesc, smod), sdim) in enumerate(zip(self.summands(i), src_dims)):
             row = 0
-            for d, ((ddesc, _), ddim) in enumerate(zip(dst, dst_dims)):
+            for d, ((ddesc, dmod), ddim) in enumerate(zip(self.summands(i + 1), dst_dims)):
                 sign = self._block_sign(i, sdesc, ddesc)
                 if sign and sdim and ddim:
-                    b = block(s, d)
-                    mat[row:row + ddim, col:col + sdim] = b if sign > 0 else (p - b) % p
+                    yield row, col, s, d, _monomial_map(smod, dmod, j), sign
                 row += ddim
             col += sdim
-        return mat
 
-    def differential(self, i: int, j: int, field: PrimeField) -> np.ndarray:
+    def differential(self, i: int, j: int, field: PrimeField) -> SparseMatrix:
         """Matrix of position i into position i + 1 at coarse degree j."""
-        src = self.summands(i)
-        dst = self.summands(i + 1)
-        return self._assemble(i, self.summand_dims(i, j), self.summand_dims(i + 1, j),
-                              lambda s, d: _restriction(src[s][1], dst[d][1], j), field.p)
+        src_dims, dst_dims = self.summand_dims(i, j), self.summand_dims(i + 1, j)
+        blocks = [(rows + r, cols + c, np.full(rows.size, sign))
+                  for r, c, _, _, (cols, rows), sign in self._assemble(i, j, src_dims, dst_dims)]
+        entries = (np.concatenate(x) for x in zip(*blocks)) if blocks else ([], [], [])
+        return SparseMatrix((sum(dst_dims), sum(src_dims)), *entries, field.p)
 
     def _supports(self, max_degree: int) -> dict[tuple, dict[int, int]]:
         """{descriptors per position: {|sigma|: count}} over faces |sigma| <= max_degree.
@@ -308,7 +305,9 @@ class ReducedPartitionComplex:
     Each summand module is presented degreewise modulo <Theta>; the Cech
     differential descends because restriction commutes with multiplication
     by linear forms, and in quotient coordinates the block from summand q
-    to summand q' at degree j is q'.reduce(j, R @ q.lift(j)).
+    to summand q' at degree j is q'.reduce(j, moved): the rows of q.lift(j)
+    moved to their monomials' rows by ``_monomial_map``, and zero rows for
+    the monomials of q' outside q, as restriction need not be onto.
     """
 
     def __init__(self, pspec: PartitionComplexSpec, theta: LinearFormSequence,
@@ -338,14 +337,14 @@ class ReducedPartitionComplex:
         src = self.quotients.get(i, [])
         dst = self.quotients.get(i + 1, [])
         src_dims = [q.dim(j) for _, _, q in src]
-        p = self.field.p
-        lifts = [q.lift(j) if dim else None for (_, _, q), dim in zip(src, src_dims)]
-
-        def block(s, d):
-            r = _restriction(src[s][1], dst[d][1], j)
-            return dst[d][2].reduce(j, matmul(r, lifts[s], p))
-
-        return self.pspec._assemble(i, src_dims, [q.dim(j) for _, _, q in dst], block, p)
+        dst_dims = [q.dim(j) for _, _, q in dst]
+        mat = np.zeros((sum(dst_dims), sum(src_dims)), dtype=np.int64)
+        for row, col, s, d, (cols, rows), sign in self.pspec._assemble(i, j, src_dims, dst_dims):
+            moved = np.zeros((len(monomial_basis(dst[d][1], j)), src_dims[s]), dtype=np.int64)
+            moved[rows] = src[s][2].lift(j)[cols]
+            b = dst[d][2].reduce(j, moved)
+            mat[row:row + dst_dims[d], col:col + src_dims[s]] = b if sign > 0 else -b % self.field.p
+        return mat
 
     def _homology(self) -> LazyHomology:
         return LazyHomology(self.space_dim, self.differential, (1, 0), self.field.p)
@@ -381,8 +380,8 @@ class DoubleComplexSlice:
     with sign (-1)^a and squares to zero.
 
     The three maps are ``SparseMatrix`` instances, a fraction of a percent
-    full: the horizontal map repeats the nonzeros of the star-cover
-    differential once per wedge basis vector, and the vertical map is
+    full: the horizontal map tiles the sparse star-cover differential,
+    one copy per wedge basis vector, and the vertical map is
     ``koszul.koszul_step`` on the direct sum of the position-a summands,
     the builder behind ``KoszulComplex`` as well. Only ``rank`` consumes
     them.
@@ -409,14 +408,12 @@ class DoubleComplexSlice:
 
     def horizontal(self, a: int, b: int) -> SparseMatrix:
         """Star restriction (a, b) -> (a + 1, b), one copy per wedge basis vector."""
-        t = self._t(b)
-        pd = self.pspec.differential(a, t, self.field)
-        block = SparseMatrix.from_dense(pd, self.field.p)
+        pd = self.pspec.differential(a, self._t(b), self.field)
         wedge = math.comb(self.n, b)
         rows, cols = pd.shape
         return SparseMatrix.from_blocks(
             (wedge * rows, wedge * cols),
-            [(w * rows, w * cols, block, 1) for w in range(wedge)], self.field.p)
+            [(w * rows, w * cols, pd, 1) for w in range(wedge)], self.field.p)
 
     def vertical(self, a: int, b: int) -> SparseMatrix:
         """Koszul step (a, b) -> (a, b + 1), summandwise multiplication."""

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from srlab import partition
 from srlab.complexes import (
     RelativeComplex,
     SimplicialComplex,
@@ -23,13 +24,12 @@ from srlab.facering import (
     monomial_basis,
     sample_lsop,
 )
-from srlab.linalg import DEFAULT_PRIME, PrimeField, rank
+from srlab.linalg import DEFAULT_PRIME, PrimeField, matmul, rank
 from srlab.partition import (
     DoubleComplexSlice,
     PartitionComplexSpec,
     PartitionError,
     ReducedPartitionComplex,
-    _restriction,
     SubdivisionStructure,
     barycentric_subdivision_structure,
     interior_partition_check,
@@ -66,27 +66,37 @@ def test_star_cover_homology_equals_simplicial_cohomology():
             assert dim == (coh.get(i, 0) if j == 0 else 0)
 
 
-def test_wide_windows_build_no_monomial_matrices():
+def test_wide_windows_build_no_monomial_matrices(monkeypatch):
     # the support route ranks small Cech pieces; a fallback to the degree-j
-    # matrices would fill the monomial_basis and _restriction caches
+    # matrices would fill the monomial_basis cache and map monomials
     psi = builtin_complex("cross_polytope_4")
+    mapped = []
+    monkeypatch.setattr(partition, "_monomial_map", lambda *args: mapped.append(args))
 
-    def caches():
-        return [(f.cache_info().misses, f.cache_info().currsize)
-                for f in (monomial_basis, _restriction)]
+    def cache():
+        return monomial_basis.cache_info().misses, monomial_basis.cache_info().currsize
 
-    before = caches()
+    before = cache()
     table = partition_homology_dims(psi, F, max_degree=8)
-    assert caches() == before
+    assert cache() == before and not mapped
     assert len(table) == 5 * 9
     assert {k: v for k, v in table.items() if v} == {(3, 0): 1}
+
+
+def test_partition_module_keeps_no_cache():
+    # a module-level cache here would grow with every complex ever seen;
+    # the imported monomial_basis is facering's
+    assert not [name for name, value in vars(partition).items()
+                if hasattr(value, "cache_info")
+                and getattr(value, "__module__", None) == partition.__name__]
+    assert hasattr(partition.monomial_basis, "cache_info")
 
 
 def test_front_restrictions_are_unsigned():
     tor = builtin_complex("torus7")
     pspec = PartitionComplexSpec.full(tor)
     for j in (0, 1, 2):
-        mat = pspec.differential(-1, j, F)
+        mat = pspec.differential(-1, j, F).toarray()
         assert set(np.unique(mat)) <= {0, 1}
 
 
@@ -95,7 +105,8 @@ def test_cech_differential_squares_to_zero():
     pspec = PartitionComplexSpec.full(tor)
     for i in range(-1, pspec.max_position):
         for j in (1, 2):
-            m2 = pspec.differential(i + 1, j, F) @ pspec.differential(i, j, F) % F.p
+            d0, d1 = (pspec.differential(k, j, F).toarray() for k in (i, i + 1))
+            m2 = d1 @ d0 % F.p
             assert not m2.any()
 
 
@@ -116,15 +127,80 @@ def test_restriction_matrix_kills_foreign_monomials():
                 assert not column.any()
 
 
-def test_cached_restrictions_are_read_only():
-    tor = builtin_complex("torus7")
-    star = tor.star(tor.delta.vertex_masks()[0])
-    cached = _restriction(tor, star, 2)
-    with pytest.raises(ValueError, match="read-only"):
-        cached[0, 0] = 5
-    copy = restriction_matrix(tor, star, 2)
-    copy[0, 0] = 5
-    assert cached[0, 0] != 5
+def _dense_differential(pspec, i, j, p):
+    """Position i into position i + 1: restriction matrices signed by ``_block_sign``."""
+    src, dst = pspec.summands(i), pspec.summands(i + 1)
+    if not src or not dst:
+        return None
+    return np.block([[pspec._block_sign(i, sdesc, ddesc) * restriction_matrix(smod, dmod, j) % p
+                      for sdesc, smod in src] for ddesc, dmod in dst])
+
+
+def _relative_pairs(seed, count):
+    """``count`` random pairs (Delta, Gamma) with Gamma not void."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        psi = random_relative_complex(rng)
+        if psi.gamma.faces and psi.delta.dim is not None and psi.delta.dim >= 0:
+            out.append(psi)
+    return out
+
+
+def test_sparse_differential_equals_signed_restriction_matrices(monkeypatch):
+    bary = SimplicialComplex.from_facets((1, 2, 3), [(1, 2, 3)]).barycentric_subdivision()
+    specs = [PartitionComplexSpec.full(builtin_complex(name))
+             for name in ("torus7", "boundary_simplex_3", "moebius", "two_points")]
+    specs += [PartitionComplexSpec.full(psi) for psi in _relative_pairs(3, 12)]
+    specs += [PartitionComplexSpec.interior(RelativeComplex(bary, bary.boundary_subcomplex())),
+              PartitionComplexSpec.interior(builtin_complex("disk_with_induced_boundary_2")),
+              PartitionComplexSpec.subdivision(barycentric_subdivision_structure(
+                  SimplicialComplex.from_facets((1, 2, 3, 4), [(1, 2, 3), (1, 3, 4)])))]
+    degrees = []
+    basis = partition.monomial_basis
+    monkeypatch.setattr(partition, "monomial_basis",
+                        lambda mod, j: degrees.append(j) or basis(mod, j))
+    for pspec in specs:
+        dim = pspec.psi.dim if pspec.psi.dim is not None else -1
+        for i in range(-1, pspec.max_position + 1):
+            for j in (0, 1, 2, dim + 3):
+                got = pspec.differential(i, j, F)
+                want = _dense_differential(pspec, i, j, F.p)
+                if want is None:
+                    assert got.shape[0] * got.shape[1] == 0
+                else:
+                    assert np.array_equal(got.toarray(), want)
+            degrees.clear()
+            got = pspec.differential(i, -1, F)
+            assert got.shape == (0, 0) and not got.vals.size
+            assert all(j >= 0 for j in degrees)
+
+
+def test_reduced_differential_equals_the_restriction_matrix_route():
+    # restriction between relative stars is not onto: a target monomial
+    # outside the source must keep a zero row, not a gathered lift row
+    not_onto = 0
+    for psi in _relative_pairs(3, 40):
+        theta = sample_lsop(psi, expected_lsop_length(psi), 0, F, budget=4000)
+        if theta is None:
+            continue
+        pspec = PartitionComplexSpec.full(psi)
+        reduced = ReducedPartitionComplex(pspec, theta, F)
+        for i in range(-1, pspec.max_position):
+            src, dst = reduced.quotients[i], reduced.quotients[i + 1]
+            for j in range(psi.dim + 3):
+                blocks = []
+                for ddesc, dmod, dq in dst:
+                    row = []
+                    for sdesc, smod, sq in src:
+                        sign = pspec._block_sign(i, sdesc, ddesc)
+                        moved = matmul(restriction_matrix(smod, dmod, j), sq.lift(j), F.p)
+                        row.append(sign * dq.reduce(j, moved) % F.p)
+                        not_onto += bool(sign and sq.dim(j) and dq.dim(j)
+                                         and set(dmod.faces()) - set(smod.faces()))
+                    blocks.append(row)
+                assert np.array_equal(reduced.differential(i, j), np.block(blocks))
+    assert not_onto > 0
 
 
 def _fine_slice_dims(psi, alpha):
@@ -145,7 +221,7 @@ def _fine_slice_dims(psi, alpha):
     ranks = {}
     for i in range(-1, pspec.max_position + 1):
         if sel[i] and sel.get(i + 1):
-            sub = pspec.differential(i, j, F)[np.ix_(sel[i + 1], sel[i])]
+            sub = pspec.differential(i, j, F).toarray()[np.ix_(sel[i + 1], sel[i])]
             ranks[i] = rank(sub, F.p)
         else:
             ranks[i] = 0
@@ -250,7 +326,7 @@ def test_double_complex_commutes_and_total_squares_to_zero():
 
 def _dense_horizontal(sl, a, b):
     """The star restriction of a double complex slice as one dense Kronecker product."""
-    pd = sl.pspec.differential(a, sl._t(b), sl.field)
+    pd = sl.pspec.differential(a, sl._t(b), sl.field).toarray()
     return np.kron(np.eye(math.comb(sl.n, b), dtype=np.int64), pd)
 
 
@@ -418,7 +494,8 @@ def test_subdivision_round_trip_preserves_incidence():
     pspec = PartitionComplexSpec.subdivision(st)
     for i in range(pspec.max_position):
         for j in (0, 1, 2):
-            m2 = pspec.differential(i + 1, j, F) @ pspec.differential(i, j, F) % F.p
+            d0, d1 = (pspec.differential(k, j, F).toarray() for k in (i, i + 1))
+            m2 = d1 @ d0 % F.p
             assert not m2.any()
 
 
@@ -427,7 +504,8 @@ def test_subdivision_variant_has_no_homology_table():
         SimplicialComplex.from_facets((1, 2, 3, 4), [(1, 2, 3), (1, 3, 4)]))
     pspec = PartitionComplexSpec.subdivision(st)
     # the front map is not a cochain map, so homology past position -1 is undefined
-    assert any((pspec.differential(0, j, F) @ pspec.differential(-1, j, F) % F.p).any()
+    assert any((pspec.differential(0, j, F).toarray() @ pspec.differential(-1, j, F).toarray()
+                % F.p).any()
                for j in (1, 2))
     with pytest.raises(PartitionError, match="not a complex"):
         pspec.homology_dims(F)
