@@ -26,15 +26,20 @@ shape, fill and entries:
   pivot order and updates the rows below (or, reduced, around) each pivot
   as one slice ``m[targets, c:]``;
 - sparse path: ``rank`` of a ``SparseMatrix``, or of a dense matrix with
-  more than ``_LARGE_CELLS`` cells under 1/20 of them nonzero, pivots
-  Markowitz-style on row dicts in ``_markowitz_rank``: row first, on the
-  shortest live row, found through a bucket queue on row lengths, in
-  its column with the fewest live rows. Row singletons thus go first and
-  cost no update. Past as many dict updates as the matrix has cells, the
-  rows and columns still live go to the dense path as one block. Unit
-  matrices this large stay there: testing the entries means finding the
-  nonzeros of every large matrix, which costs more on the large non-unit
-  differentials than it saves on the rest.
+  more than ``_LARGE_CELLS`` cells under 1/20 of them nonzero, runs
+  ``_markowitz_rank``. It first peels singletons in numpy: a row or a
+  column with one live entry is a pivot that deletes its column or its
+  row and updates nothing, and rounds of ``np.bincount`` find them. Each
+  is alone in its row or column among what is live when it is taken, so
+  the peeled pivots hold a block-triangular nonsingular minor, which the
+  pivots of the rest extend. What is left is pivoted Markowitz-style on
+  row dicts: row first, on the shortest live row, found through a bucket
+  queue on row lengths, in its column with the fewest live rows. Past as
+  many dict updates as the matrix has cells, the rows and columns still
+  live go to the dense path as one block. Unit matrices this large stay
+  there: testing the entries means finding the nonzeros of every large
+  matrix, which costs more on the large non-unit differentials than it
+  saves on the rest.
 
 Rank does not depend on the pivot order, and the reduced row echelon form
 of a matrix is unique, so ``rref`` and ``kernel_basis`` return the same
@@ -75,6 +80,12 @@ _TINY_CELLS = 64
 # Up to this many cells, rank() tries the unit path; above it, dense input
 # under 1/20 full takes the sparse path.
 _LARGE_CELLS = 250_000
+
+# The singleton peel runs at most this many rounds. Each round makes a few
+# numpy passes over the entries still live, so the cap keeps the peel linear
+# in the nonzeros; a long chain of singletons that opens one pivot per round
+# is left to the row dicts, which take it one cheap pivot at a time.
+_PEEL_ROUNDS = 16
 
 
 class LinAlgError(ValueError):
@@ -346,36 +357,95 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return _eliminate(m, p, reduced=True)
 
 
+def _peel_singletons(a: SparseMatrix) -> tuple[list[tuple[int, int]], tuple]:
+    """Pivots of ``a`` that need no arithmetic, and the nonzeros left after them.
+
+    A row with one live entry is a pivot that only deletes its column; a
+    column with one live entry is a pivot that only deletes its row. Each
+    round finds the row singletons by ``np.bincount``, takes one per
+    column and drops those columns, then does the same for column
+    singletons and rows. Deleting them can make new singletons, so the
+    rounds go on until one finds none, for at most ``_PEEL_ROUNDS``; the
+    row dicts take any singletons left, so where the peel stops changes
+    only the speed. Returns the pivots as (row, column) of ``a`` and the
+    (rows, cols, vals) of the entries still live, in ``a``'s coordinates;
+    ``a`` is not modified.
+
+    Every pivot, when taken, is the only live entry of its row or of its
+    column, and everything taken later lies in live rows and columns. So
+    ordered as taken, the pivot minor is block triangular with nonzero
+    diagonal, and any nonsingular minor of what is left extends it.
+    """
+    r, c, v = a.rows, a.cols, a.vals
+    found: list[tuple[np.ndarray, np.ndarray]] = [(r[:0], c[:0])]
+    peeled = True
+    for _ in range(_PEEL_ROUNDS):
+        if not (peeled and r.size):
+            break
+        peeled = False
+        for by_row in (True, False):
+            own, other = (r, c) if by_row else (c, r)
+            single = np.bincount(own)[own] == 1
+            if not single.any():
+                continue
+            # one singleton per line it hits; the others there are left empty
+            hit, first = np.unique(other[single], return_index=True)
+            lines = own[single][first]
+            found.append((lines, hit) if by_row else (hit, lines))
+            dead = np.zeros(a.shape[1] if by_row else a.shape[0], dtype=bool)
+            dead[hit] = True
+            keep = ~dead[other]
+            r, c, v = r[keep], c[keep], v[keep]
+            peeled = True
+    rows, cols = (np.concatenate(x).tolist() for x in zip(*found))
+    return list(zip(rows, cols)), (r, c, v)
+
+
 def _markowitz_rank(a: SparseMatrix, p: int, *, pivots: list | None = None) -> int:
     """Rank of a sparse matrix by Markowitz pivoting on row dicts; the sparse regime.
 
-    Rows are ``{column: value}`` dicts, and each column keeps the set of
-    live rows that hold it. Every step pivots on the shortest live row,
-    in the column of that row with the fewest live rows: the update costs
-    (row length - 1) * (column count - 1) dict updates, and the rule keeps
-    both factors small, so fill-in stays low. A row singleton is a free
-    pivot: it only leaves its column. Rank does not depend on the pivot
-    order. A bucket queue indexed by row length finds the shortest row:
-    a row whose length changes is queued again under its new length, and
-    an entry whose length is out of date is skipped when popped. Once
-    more dict updates have been made than the matrix has cells, the live
-    rows and columns are handed to ``_eliminate`` as one dense block, a
-    safety net against fill-in. If ``pivots`` is given, each pivot's
-    (row, column) is appended to it.
+    First ``_peel_singletons`` takes, in vectorised numpy rounds, every
+    pivot that is the only live entry of its row or its column: such a
+    pivot deletes its column or its row and updates nothing. On the
+    total-complex differentials that is most of the pivots. Each peeled
+    pivot is alone in its row or column among what is live when it is
+    taken, so the peeled pivots form a block-triangular nonsingular minor
+    that any nonsingular minor of the rest extends; the ranks add up, and
+    the reported pivots stay ``rank`` independent rows and columns.
+
+    What is left becomes ``{column: value}`` row dicts, and each column
+    keeps the set of live rows that hold it. Every step pivots on the
+    shortest live row, in the column of that row with the fewest live
+    rows: the update costs (row length - 1) * (column count - 1) dict
+    updates, and the rule keeps both factors small, so fill-in stays low.
+    A row singleton the peel left is still a free pivot: it only leaves
+    its column. Rank does not depend on the pivot order. A bucket queue
+    indexed by row length finds the shortest row: a row whose length
+    changes is queued again under its new length, and an entry whose
+    length is out of date is skipped when popped. Once more dict updates
+    have been made than the matrix has cells, the live rows and columns
+    are handed to ``_eliminate`` as one dense block, a safety net against
+    fill-in. If ``pivots`` is given, each pivot's (row, column) is
+    appended to it.
     """
     nrows, ncols = a.shape
+    peeled, live = _peel_singletons(a)
+    if pivots is not None:
+        pivots.extend(peeled)
     rows: list[dict[int, int] | None] = [{} for _ in range(nrows)]
     holders: list[set[int]] = [set() for _ in range(ncols)]
-    for i, j, x in zip(a.rows.tolist(), a.cols.tolist(), a.vals.tolist()):
+    for i, j, x in zip(*(x.tolist() for x in live)):
         rows[i][j] = x
         holders[j].add(i)
+    del live  # the dicts hold these entries now; free the arrays before eliminating
     # buckets[k]: rows queued when they held k entries; a row never holds more than ncols
     buckets: list[list[int]] = [[] for _ in range(ncols + 1)]
     for i, row in enumerate(rows):
         if row:
             buckets[len(row)].append(i)
     budget = nrows * ncols
-    work = r = 0
+    work = 0
+    r = len(peeled)
     short = 1
     while short <= ncols:
         if not buckets[short]:

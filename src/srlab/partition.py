@@ -96,9 +96,11 @@ class PartitionComplexSpec:
     and interior variants and cell indices for the subdivision variant.
 
     ``differential(i, j)`` is the map of position i into position i + 1 in
-    degree j on monomial bases. ``homology_dims`` never builds it: it ranks
-    the support piece C_sigma of every face sigma of the summand modules
-    (see the module docstring), whose map of position i has the entry
+    degree j on monomial bases, built once per (i, j, p) and kept with the
+    spec: each slice of a total complex tiles the same maps.
+    ``homology_dims`` never builds it: it ranks the support piece C_sigma
+    of every face sigma of the summand modules (see the module
+    docstring), whose map of position i has the entry
     ``_block_sign(i, src, dst)`` for every pair of descriptors whose
     modules both contain sigma, the entry the monomials of support sigma
     get in the degree-j differential. Faces whose descriptor lists agree
@@ -106,7 +108,7 @@ class PartitionComplexSpec:
     """
 
     __slots__ = ("psi", "variant", "positions", "structure", "_signs", "_dims",
-                 "_pieces")
+                 "_pieces", "_maps")
 
     def __init__(self, psi: RelativeComplex, variant: str, positions: dict,
                  structure=None, signs=None):
@@ -120,6 +122,7 @@ class PartitionComplexSpec:
         self._dims: dict[tuple[int, int], int] = {}
         # (descriptors per position, p) -> homology of that support piece
         self._pieces: dict[tuple, tuple[int, ...]] = {}
+        self._maps: dict[tuple[int, int, int], SparseMatrix] = {}
 
     @classmethod
     def full(cls, psi) -> "PartitionComplexSpec":
@@ -216,12 +219,22 @@ class PartitionComplexSpec:
             col += sdim
 
     def differential(self, i: int, j: int, field: PrimeField) -> SparseMatrix:
-        """Matrix of position i into position i + 1 at coarse degree j."""
+        """Matrix of position i into position i + 1 at coarse degree j, built once.
+
+        The stored map is shared by every caller, so its arrays are read-only.
+        """
+        key = (i, j, field.p)
+        m = self._maps.get(key)
+        if m is not None:
+            return m
         src_dims, dst_dims = self.summand_dims(i, j), self.summand_dims(i + 1, j)
         blocks = [(rows + r, cols + c, np.full(rows.size, sign))
                   for r, c, _, _, (cols, rows), sign in self._assemble(i, j, src_dims, dst_dims)]
         entries = (np.concatenate(x) for x in zip(*blocks)) if blocks else ([], [], [])
-        return SparseMatrix((sum(dst_dims), sum(src_dims)), *entries, field.p)
+        m = self._maps[key] = SparseMatrix((sum(dst_dims), sum(src_dims)), *entries, field.p)
+        for x in (m.rows, m.cols, m.vals):
+            x.setflags(write=False)
+        return m
 
     def _supports(self, max_degree: int) -> dict[tuple, dict[int, int]]:
         """{descriptors per position: {|sigma|: count}} over faces |sigma| <= max_degree.
@@ -380,11 +393,11 @@ class DoubleComplexSlice:
     with sign (-1)^a and squares to zero.
 
     The three maps are ``SparseMatrix`` instances, a fraction of a percent
-    full: the horizontal map tiles the sparse star-cover differential,
-    one copy per wedge basis vector, and the vertical map is
-    ``koszul.koszul_step`` on the direct sum of the position-a summands,
-    the builder behind ``KoszulComplex`` as well. Only ``rank`` consumes
-    them.
+    full: the horizontal map tiles the sparse star-cover differential
+    that the spec keeps for every slice, one copy per wedge basis vector,
+    and the vertical map is ``koszul.koszul_step`` on the direct sum of
+    the position-a summands, the builder behind ``KoszulComplex`` as
+    well. Only ``rank`` consumes them.
     """
 
     def __init__(self, pspec: PartitionComplexSpec, theta: LinearFormSequence,

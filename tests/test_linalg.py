@@ -13,9 +13,11 @@ from srlab.linalg import (
     PrimeField,
     SparseMatrix,
     _LARGE_CELLS,
+    _PEEL_ROUNDS,
     _TINY_CELLS,
     _eliminate,
     _markowitz_rank,
+    _peel_singletons,
     identity,
     is_prime,
     kernel_basis,
@@ -23,7 +25,12 @@ from srlab.linalg import (
     rank,
     rref,
 )
-from srlab.partition import DoubleComplexSlice, PartitionComplexSpec, restriction_matrix
+from srlab.partition import (
+    DoubleComplexSlice,
+    PartitionComplexSpec,
+    restriction_matrix,
+    total_complex_homology,
+)
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -586,3 +593,120 @@ def test_pivot_rows_survive_the_densify_fallback(monkeypatch, p):
         # fills in: the live block left after some pivots is eliminated densely
         assert taken == ["_markowitz_rank", "_eliminate"]
         assert rank(dense[rows], p) == want
+
+
+def _peel_case(name, rng, p):
+    """(matrix, pivots the peel takes, entries it leaves) for one structure; values mod p vary."""
+    def fill(positions, shape):
+        m = np.zeros(shape, dtype=np.int64)
+        for i, j in positions:
+            m[i, j] = rng.integers(1, p)
+        return m
+
+    def cycle(n):
+        # every row and column of the n x n block holds two entries
+        return [(i, (i + k) % n) for i in range(n) for k in (0, 1)]
+
+    if name == "triangular":
+        # unit diagonal and a few entries below it, rows and columns permuted
+        n = 40
+        shape_rng = np.random.default_rng(11)
+        below = [(i, j) for i in range(n) for j in range(i) if shape_rng.random() < 0.06]
+        m = fill(below, (n, n)) + np.eye(n, dtype=np.int64)
+        return m[shape_rng.permutation(n)][:, shape_rng.permutation(n)], n, 0
+    if name == "same column":
+        # rows 0 and 1 are singletons in column 0; a cycle on rows 2-4 x columns 1-3
+        return fill([(0, 0), (1, 0)] + [(2 + i, 1 + j) for i, j in cycle(3)], (5, 4)), 1, 6
+    if name == "one row holds two columns":
+        # columns 0 and 1 are singletons in row 0; a cycle on rows 1-3 x columns 2-4
+        return fill([(0, 0), (0, 1), (0, 2)] + [(1 + i, 2 + j) for i, j in cycle(3)],
+                    (4, 5)), 1, 6
+    if name == "chain":
+        # upper bidiagonal: one row and one column singleton, each opening the next
+        n = 6
+        return fill([(i, i) for i in range(n)] + [(i, i + 1) for i in range(n - 1)],
+                    (n, n)), n, 0
+    assert name == "no singletons"
+    return fill(cycle(5) + [(0, 2), (3, 1)], (5, 5)), 0, 12
+
+
+PEEL_CASES = ["triangular", "same column", "one row holds two columns", "chain",
+              "no singletons"]
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+@pytest.mark.parametrize("name", PEEL_CASES)
+def test_singleton_peel_matches_python_gauss_jordan(p, name):
+    rng = np.random.default_rng([p % 1000, PEEL_CASES.index(name)])
+    m, taken, left = _peel_case(name, rng, p)
+    want = len(_oracle_rref(m, p)[1])
+    sparse = SparseMatrix.from_dense(m, p)
+    for a, dense in [(sparse, m), (sparse.T, m.T)]:
+        arrays = (a.rows, a.cols, a.vals)
+        before = [x.copy() for x in arrays]
+        for x in arrays:
+            x.setflags(write=False)
+        peeled, live = _peel_singletons(a)
+        assert len(peeled) == taken and live[0].size == left
+        if not taken:
+            assert all(np.array_equal(x, y) for x, y in zip(live, arrays))
+        found = []
+        assert _markowitz_rank(a, p, pivots=found) == want
+        assert found[:taken] == peeled
+        rows = [i for i, _ in found]
+        cols = [j for _, j in found]
+        assert len(set(rows)) == len(set(cols)) == want
+        assert rank(dense[rows], p) == want
+        # the pivots hold a nonsingular minor
+        assert rank(dense[np.ix_(rows, cols)], p) == want
+        assert all(np.array_equal(x, y) for x, y in zip(arrays, before))
+
+
+def test_chain_of_singletons_opens_round_by_round():
+    # only one row and one column are singletons at the start; the peel
+    # still takes every pivot, so later rounds found the rest
+    m, taken, _ = _peel_case("chain", np.random.default_rng(0), 7)
+    a = SparseMatrix.from_dense(m, 7)
+    first = [np.bincount(x)[x] == 1 for x in (a.rows, a.cols)]
+    assert sum(int(f.sum()) for f in first) == 2 < taken
+    assert len(_peel_singletons(a)[0]) == taken
+
+
+def test_singleton_peel_stops_on_a_long_chain():
+    # a bidiagonal chain opens one row and one column singleton per round;
+    # after _PEEL_ROUNDS rounds the peel leaves the rest to the row dicts
+    # instead of making numpy passes over the whole chain for every pivot
+    n = 4000
+    i = np.arange(n)
+    a = SparseMatrix((n, n), np.r_[i, i[:-1]], np.r_[i, i[:-1] + 1], np.ones(2 * n - 1), 7)
+    peeled, live = _peel_singletons(a)
+    assert len(peeled) == 2 * _PEEL_ROUNDS and live[0].size == 2 * n - 1 - 4 * _PEEL_ROUNDS
+    found = []
+    assert _markowitz_rank(a, 7, pivots=found) == n
+    assert len({i for i, _ in found}) == len({j for _, j in found}) == n
+
+
+def test_peel_carries_the_total_complex(monkeypatch):
+    # most pivots of the total differentials, as LazyHomology ranks them, need
+    # no arithmetic; a change that lost the peel would put them back in Python
+    psi = builtin_complex("boundary_simplex_3")
+    _, theta = first_lsop(psi, 0, F)
+    counts = {"peeled": 0, "rank": 0}
+    real_peel, real_rank = linalg._peel_singletons, linalg._markowitz_rank
+
+    def peel(a):
+        out = real_peel(a)
+        counts["peeled"] += len(out[0])
+        return out
+
+    def markowitz(a, p, **kwargs):
+        r = real_rank(a, p, **kwargs)
+        counts["rank"] += r
+        return r
+
+    monkeypatch.setattr(linalg, "_peel_singletons", peel)
+    monkeypatch.setattr(linalg, "_markowitz_rank", markowitz)
+    table = total_complex_homology(psi, theta, F)
+    assert {k: v for k, v in table.items() if v} == {(2, 3): 1, (3, 2): 3, (4, 1): 3, (5, 0): 1}
+    assert counts["rank"] > 1000
+    assert 2 * counts["peeled"] >= counts["rank"]

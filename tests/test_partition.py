@@ -440,6 +440,33 @@ def test_total_complex_table_of_a_sphere():
         assert dim == want
 
 
+def test_total_complex_assembles_each_star_cover_map_once(monkeypatch):
+    # every slice of the total complex tiles the maps of the same spec, and
+    # the spec keeps each (i, j) map after building it
+    assembled = []
+    real = PartitionComplexSpec._assemble
+
+    def spy(self, i, j, *args):
+        assembled.append((id(self), i, j))
+        return real(self, i, j, *args)
+
+    monkeypatch.setattr(PartitionComplexSpec, "_assemble", spy)
+    bs4 = builtin_complex("boundary_simplex_4")
+    table = total_complex_homology(bs4, lsop(bs4), F)
+    assert {k: v for k, v in table.items() if v} == {(7 - j, j): math.comb(4, j)
+                                                     for j in range(5)}
+    assert len({spec for spec, _, _ in assembled}) == 1
+    assert len(assembled) == len(set(assembled)) > 20
+
+
+def test_stored_star_cover_maps_are_read_only():
+    pspec = PartitionComplexSpec.full(builtin_complex("torus7"))
+    d = pspec.differential(0, 2, F)
+    assert pspec.differential(0, 2, F) is d
+    assert pspec.differential(0, 2, PrimeField(3)) is not d
+    assert not any(x.flags.writeable for x in (d.rows, d.cols, d.vals))
+
+
 def test_interior_check_on_a_subdivided_disk():
     bary = SimplicialComplex.from_facets((1, 2, 3), [(1, 2, 3)]).barycentric_subdivision()
     disk = RelativeComplex(bary, bary.boundary_subcomplex())
