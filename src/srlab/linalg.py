@@ -9,37 +9,28 @@ modulus is capped at 2^31 - 1 so that a single multiply-accumulate step
 of Gaussian elimination stays inside int64; matrix products use a 16-bit
 split so the accumulated dot products are exact as well.
 
-Elimination runs in one of four regimes, chosen from the input's type,
-shape, fill and entries:
+Elimination runs in one of three regimes, chosen from the input's type,
+size and fill:
 
 - list path: ``rank`` of a matrix with at most ``_TINY_CELLS`` entries
   eliminates on Python ints, where numpy's per-call cost would dominate;
   the l.s.o.p. certificate's checks are nearly all this small;
-- unit path: ``rank`` of a larger matrix of at most ``_LARGE_CELLS``
-  cells whose nonzero entries are all 1 or p - 1 mod p (coboundaries,
-  restrictions, Cech-signed blocks, and every matrix over F_2 or F_3)
-  eliminates rows held as ``{column: value}`` dicts in ``_unit_rank``.
-  Such matrices fill in little, so the work follows the nonzeros, not
-  the cells. The eliminator gives up once it has made more dict updates
-  than the matrix has cells, and the matrix goes to the dense path;
-- dense path: ``_eliminate`` scans columns left to right with a frozen
-  pivot order and updates the rows below (or, reduced, around) each pivot
-  as one slice ``m[targets, c:]``;
-- sparse path: ``rank`` of a ``SparseMatrix``, or of a dense matrix with
-  more than ``_LARGE_CELLS`` cells under 1/20 of them nonzero, runs
-  ``_markowitz_rank``. It first peels singletons in numpy: a row or a
-  column with one live entry is a pivot that deletes its column or its
-  row and updates nothing, and rounds of ``np.bincount`` find them. Each
-  is alone in its row or column among what is live when it is taken, so
-  the peeled pivots hold a block-triangular nonsingular minor, which the
-  pivots of the rest extend. What is left is pivoted Markowitz-style on
-  row dicts: row first, on the shortest live row, found through a bucket
-  queue on row lengths, in its column with the fewest live rows. Past as
-  many dict updates as the matrix has cells, the rows and columns still
-  live go to the dense path as one block. Unit matrices this large stay
-  there: testing the entries means finding the nonzeros of every large
-  matrix, which costs more on the large non-unit differentials than it
-  saves on the rest.
+- sparse path: ``rank`` of a ``SparseMatrix``, or of a larger dense
+  matrix under 1/20 of whose cells are nonzero, runs ``_markowitz_rank``.
+  It first peels singletons in numpy: a row or a column with one live
+  entry is a pivot that deletes its column or its row and updates
+  nothing, and rounds of ``np.bincount`` find them. Each is alone in its
+  row or column among what is live when it is taken, so the peeled pivots
+  hold a block-triangular nonsingular minor, which the pivots of the rest
+  extend. What is left is pivoted Markowitz-style on row dicts: row
+  first, on the shortest live row, found through a bucket queue on row
+  lengths, in its column with the fewest live rows. Past as many dict
+  updates as the matrix has cells, the rows and columns still live go to
+  the dense path as one block;
+- dense path: everything else, and every ``rref`` and ``kernel_basis``.
+  ``_eliminate`` scans columns left to right with a frozen pivot order
+  and updates the rows below (or, reduced, around) each pivot as one
+  slice ``m[targets, c:]``.
 
 Rank does not depend on the pivot order, and the reduced row echelon form
 of a matrix is unique, so ``rref`` and ``kernel_basis`` return the same
@@ -76,10 +67,6 @@ MAX_PRIME = 2147483647
 # Up to this many cells, rank() eliminates on Python ints: below it a numpy
 # call costs more than the arithmetic it performs.
 _TINY_CELLS = 64
-
-# Up to this many cells, rank() tries the unit path; above it, dense input
-# under 1/20 full takes the sparse path.
-_LARGE_CELLS = 250_000
 
 # The singleton peel runs at most this many rounds. Each round makes a few
 # numpy passes over the entries still live, so the cap keeps the peel linear
@@ -290,68 +277,6 @@ def _list_rank(rows: list[list[int]], p: int, *, pivots: list | None = None) -> 
     return r
 
 
-def _unit_rows(m: np.ndarray, p: int) -> tuple[np.ndarray, list[dict[int, int]]] | None:
-    """The nonzero rows of m as {column: value} dicts, shortest first, and their row ids.
-
-    None unless every entry nonzero mod p is 1 or p - 1. One pass over
-    the cells finds the nonzeros; the rest of the work follows them.
-    """
-    r, c = np.nonzero(m)
-    v = m[r, c] % p
-    if not v.all():
-        keep = np.flatnonzero(v)
-        r, c, v = r[keep], c[keep], v[keep]
-    if not np.all((v == 1) | (v == p - 1)):
-        return None
-    counts = np.bincount(r, minlength=m.shape[0])
-    # A stable sort by row length keeps each row's entries together.
-    order = np.argsort(counts[r], kind="stable")
-    cols = c[order].tolist()
-    vals = v[order].tolist()
-    held = np.flatnonzero(counts)
-    ids = held[np.argsort(counts[held], kind="stable")]
-    ends = np.cumsum(counts[ids]).tolist()
-    return ids, [dict(zip(cols[a:b], vals[a:b])) for a, b in zip([0] + ends, ends)]
-
-
-def _unit_rank(rows: list[dict[int, int]], p: int, budget: int, *,
-               pivots: list | None = None) -> int | None:
-    """Rank of row dicts with entries in [1, p), by reducing on leading columns.
-
-    Each row is reduced by the pivot row of its leading (least) column
-    until that column has no pivot yet; the row, scaled to lead with 1,
-    becomes its pivot. The rows are consumed. None once more than
-    ``budget`` dict updates have been made: on a matrix that fills in,
-    the dense path is faster. If ``pivots`` is given, each pivot's (index
-    in ``rows``, column) is appended to it.
-    """
-    pivot_rows: dict[int, dict[int, int]] = {}
-    work = 0
-    for k, row in enumerate(rows):
-        while row:
-            lead = min(row)
-            piv = pivot_rows.get(lead)
-            f = row[lead]
-            if piv is None:
-                if f != 1:
-                    inv = pow(f, -1, p)
-                    row = {j: x * inv % p for j, x in row.items()}
-                pivot_rows[lead] = row
-                if pivots is not None:
-                    pivots.append((k, lead))
-                break
-            for j, x in piv.items():
-                y = (row.get(j, 0) - f * x) % p
-                if y:
-                    row[j] = y
-                else:
-                    del row[j]
-            work += len(piv)
-            if work > budget:
-                return None
-    return len(pivot_rows)
-
-
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns."""
     return _eliminate(m, p, reduced=True)
@@ -507,12 +432,10 @@ def _dense_rank_of_live(rows: list, holders: list[set[int]], p: int,
     sub = np.zeros((len(live_rows), len(live_cols)), dtype=np.int64)
     for k, i in enumerate(live_rows):
         sub[k, [position[j] for j in rows[i]]] = list(rows[i].values())
-    if pivots is None:
-        _, cols = _eliminate(sub, p, False)
-        return len(cols)
     found: list[tuple[int, int]] = []
     _, cols = _eliminate(sub, p, False, pivots=found)
-    pivots.extend((live_rows[i], live_cols[j]) for i, j in found)
+    if pivots is not None:
+        pivots.extend((live_rows[i], live_cols[j]) for i, j in found)
     return len(cols)
 
 
@@ -520,10 +443,9 @@ def rank(m: np.ndarray | SparseMatrix, p: int, *, pivot_rows: list | None = None
     """Rank over F_p; 0 for empty matrices.
 
     The regime follows the input (see the module docstring): a
-    ``SparseMatrix`` takes the sparse path, tiny matrices the list path,
-    unit matrices of at most ``_LARGE_CELLS`` cells the unit path within
-    its work budget, larger sparse ones the sparse path, and the rest the
-    dense path.
+    ``SparseMatrix`` takes the sparse path, a matrix of at most
+    ``_TINY_CELLS`` cells the list path, a larger one under 1/20 full the
+    sparse path, and the rest the dense path.
 
     If ``pivot_rows`` is given, the rows of ``m`` that hold the pivots of
     the elimination are appended to it: ``rank`` distinct row indices
@@ -543,7 +465,8 @@ def rank(m: np.ndarray | SparseMatrix, p: int, *, pivot_rows: list | None = None
 
 
 def _tall_rank(m: np.ndarray | SparseMatrix, p: int, pivots: list | None) -> int:
-    """``rank`` of a matrix with at least as many rows as columns, by regime.
+    """``rank`` of a matrix with at least as many rows as columns, in the
+    regime its type, size and fill pick (see ``rank``).
 
     If ``pivots`` is given, each pivot's (row, column) is appended to it.
     """
@@ -551,20 +474,7 @@ def _tall_rank(m: np.ndarray | SparseMatrix, p: int, pivots: list | None) -> int
         return _markowitz_rank(m, p, pivots=pivots)
     if m.size <= _TINY_CELLS:
         return _list_rank(m.tolist(), p, pivots=pivots)
-    if m.size <= _LARGE_CELLS:
-        # The shorter axis holds the row dicts: fewer rows to build, and less
-        # fill-in on coboundaries than the other way round.
-        unit = _unit_rows(m.T, p)
-        if unit is not None:
-            ids, rows = unit
-            found = None if pivots is None else []
-            r = _unit_rank(rows, p, m.size, pivots=found)
-            if r is not None:
-                if pivots is not None:
-                    # the dicts are columns of m, keyed by rows of m
-                    pivots.extend((i, int(ids[k])) for k, i in found)
-                return r
-    elif np.count_nonzero(m) * 20 < m.size:
+    if np.count_nonzero(m) * 20 < m.size:
         return _markowitz_rank(SparseMatrix.from_dense(m, p), p, pivots=pivots)
     _, cols = _eliminate(m, p, False, pivots=pivots)
     return len(cols)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srlab import linalg
-from srlab.complexes import as_relative, builtin_complex
+from srlab.complexes import as_relative, builtin_complex, coboundary_matrices
 from srlab.facering import _mult_matrix, _mult_pattern, first_lsop
 from srlab.linalg import (
     DEFAULT_PRIME,
@@ -12,7 +12,6 @@ from srlab.linalg import (
     LinAlgError,
     PrimeField,
     SparseMatrix,
-    _LARGE_CELLS,
     _PEEL_ROUNDS,
     _TINY_CELLS,
     _eliminate,
@@ -121,16 +120,16 @@ def test_markowitz_rank_agrees_with_frozen_elimination():
 
 
 def test_markowitz_rank_densifies_the_live_block_past_its_budget(monkeypatch):
-    # past the size threshold and under 1/20 full, but random: it fills in
+    # under 1/20 full, but random: it fills in
     rng = np.random.default_rng(4)
     m = _random_matrix(rng, (700, 690), 97, 0.045)
-    assert m.size > _LARGE_CELLS and np.count_nonzero(m) * 20 < m.size
+    assert np.count_nonzero(m) * 20 < m.size
     handed = []
     real = linalg._eliminate
 
-    def spy(sub, p, reduced):
+    def spy(sub, p, reduced, **kwargs):
         handed.append(np.asarray(sub) % p)
-        return real(sub, p, reduced)
+        return real(sub, p, reduced, **kwargs)
 
     monkeypatch.setattr(linalg, "_eliminate", spy)
     got = rank(m, 97)
@@ -179,7 +178,7 @@ def test_markowitz_rank_on_total_complex_differentials(monkeypatch, name, p):
 
 
 def test_rank_uses_sparse_path_on_large_sparse_input():
-    # above the size threshold with density under 1/20
+    # under 1/20 full
     m = np.zeros((600, 600), dtype=np.int64)
     rng = np.random.default_rng(1)
     r = rng.integers(0, 600, size=4000)
@@ -252,41 +251,52 @@ def _sign_matrix(rng, shape, p, density):
     return spellings[rng.integers(0, 4, size=shape)] * (rng.random(shape) < density)
 
 
-# (shape, density, entries, regimes). entries: None for random ones, an int
-# k for a rank <= k matrix, "signs" for +-1 ones, "doubled" for +-2 ones.
-# regimes: the kernels rank() must run, in order, joined by "+". rank()
-# eliminates along the shorter axis, so a wide shape is transposed first.
+# (shape, density, entries, regimes, name). entries: None for random ones,
+# an int k for a rank <= k matrix, "signs" for +-1 ones, "doubled" for +-2
+# ones. regimes: the kernel sequences rank() may run, kernels in order joined
+# by "+", sequences by "|". rank() eliminates along the shorter axis, so a
+# wide shape is transposed first. The test id is shape<k>-density-entries-name,
+# and name defaults to regimes. A name that differs is the kernel the case took
+# when rank() had a unit path for +-1 matrices, kept so that test ids are stable.
+_STRADDLES = "sparse|sparse+dense|dense"  # about 1/20 full: the draw falls either side
 KERNEL_CASES = [
-    ((8, 8), 0.7, None, "list"),        # exactly _TINY_CELLS
-    ((8, 8), 0.2, None, "list"),
-    ((4, 16), 0.7, None, "list"),
-    ((16, 4), 0.7, None, "list"),
-    ((5, 13), 0.7, None, "dense"),      # one cell past the cutoff
-    ((13, 5), 0.7, None, "dense"),
-    ((1, 65), 1.0, None, "dense"),
-    ((30, 47), 0.3, None, "dense"),
-    ((47, 30), 0.3, None, "dense"),
-    ((500, 500), 0.006, None, "dense"),   # 250,000 cells: not past the size threshold
-    ((500, 501), 0.006, None, "sparse"),
-    ((501, 500), 0.006, None, "sparse"),
-    ((501, 500), 0.01, 100, "sparse"),
-    ((501, 500), 0.2, 12, "dense"),       # past the size threshold but 1/20 full
-    ((5, 13), 0.7, "signs", "unit"),
-    ((40, 90), 0.05, "signs", "unit"),
-    ((90, 40), 0.05, "signs", "unit"),
-    ((40, 90), 0.05, "doubled", "dense"),
-    ((500, 500), 0.004, "signs", "unit"),
-    ((501, 500), 0.004, "signs", "sparse"),  # unit, but past the size threshold
-    ((60, 60), 0.5, "signs", "unit+dense"),  # fills in: runs out of work budget
+    pytest.param(shape, density, entries, regimes,
+                 id=f"shape{k}-{density}-{entries}-{name or regimes}")
+    for k, (shape, density, entries, regimes, name) in enumerate([
+        ((8, 8), 0.7, None, "list", None),        # exactly _TINY_CELLS
+        ((8, 8), 0.2, None, "list", None),
+        ((4, 16), 0.7, None, "list", None),
+        ((16, 4), 0.7, None, "list", None),
+        ((5, 13), 0.7, None, "dense", None),      # one cell past the cutoff
+        ((13, 5), 0.7, None, "dense", None),
+        ((1, 65), 1.0, None, "dense", None),
+        ((30, 47), 0.3, None, "dense", None),
+        ((47, 30), 0.3, None, "dense", None),
+        ((500, 500), 0.006, None, "sparse", "dense"),
+        ((500, 501), 0.006, None, "sparse", None),
+        ((501, 500), 0.006, None, "sparse", None),
+        ((501, 500), 0.01, 100, "sparse", None),
+        ((501, 500), 0.2, 12, "dense", None),
+        ((5, 13), 0.7, "signs", "dense", "unit"),
+        ((40, 90), 0.05, "signs", _STRADDLES, "unit"),
+        ((90, 40), 0.05, "signs", _STRADDLES, "unit"),
+        ((40, 90), 0.05, "doubled", _STRADDLES, "dense"),
+        ((500, 500), 0.004, "signs", "sparse", "unit"),
+        ((501, 500), 0.004, "signs", "sparse", None),
+        ((60, 60), 0.5, "signs", "dense", "unit+dense"),
+        ((200, 300), 0.01, "signs", "sparse", None),
+    ])
 ]
 
 
-def _expected_regimes(shape, p, regimes):
-    """The allowed kernel sequences: over F_2 and F_3 every matrix is a unit matrix."""
-    cells = shape[0] * shape[1]
-    if p in (2, 3) and _TINY_CELLS < cells <= _LARGE_CELLS and not regimes.startswith("unit"):
-        return ["unit", "unit+dense"]  # whether it fills in depends on the draw
-    return [regimes]
+def _kernel_matrix(p, shape, density, entries):
+    """The matrix of one KERNEL_CASES entry over F_p."""
+    rng = np.random.default_rng([p % 1000, *shape, int(1000 * density)])
+    if entries is None:
+        return _random_matrix(rng, shape, p, density)
+    if entries in ("signs", "doubled"):
+        return _sign_matrix(rng, shape, p, density) * (2 if entries == "doubled" else 1)
+    return _low_rank_matrix(rng, shape, p, density, entries)
 
 
 @pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
@@ -294,16 +304,12 @@ def _expected_regimes(shape, p, regimes):
 def test_kernel_regimes_match_python_gauss_jordan(monkeypatch, p, shape, density, entries,
                                                   regimes):
     assert 8 * 8 == _TINY_CELLS
-    assert _LARGE_CELLS == 500 * 500
-    rng = np.random.default_rng([p % 1000, *shape, int(1000 * density)])
-    if entries is None:
-        m = _random_matrix(rng, shape, p, density)
-    elif entries in ("signs", "doubled"):
-        m = _sign_matrix(rng, shape, p, density) * (2 if entries == "doubled" else 1)
-    else:
-        m = _low_rank_matrix(rng, shape, p, density, entries)
+    m = _kernel_matrix(p, shape, density, entries)
+    if m.size > _TINY_CELLS and "|" not in regimes:
+        # past the list path, fill alone picks the regime, and each case is clear of 1/20
+        assert (np.count_nonzero(m) * 20 < m.size) == regimes.startswith("sparse")
     taken = []
-    for name in ("_list_rank", "_unit_rank", "_markowitz_rank", "_eliminate"):
+    for name in ("_list_rank", "_markowitz_rank", "_eliminate"):
         real = getattr(linalg, name)
 
         def spy(*args, _real=real, _name=name, **kwargs):
@@ -313,9 +319,8 @@ def test_kernel_regimes_match_python_gauss_jordan(monkeypatch, p, shape, density
         monkeypatch.setattr(linalg, name, spy)
     want, want_piv = _oracle_rref(m, p)
     assert rank(m, p) == len(want_piv)
-    kernel = {"_list_rank": "list", "_unit_rank": "unit", "_markowitz_rank": "sparse",
-              "_eliminate": "dense"}
-    assert "+".join(kernel[name] for name in taken) in _expected_regimes(shape, p, regimes)
+    kernel = {"_list_rank": "list", "_markowitz_rank": "sparse", "_eliminate": "dense"}
+    assert "+".join(kernel[name] for name in taken) in regimes.split("|")
     red, piv = rref(m, p)
     assert piv == want_piv
     assert red.tolist() == want
@@ -330,7 +335,7 @@ def test_markowitz_rank_matches_python_gauss_jordan(monkeypatch, p, entries, sha
         m = _sign_matrix(rng, shape, p, density)
     else:
         m = _random_matrix(rng, shape, p, density)
-    assert m.size > _LARGE_CELLS
+    assert np.count_nonzero(m) * 20 < m.size
     taken = []
     for name in ("_markowitz_rank", "_eliminate"):
         real = getattr(linalg, name)
@@ -398,11 +403,11 @@ def test_entry_points_leave_their_input_untouched():
     assert restriction.size > _TINY_CELLS
     inputs = [
         _mult_matrix(tor, (1, 2, 3, 4, 5, 6, 0), 1, p),        # built from the cached pattern
-        restriction,                                            # unit regime
+        restriction,                                            # sparse regime, from dense
         rng.integers(-20, 20, size=(3, 4), dtype=np.int64),     # list regime
         rng.integers(-20, 20, size=(9, 14), dtype=np.int64),    # dense regime
         rng.integers(-20, 20, size=(14, 9), dtype=np.int64).T,  # non-contiguous view
-        _sign_matrix(rng, (30, 45), p, 0.1),                    # unit regime
+        _sign_matrix(rng, (30, 45), p, 0.1),                    # dense regime, +-1 entries
         _random_matrix(rng, (600, 500), p, 0.003),              # sparse regime
     ]
     for m in inputs:
@@ -540,16 +545,10 @@ def _pivot_rows(m, p, want_rank):
 def test_pivot_rows_hold_the_rank_in_every_regime(monkeypatch, p, shape, density, entries,
                                                   regimes):
     # the matrices of test_kernel_regimes_match_python_gauss_jordan, so the regimes hold
-    rng = np.random.default_rng([p % 1000, *shape, int(1000 * density)])
-    if entries is None:
-        m = _random_matrix(rng, shape, p, density)
-    elif entries in ("signs", "doubled"):
-        m = _sign_matrix(rng, shape, p, density) * (2 if entries == "doubled" else 1)
-    else:
-        m = _low_rank_matrix(rng, shape, p, density, entries)
+    m = _kernel_matrix(p, shape, density, entries)
     want = rank(m, p)
     taken = []
-    for name in ("_list_rank", "_unit_rank", "_markowitz_rank", "_eliminate"):
+    for name in ("_list_rank", "_markowitz_rank", "_eliminate"):
         real = getattr(linalg, name)
 
         def spy(*args, _real=real, _name=name, **kwargs):
@@ -557,13 +556,12 @@ def test_pivot_rows_hold_the_rank_in_every_regime(monkeypatch, p, shape, density
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(linalg, name, spy)
-    kernel = {"_list_rank": "list", "_unit_rank": "unit", "_markowitz_rank": "sparse",
-              "_eliminate": "dense"}
+    kernel = {"_list_rank": "list", "_markowitz_rank": "sparse", "_eliminate": "dense"}
     sparse = SparseMatrix.from_dense(m, p)
     # both orientations: rank() transposes the wider one, whose pivot rows are then
     # the pivot columns of its kernel
-    for a, dense, sequences in [(m, m, _expected_regimes(shape, p, regimes)),
-                                (m.T, m.T, _expected_regimes(shape, p, regimes)),
+    for a, dense, sequences in [(m, m, regimes.split("|")),
+                                (m.T, m.T, regimes.split("|")),
                                 (sparse, m, ["sparse", "sparse+dense"]),
                                 (sparse.T, m.T, ["sparse", "sparse+dense"])]:
         taken.clear()
@@ -593,6 +591,23 @@ def test_pivot_rows_survive_the_densify_fallback(monkeypatch, p):
         # fills in: the live block left after some pivots is eliminated densely
         assert taken == ["_markowitz_rank", "_eliminate"]
         assert rank(dense[rows], p) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+@pytest.mark.parametrize("name", ["boundary_simplex_5", "cross_polytope_4",
+                                  "barycentric boundary_simplex_3"])
+def test_coboundary_ranks_and_pivot_rows_match_python_gauss_jordan(p, name):
+    # +-1 matrices; those past the list path here are over 1/20 full and take the dense path
+    if name.startswith("barycentric"):
+        psi = builtin_complex(name.split()[1]).delta.barycentric_subdivision()
+    else:
+        psi = builtin_complex(name)
+    _, diffs = coboundary_matrices(psi, PrimeField(p))
+    assert any(m.size > _TINY_CELLS for m in diffs.values())
+    for i, m in diffs.items():
+        want = len(_oracle_rref(m, p)[1])
+        rows = _pivot_rows(m, p, want)
+        assert len(_oracle_rref(m[rows], p)[1]) == want, i
 
 
 def _peel_case(name, rng, p):
