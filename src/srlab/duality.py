@@ -191,11 +191,25 @@ def build_B(delta, theta, field: PrimeField, cap: int | None = None) -> DualityP
     A(st_v) is a quotient of A, so once A is finite every star quotient
     is finite too and needs no check of its own.
     """
+    psi = _absolute(delta)
+    return _build_B(psi, theta, field, manifold_sanity_check(psi.delta, field), cap)
+
+
+def _absolute(delta) -> RelativeComplex:
     psi = as_relative(delta)
     if not psi.is_absolute:
         raise DualityError("B is defined for absolute complexes")
+    return psi
+
+
+def _build_B(delta, theta, field: PrimeField, bet: dict[int, int],
+             cap: int | None = None) -> DualityPresentation:
+    """``build_B`` past its gate, for callers that already ran ``manifold_sanity_check``.
+
+    bet are the Betti numbers that check returned on the same complex and field.
+    """
+    psi = _absolute(delta)
     dc = psi.delta
-    bet = manifold_sanity_check(dc, field)
     d = dc.dim
     n = d + 1
     p = field.p

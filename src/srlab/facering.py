@@ -624,6 +624,21 @@ def sample_lsop(psi, length: int, seed, field: PrimeField,
     return None
 
 
+def _no_lsop(psi: RelativeComplex, length: int, p: int, budget: int) -> bool:
+    """True when no length x n coefficient matrix mod p is certified, found by trying all.
+
+    Tries them only when there are at most budget of them, the draws one
+    trial of sample_lsop may take; otherwise returns False.
+    """
+    n = len(psi.delta.labels)
+    count = p ** (length * n)
+    if count > budget:
+        return False
+    # matrix k has the base-p digits of k as its entries, row by row
+    digits = np.arange(count)[:, None] // p ** np.arange(length * n) % p
+    return not _certified(digits.reshape(count, length, n), psi, p).any()
+
+
 def lsop_trials(psi, seed, field: PrimeField, trials: int = 3, budget: int = 20000):
     """The seeded trial stream: (seed_k, Theta or None) for k < trials.
 
@@ -632,12 +647,21 @@ def lsop_trials(psi, seed, field: PrimeField, trials: int = 3, budget: int = 200
     is None when the trial's budget runs out. Every retry over parameter
     systems draws from this stream, so a seed means the same Theta
     everywhere. Trials are sampled only as the stream is consumed.
+
+    When a trial runs out and the whole coefficient space is no larger
+    than the budget, the space is certified once (``_no_lsop``). If no
+    matrix in it passes, every later trial's stream would run out too, so
+    those trials yield None without drawing.
     """
     psi = as_relative(psi)
     length = expected_lsop_length(psi)
+    none_exists = None
     for k in range(trials):
         s = seed + k if isinstance(seed, int) else f"{seed}:{k}"
-        yield s, sample_lsop(psi, length, s, field, budget=budget)
+        theta = None if none_exists else sample_lsop(psi, length, s, field, budget=budget)
+        yield s, theta
+        if theta is None and none_exists is None:
+            none_exists = _no_lsop(psi, length, field.p, budget)
 
 
 def trials_until_certified(psi, seed, field: PrimeField, trials: int = 3,

@@ -17,9 +17,14 @@ One builder, ``koszul_step``, makes every Koszul map in srlab, as a
 ``SparseMatrix`` holding only the nonzeros: the maps of K(Theta; k[Psi])
 here, and the vertical maps of the partition complex tensored with Koszul
 (``partition.DoubleComplexSlice``), where the module is a direct sum of
-star modules. A dense map would have C(n, i + 1) dim k[Psi]_{t+1} by
-C(n, i) dim k[Psi]_t cells, of which each column holds at most n times the
-number of vertices nonzeros.
+star modules. It takes the module only through its multiplication
+pattern, the support pattern of x_v on monomials that is shared by every
+form and field: ``facering._mult_pattern`` for k[Psi], and for a direct
+sum the one ``partition.PartitionComplexSpec.mult_pattern`` filters out of
+k[Delta]'s. All blocks e_S -> e_{S + u} come out of one numpy broadcast of
+that pattern over the (subset, form) pairs. A dense map would have
+C(n, i + 1) dim k[Psi]_{t+1} by C(n, i) dim k[Psi]_t cells, of which each
+column holds at most n times the number of vertices nonzeros.
 
 Depth is the smallest i with nonzero homology; for a certified linear
 system of parameters it equals dim + 1 exactly on Cohen-Macaulay modules.
@@ -55,47 +60,36 @@ class KoszulError(ValueError):
     pass
 
 
-def koszul_step(modules, theta, i: int, t: int, p: int) -> SparseMatrix:
-    """The Koszul map on the direct sum of ``modules``, wedge i at degree t to i + 1 at t + 1.
+def koszul_step(pattern, dims: tuple[int, int], theta, i: int, p: int) -> SparseMatrix:
+    """The Koszul map on a module, wedge i at degree t to wedge i + 1 at degree t + 1.
 
-    Rows and columns are ordered subset-major: i-subsets S of the forms
-    lexicographically, then the summands in the given order, then each
-    summand's monomial basis. Down the diagonal of every block sit the
-    summands' cached multiplication patterns (``facering._mult_pattern``),
-    carrying each form's coefficients; the block e_S -> e_{S + u} is that of
-    theta_u with sign (-1)^{#{s in S : s < u}}. A side whose wedge index
-    lies outside [0, n] or whose degree is negative has dimension 0.
+    The module is given by its multiplication pattern from degree t to
+    t + 1 (``facering._mult_pattern``, or the direct-sum pattern a
+    ``partition.PartitionComplexSpec`` keeps) and dims, its dimensions
+    (m_t, m_{t+1}). Rows and columns are ordered subset-major: i-subsets S
+    of the forms lexicographically, then the module's monomial basis. The
+    block e_S -> e_{S + u} is the pattern carrying theta_u's coefficients,
+    with sign (-1)^{#{s in S : s < u}}; all blocks come out of one
+    broadcast over the (subset, form) pairs, listed subset-major and by
+    form. A side whose wedge index lies outside [0, n] or whose dimension
+    is 0 is empty, and then ``pattern`` is not read (it may be None).
     """
     n = len(theta)
-    msrc = sum(len(monomial_basis(mod, t)) for mod in modules) if t >= 0 else 0
-    mdst = sum(len(monomial_basis(mod, t + 1)) for mod in modules) if t >= -1 else 0
+    msrc, mdst = dims
     shape = (math.comb(n, i + 1) * mdst if i >= -1 else 0,
              math.comb(n, i) * msrc if i >= 0 else 0)
     if 0 in shape:
         return SparseMatrix(shape, [], [], [], p)
-    # the summands' patterns down the diagonal, shared by every form
-    rows, cols, verts = [], [], []
-    r = c = 0
-    for mod in modules:
-        pr, pc, pv = _mult_pattern(mod, t)
-        rows.append(pr + r)
-        cols.append(pc + c)
-        verts.append(pv)
-        r += len(monomial_basis(mod, t + 1))
-        c += len(monomial_basis(mod, t))
-    rows, cols, verts = (np.concatenate(x) for x in (rows, cols, verts))
-    mults = [SparseMatrix((mdst, msrc), rows, cols, np.array(form, dtype=np.int64)[verts], p)
-             for form in theta]
     dst_index = {S: k for k, S in enumerate(combinations(range(n), i + 1))}
-    blocks = []
-    for ci, S in enumerate(combinations(range(n), i)):
-        for u in range(n):
-            if u in S:
-                continue
-            sign = -1 if sum(1 for s in S if s < u) % 2 else 1
-            ri = dst_index[tuple(sorted(S + (u,)))]
-            blocks.append((ri * mdst, ci * msrc, mults[u], sign))
-    return SparseMatrix.from_blocks(shape, blocks, p)
+    pairs = [(dst_index[tuple(sorted(S + (u,)))], ci, u, sum(1 for s in S if s < u) % 2)
+             for ci, S in enumerate(combinations(range(n), i)) for u in range(n) if u not in S]
+    ri, ci, u, odd = (np.array(x, dtype=np.int64) for x in zip(*pairs))
+    pr, pc, pv = pattern
+    vals = (np.array([list(form) for form in theta], dtype=np.int64) % p)[u[:, None], pv]
+    vals[odd == 1] = -vals[odd == 1] % p
+    rows = (ri * mdst)[:, None] + pr
+    cols = (ci * msrc)[:, None] + pc
+    return SparseMatrix(shape, rows.ravel(), cols.ravel(), vals.ravel(), p)
 
 
 class KoszulComplex:
@@ -132,7 +126,9 @@ class KoszulComplex:
 
     def differential(self, i: int, t: int) -> SparseMatrix:
         """Matrix of K^i at coefficient degree t into K^{i+1} at degree t + 1."""
-        return koszul_step([self.psi], self.theta, i, t, self.field.p)
+        dims = (self.module_dim(t), self.module_dim(t + 1))
+        pattern = _mult_pattern(self.psi, t) if 0 not in dims else None
+        return koszul_step(pattern, dims, self.theta, i, self.field.p)
 
     def homology_dim(self, i: int, t: int) -> int:
         """dim of the homology at position i, coefficient degree t."""

@@ -55,8 +55,6 @@ extending the span batch by batch.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
@@ -79,16 +77,36 @@ class LinAlgError(ValueError):
     pass
 
 
+# Miller-Rabin with these bases is exact below 3,215,031,751, past MAX_PRIME.
+_MR_BASES = (2, 3, 5, 7)
+_MR_LIMIT = 3_215_031_751
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (moduli are < 2^31.5)."""
+    """Deterministic primality for n < 3,215,031,751: strong probable prime to 2, 3, 5, 7.
+
+    Jaeschke (Math. Comp. 61, 1993): 3,215,031,751 is the least composite
+    that is a strong pseudoprime to all four bases.
+    """
+    if n >= _MR_LIMIT:
+        raise LinAlgError(f"is_prime is exact only below {_MR_LIMIT}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, math.isqrt(n) + 1, 2):
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 

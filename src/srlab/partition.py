@@ -18,9 +18,16 @@ basis vector per summand whose module contains sigma, and between two of
 them the sign of the summand pair: it is a small Cech complex C_sigma
 that depends on sigma alone. So H^i_j is the sum over faces sigma of
 h^i(C_sigma) times the number of degree-j monomials with support sigma,
-an exact block diagonalisation of the degree-j differential. Sparse
-differentials built from monomial index maps serve the double complex,
-whose Koszul maps do not respect supports.
+an exact block diagonalisation of the degree-j differential.
+
+The double complex needs the maps themselves, as its Koszul maps do not
+respect supports. Every summand module lies on Delta's ground set with
+faces of Delta, so its degree-j monomial basis is a subsequence of that
+of k[Delta] (Stanley, Combinatorics and Commutative Algebra, Ch. II): the
+spec holds it as a sorted index array into ``monomial_basis(Delta, j)``.
+A restriction intersects two such selections, and a position's Koszul
+pattern is Delta's multiplication pattern filtered to its selections, so
+no summand's own basis or pattern is ever built.
 
 Two variants change the columns. The interior complex of a disk keeps
 only stars of strongly interior faces (every vertex off the boundary)
@@ -50,6 +57,7 @@ from .complexes import (
 )
 from .facering import (
     LinearFormSequence,
+    _mult_pattern,
     monomial_basis,
     quotient_presentation,
     support_monomial_count,
@@ -64,23 +72,41 @@ class PartitionError(ValueError):
     pass
 
 
-def _monomial_map(src: RelativeComplex, dst: RelativeComplex, j: int) -> tuple:
-    """Restriction k[src]_j -> k[dst]_j as index arrays (cols, rows); field independent.
+def _runs(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The ranges [starts[k], starts[k] + lens[k]) concatenated in order."""
+    return np.repeat(starts - (np.cumsum(lens) - lens), lens) + np.arange(lens.sum())
 
-    It sends the monomial at cols[k] of src's basis to the one at rows[k]
-    of dst's and every other monomial to 0. It need not be onto, and walks
-    dst's basis, the smaller one when dst is the star of a larger face.
+
+def _locate(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Insertion positions of ``keys`` in the sorted array ``table``, and which keys it holds."""
+    pos = np.searchsorted(table, keys)
+    if not table.size:
+        return pos, np.zeros(keys.shape, dtype=bool)
+    return pos, table[np.minimum(pos, table.size - 1)] == keys
+
+
+def _index_map(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Restriction between two summands in degree j as index arrays (cols, rows).
+
+    src and dst are the summands' selections: the sorted positions of
+    their degree-j monomials in the ambient basis. The map sends the
+    monomial at cols[k] of src's basis to the one at rows[k] of dst's and
+    every other monomial to 0; it need not be onto.
     """
-    index = monomial_basis(src, j).index
-    pairs = [(index[a], r) for r, a in enumerate(monomial_basis(dst, j)) if a in index]
-    return tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+    pos, hit = _locate(src, dst)
+    rows = np.flatnonzero(hit)
+    return pos[rows], rows
 
 
 def restriction_matrix(src, dst, j: int) -> np.ndarray:
-    """``_monomial_map`` as a dense 0/1 matrix, built on every call."""
+    """Restriction k[src]_j -> k[dst]_j as a dense 0/1 matrix, built on every call."""
     src, dst = as_relative(src), as_relative(dst)
-    mat = np.zeros((len(monomial_basis(dst, j)), len(monomial_basis(src, j))), dtype=np.int64)
-    mat[_monomial_map(src, dst, j)[::-1]] = 1
+    index = monomial_basis(src, j).index
+    basis = monomial_basis(dst, j)
+    mat = np.zeros((len(basis), len(index)), dtype=np.int64)
+    for r, alpha in enumerate(basis):
+        if alpha in index:
+            mat[r, index[alpha]] = 1
     return mat
 
 
@@ -95,9 +121,21 @@ class PartitionComplexSpec:
     (descriptor, module) pairs; descriptors are face masks for the full
     and interior variants and cell indices for the subdivision variant.
 
+    Every summand module lives on Delta's ground set and its faces are
+    faces of Delta, so its degree-j monomial basis is a subsequence of
+    Delta's (both list faces by size, then mask, then compositions in lex
+    order). The spec holds it as a selection: the sorted positions of the
+    summand's monomials in ``monomial_basis(Delta, j)``, built for all
+    summands of a position at once from the face runs of Delta's basis. A
+    restriction is the intersection of two selections (``_index_map``),
+    and the multiplication pattern of a position's direct sum is Delta's
+    ``_mult_pattern`` filtered to the selections (``mult_pattern``), so no
+    summand's own basis or pattern is built.
+
     ``differential(i, j)`` is the map of position i into position i + 1 in
     degree j on monomial bases, built once per (i, j, p) and kept with the
-    spec: each slice of a total complex tiles the same maps.
+    spec: each slice of a total complex tiles the same maps. Selections,
+    patterns and the signed summand pairs of each position are kept too.
     ``homology_dims`` never builds it: it ranks the support piece C_sigma
     of every face sigma of the summand modules (see the module
     docstring), whose map of position i has the entry
@@ -107,8 +145,8 @@ class PartitionComplexSpec:
     share one piece, ranked once per prime.
     """
 
-    __slots__ = ("psi", "variant", "positions", "structure", "_signs", "_dims",
-                 "_pieces", "_maps")
+    __slots__ = ("psi", "variant", "positions", "structure", "_signs", "_ambient",
+                 "_faces", "_sels", "_links", "_patterns", "_pieces", "_maps")
 
     def __init__(self, psi: RelativeComplex, variant: str, positions: dict,
                  structure=None, signs=None):
@@ -119,7 +157,14 @@ class PartitionComplexSpec:
         self.positions = positions
         self.structure = structure
         self._signs = signs or {}
-        self._dims: dict[tuple[int, int], int] = {}
+        self._ambient = RelativeComplex(psi.delta)
+        # position -> (Delta-face indices of its summands, concatenated; summand of each)
+        self._faces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # (position, degree) -> one selection per summand
+        self._sels: dict[tuple[int, int], list[np.ndarray]] = {}
+        # position -> [(s, d, sign)] over the summand pairs with a nonzero sign
+        self._links: dict[int, list[tuple[int, int, int]]] = {}
+        self._patterns: dict[tuple[int, int], tuple] = {}
         # (descriptors per position, p) -> homology of that support piece
         self._pieces: dict[tuple, tuple[int, ...]] = {}
         self._maps: dict[tuple[int, int, int], SparseMatrix] = {}
@@ -166,16 +211,81 @@ class PartitionComplexSpec:
     def summands(self, i: int) -> list:
         return self.positions.get(i, [])
 
+    def _delta_faces(self) -> list[int]:
+        """Delta's faces in the order its monomial bases list them: by size, then mask."""
+        by_card = self.psi.delta.faces_by_cardinality()
+        return [f for m in sorted(by_card) for f in by_card[m]]
+
+    def _summand_faces(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The faces of every summand at position i as indices into ``_delta_faces``.
+
+        Returns the sorted index arrays of the summands concatenated, and
+        the summand each index belongs to.
+        """
+        got = self._faces.get(i)
+        if got is None:
+            order = {f: k for k, f in enumerate(self._delta_faces())}
+            faces = [sorted(order[f] for f in mod.faces()) for _, mod in self.summands(i)]
+            got = self._faces[i] = (
+                np.array([k for fs in faces for k in fs], dtype=np.int64),
+                np.repeat(np.arange(len(faces)), [len(fs) for fs in faces]))
+        return got
+
+    def _selections(self, i: int, j: int) -> list[np.ndarray]:
+        """Each summand's degree-j basis at position i as a selection of Delta's basis.
+
+        The degree-j monomials of Delta come in one run per face, of
+        ``support_monomial_count(j, |face|)`` compositions, so a summand's
+        selection is the concatenated runs of its faces. Empty for j < 0.
+        """
+        sels = self._sels.get((i, j))
+        if sels is None:
+            lens = np.array([support_monomial_count(j, _popcount(f)) for f in self._delta_faces()],
+                            dtype=np.int64)
+            faces, owner = self._summand_faces(i)
+            flat = _runs((np.cumsum(lens) - lens)[faces], lens[faces])
+            sizes = np.bincount(owner, lens[faces], minlength=len(self.summands(i)))
+            sels = self._sels[i, j] = np.split(flat, np.cumsum(sizes[:-1], dtype=np.int64))
+            for x in sels:
+                x.setflags(write=False)
+        return sels
+
     def summand_dims(self, i: int, j: int) -> tuple[int, ...]:
-        """Degree-j dimension of each summand at position i, cached per (i, j)."""
-        d = self._dims.get((i, j))
-        if d is None:
-            d = self._dims[i, j] = tuple(len(monomial_basis(mod, j)) if j >= 0 else 0
-                                         for _, mod in self.summands(i))
-        return d
+        """Degree-j dimension of each summand at position i."""
+        return tuple(x.size for x in self._selections(i, j))
 
     def space_dim(self, i: int, j: int) -> int:
-        return sum(self.summand_dims(i, j))
+        return sum(x.size for x in self._selections(i, j))
+
+    def mult_pattern(self, i: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Multiplication pattern of the direct sum at position i, degree t to t + 1.
+
+        The concatenated ``facering._mult_pattern`` of the summands, each
+        shifted by its offset in the sum, read off Delta's pattern: an
+        entry x^alpha -> x^alpha x_v belongs to a summand when both
+        monomials lie in its selections. Delta's pattern is column-major
+        with v ascending, as each summand's is, so the filtered entries keep
+        the order of the summands' own patterns. Built once per (i, t).
+        """
+        pat = self._patterns.get((i, t))
+        if pat is None:
+            rows, cols, verts = _mult_pattern(self._ambient, t)
+            src, dst = self._selections(i, t), self._selections(i, t + 1)
+            colptr = np.searchsorted(cols, np.arange(len(monomial_basis(self._ambient, t)) + 1))
+            flat = np.concatenate(src)
+            counts = colptr[flat + 1] - colptr[flat]
+            entries = _runs(colptr[flat], counts)
+            col = np.repeat(np.arange(flat.size), counts)
+            # one key per (summand, monomial of Delta) keeps the targets' search sorted
+            wide = len(monomial_basis(self._ambient, t + 1))
+            owner = np.repeat(np.arange(len(src)), [x.size for x in src])
+            table = np.repeat(np.arange(len(dst)), [x.size for x in dst]) * wide
+            table += np.concatenate(dst)
+            row, hit = _locate(table, owner[col] * wide + rows[entries])
+            pat = self._patterns[i, t] = (row[hit], col[hit], verts[entries[hit]])
+            for x in pat:
+                x.setflags(write=False)
+        return pat
 
     def _block_sign(self, i: int, src_desc, dst_desc) -> int:
         if self.variant == "subdivision":
@@ -198,25 +308,42 @@ class PartitionComplexSpec:
             raise PartitionError("the subdivision variant is not a complex: "
                                  "only the kernel of its front map is defined")
 
+    def _signed_pairs(self, i: int) -> list[tuple[int, int, int]]:
+        """(s, d, sign) for the summand pairs of positions i, i + 1 with a nonzero sign.
+
+        Sorted by s, then d. The face-mask variants pair tau only with the
+        faces tau + v one vertex larger; the subdivision variant tries all.
+        """
+        links = self._links.get(i)
+        if links is None:
+            src, dst = self.summands(i), self.summands(i + 1)
+            if self.variant == "subdivision":
+                pairs = [(s, d) for s in range(len(src)) for d in range(len(dst))]
+            else:
+                where = {desc: s for s, (desc, _) in enumerate(src)}
+                pairs = sorted((where[ddesc ^ (1 << b)], d) for d, (ddesc, _) in enumerate(dst)
+                               for b in _bit_positions(ddesc) if ddesc ^ (1 << b) in where)
+            links = self._links[i] = [
+                (s, d, sign) for s, d in pairs
+                if (sign := self._block_sign(i, src[s][0], dst[d][0]))]
+        return links
+
     def _assemble(self, i: int, j: int, src_dims, dst_dims):
         """The blocks of the map of position i into position i + 1 in degree j.
 
         src_dims and dst_dims give the dimension of each summand's space on
-        either side. For every summand pair whose dimensions and sign are
+        either side. For every signed summand pair whose dimensions are
         nonzero this yields (row offset, column offset, s, d, index map,
         sign): the pair is the s-th summand at position i and the d-th at
-        position i + 1, and the index map the ``_monomial_map`` of their
-        modules.
+        position i + 1, and the index map the ``_index_map`` of their
+        selections.
         """
-        col = 0
-        for s, ((sdesc, smod), sdim) in enumerate(zip(self.summands(i), src_dims)):
-            row = 0
-            for d, ((ddesc, dmod), ddim) in enumerate(zip(self.summands(i + 1), dst_dims)):
-                sign = self._block_sign(i, sdesc, ddesc)
-                if sign and sdim and ddim:
-                    yield row, col, s, d, _monomial_map(smod, dmod, j), sign
-                row += ddim
-            col += sdim
+        src, dst = self._selections(i, j), self._selections(i + 1, j)
+        cols = np.cumsum((0,) + tuple(src_dims)).tolist()
+        rows = np.cumsum((0,) + tuple(dst_dims)).tolist()
+        for s, d, sign in self._signed_pairs(i):
+            if src_dims[s] and dst_dims[d]:
+                yield rows[d], cols[s], s, d, _index_map(src[s], dst[d]), sign
 
     def differential(self, i: int, j: int, field: PrimeField) -> SparseMatrix:
         """Matrix of position i into position i + 1 at coarse degree j, built once.
@@ -319,7 +446,7 @@ class ReducedPartitionComplex:
     differential descends because restriction commutes with multiplication
     by linear forms, and in quotient coordinates the block from summand q
     to summand q' at degree j is q'.reduce(j, moved): the rows of q.lift(j)
-    moved to their monomials' rows by ``_monomial_map``, and zero rows for
+    moved to their monomials' rows by ``_index_map``, and zero rows for
     the monomials of q' outside q, as restriction need not be onto.
     """
 
@@ -351,9 +478,10 @@ class ReducedPartitionComplex:
         dst = self.quotients.get(i + 1, [])
         src_dims = [q.dim(j) for _, _, q in src]
         dst_dims = [q.dim(j) for _, _, q in dst]
+        monomials = self.pspec.summand_dims(i + 1, j)
         mat = np.zeros((sum(dst_dims), sum(src_dims)), dtype=np.int64)
         for row, col, s, d, (cols, rows), sign in self.pspec._assemble(i, j, src_dims, dst_dims):
-            moved = np.zeros((len(monomial_basis(dst[d][1], j)), src_dims[s]), dtype=np.int64)
+            moved = np.zeros((monomials[d], src_dims[s]), dtype=np.int64)
             moved[rows] = src[s][2].lift(j)[cols]
             b = dst[d][2].reduce(j, moved)
             mat[row:row + dst_dims[d], col:col + src_dims[s]] = b if sign > 0 else -b % self.field.p
@@ -394,10 +522,13 @@ class DoubleComplexSlice:
 
     The three maps are ``SparseMatrix`` instances, a fraction of a percent
     full: the horizontal map tiles the sparse star-cover differential
-    that the spec keeps for every slice, one copy per wedge basis vector,
-    and the vertical map is ``koszul.koszul_step`` on the direct sum of
-    the position-a summands, the builder behind ``KoszulComplex`` as
-    well. Only ``rank`` consumes them.
+    that the spec keeps for every slice, one broadcast copy per wedge
+    basis vector, and the vertical map is ``koszul.koszul_step``, the
+    builder behind ``KoszulComplex`` as well, on the direct-sum pattern the
+    spec keeps for position a (``PartitionComplexSpec.mult_pattern``),
+    read off Delta's. The total differential places them with the
+    totalization signs (Weibel, An Introduction to Homological Algebra,
+    5.6). Only ``rank`` consumes them.
     """
 
     def __init__(self, pspec: PartitionComplexSpec, theta: LinearFormSequence,
@@ -422,16 +553,19 @@ class DoubleComplexSlice:
     def horizontal(self, a: int, b: int) -> SparseMatrix:
         """Star restriction (a, b) -> (a + 1, b), one copy per wedge basis vector."""
         pd = self.pspec.differential(a, self._t(b), self.field)
-        wedge = math.comb(self.n, b)
+        wedge = np.arange(math.comb(self.n, b))[:, None]
         rows, cols = pd.shape
-        return SparseMatrix.from_blocks(
-            (wedge * rows, wedge * cols),
-            [(w * rows, w * cols, pd, 1) for w in range(wedge)], self.field.p)
+        return SparseMatrix((wedge.size * rows, wedge.size * cols),
+                            (wedge * rows + pd.rows).ravel(), (wedge * cols + pd.cols).ravel(),
+                            np.broadcast_to(pd.vals, (wedge.size, pd.vals.size)).ravel(),
+                            self.field.p)
 
     def vertical(self, a: int, b: int) -> SparseMatrix:
         """Koszul step (a, b) -> (a, b + 1), summandwise multiplication."""
-        return koszul_step([mod for _, mod in self.pspec.summands(a)], self.theta, b,
-                           self._t(b), self.field.p)
+        t = self._t(b)
+        dims = (self.pspec.space_dim(a, t), self.pspec.space_dim(a, t + 1))
+        pattern = self.pspec.mult_pattern(a, t) if 0 not in dims else None
+        return koszul_step(pattern, dims, self.theta, b, self.field.p)
 
     def _pairs(self, k: int) -> list[tuple[int, int]]:
         out = []

@@ -22,7 +22,7 @@ from .complexes import (
 )
 from .duality import (
     DualityError,
-    build_B,
+    _build_B,
     manifold_sanity_check,
     poincare_duality_report,
 )
@@ -288,7 +288,7 @@ def dehn_sommerville_check(delta, field: PrimeField | None = None, seed=0,
     psi = as_relative(delta)
     diagnostics = []
     try:
-        manifold_sanity_check(psi, field)
+        bet = manifold_sanity_check(psi, field)
     except DualityError as e:
         diagnostics.append(str(e))
         return TheoremReport("dehn-sommerville", complex_hash(psi), field.p,
@@ -300,7 +300,7 @@ def dehn_sommerville_check(delta, field: PrimeField | None = None, seed=0,
                              seeds, [], VERDICT_INCONCLUSIVE, diagnostics)
     h = list(f_h_vectors(psi).h)
     h_palindromic = h == h[::-1]
-    pres = build_B(psi, theta, field)
+    pres = _build_B(psi, theta, field, bet)
     n = pres.fundamental_degree
     b_dims = pres.b_dims_list(n)
     b_palindromic = b_dims == b_dims[::-1]
@@ -368,7 +368,7 @@ def lefschetz_report(target, mode: str, field: PrimeField | None = None, seed=0,
         jobs = [(j, d + 1 - 2 * j, d + 1 - j) for j in range((d + 1) // 2 + 1)]
     elif mode == "almost":
         try:
-            manifold_sanity_check(psi, field)
+            bet = manifold_sanity_check(psi, field)
         except DualityError as e:
             diagnostics.append(str(e))
             return TheoremReport("lefschetz-almost", input_hash, p, [], [],
@@ -389,7 +389,7 @@ def lefschetz_report(target, mode: str, field: PrimeField | None = None, seed=0,
         ell_seed = (s << 20) ^ 0x10001 if isinstance(s, int) else f"{s}:ell"
         ell = LinearFormSequence.random(psi, 1, ell_seed, field)[0]
         if mode == "almost":
-            pres = build_B(psi, theta, field)
+            pres = _build_B(psi, theta, field, bet)
             mult, dims = pres.mult_matrix, pres.b_dim
         else:
             base = quotient_presentation(psi, theta, field)

@@ -144,7 +144,9 @@ def test_build_B_builds_one_quotient_and_no_restriction(monkeypatch):
 
     monkeypatch.setattr(facering.GradedQuotientPresentation, "__init__", spy)
     mapped = []
-    monkeypatch.setattr(partition, "_monomial_map", lambda *args: mapped.append(args))
+    index_map = partition._index_map
+    monkeypatch.setattr(partition, "_index_map",
+                        lambda *args: mapped.append(args) or index_map(*args))
     for name in ("torus7", "cross_polytope_3"):
         psi = builtin_complex(name)
         theta = lsop(psi)
@@ -152,6 +154,9 @@ def test_build_B_builds_one_quotient_and_no_restriction(monkeypatch):
         P = build_B(psi.delta, theta, F)
         assert built == [psi] and not mapped
         assert P.j_dims_list(psi.dim + 1)[2] == (6 if name == "torus7" else 0)
+    # the spy sees the maps of a star-cover differential
+    PartitionComplexSpec.full(psi).differential(-1, 1, F)
+    assert mapped
 
 
 def test_unquotiented_torus_algebra_is_not_self_dual():

@@ -2,7 +2,7 @@ import math
 import random
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
@@ -518,6 +518,43 @@ def test_lsop_trials_seed_rule_and_first_certified_trial():
     s, theta = first_lsop(edge, 1, F2, trials=20, budget=1)
     assert (s, theta.forms) == hits[0]
     assert first_lsop(edge, 0, F2, trials=0) == (None, None)
+
+
+def _k4_graph():
+    return RelativeComplex(SimplicialComplex.from_facets(
+        (1, 2, 3, 4), list(combinations((1, 2, 3, 4), 2))))
+
+
+def test_trials_after_an_exhausted_one_stop_drawing_when_no_lsop_exists(monkeypatch):
+    # K_4 over F_2 would need four pairwise independent columns in F_2^2,
+    # which has three nonzero vectors; its 2^8 coefficient matrices all fail
+    k4 = _k4_graph()
+    assert facering._no_lsop(k4, 2, 2, 20000)
+    assert not any(lsop_certificate(k4, np.array(m).reshape(2, 4), F2)
+                   for m in product((0, 1), repeat=8))
+    calls = []
+    real = facering.sample_lsop
+    monkeypatch.setattr(facering, "sample_lsop",
+                        lambda *args, **kw: calls.append(args[2]) or real(*args, **kw))
+    assert list(lsop_trials(k4, 4, F2, trials=3)) == [(4, None), (5, None), (6, None)]
+    assert calls == [4]
+    # the later trials give what their own streams give
+    monkeypatch.undo()
+    assert [sample_lsop(k4, 2, s, F2) for s in (5, 6)] == [None, None]
+
+
+def test_an_exhausted_trial_keeps_the_stream_when_an_lsop_exists():
+    # two points over F_2: one of the four forms is certified, so a trial
+    # of budget 4 runs out now and then though the space holds an l.s.o.p.
+    two = builtin_complex("two_points")
+    assert not facering._no_lsop(two, 1, 2, 4)
+    stream = list(lsop_trials(two, 2, F2, trials=3, budget=4))
+    assert stream[0][1] is None and stream[1][1] is not None
+    for s, theta in stream:
+        want = sample_lsop(two, 1, s, F2, budget=4)
+        assert (theta is None and want is None) or theta.forms == want.forms
+    # too large a space for the budget is never tried
+    assert not facering._no_lsop(_k4_graph(), 2, 2, 255)
 
 
 # -- the seeded coefficient stream and the block sampler ------------------------

@@ -14,6 +14,7 @@ from srlab.complexes import (
 )
 from srlab.facering import (
     LinearFormSequence,
+    _mult_pattern,
     expected_lsop_length,
     hilbert_certificate,
     lsop_trials,
@@ -131,6 +132,72 @@ def dense_koszul_step(modules, theta, i, t, field):
             ri = dst_index[tuple(sorted(S + (u,)))]
             mat[ri * mdst:(ri + 1) * mdst, ci * msrc:(ci + 1) * msrc] = block
     return mat
+
+
+def _sum_dims(modules, t):
+    """(dim M_t, dim M_{t+1}) of the direct sum M of modules; 0 in negative degree."""
+    return tuple(sum(len(monomial_basis(mod, s)) for mod in modules) if s >= 0 else 0
+                 for s in (t, t + 1))
+
+
+def direct_sum_pattern(modules, t):
+    """The summands' multiplication patterns from degree t, down the diagonal of the sum."""
+    rows, cols, verts = [], [], []
+    r = c = 0
+    for mod in modules:
+        pr, pc, pv = _mult_pattern(mod, t)
+        rows.append(pr + r)
+        cols.append(pc + c)
+        verts.append(pv)
+        r += len(monomial_basis(mod, t + 1))
+        c += len(monomial_basis(mod, t))
+    return tuple(np.concatenate(x) for x in (rows, cols, verts))
+
+
+def blockwise_koszul_step(modules, theta, i, t, p):
+    """The Koszul map as one SparseMatrix per form placed block by block.
+
+    Each form's matrix carries the summands' patterns down its diagonal;
+    the block e_S -> e_{S + u} is placed for S lexicographic, then u
+    ascending, negated for an odd count of s < u.
+    """
+    n = len(theta)
+    msrc, mdst = _sum_dims(modules, t)
+    shape = (math.comb(n, i + 1) * mdst if i >= -1 else 0, math.comb(n, i) * msrc if i >= 0 else 0)
+    if 0 in shape:
+        return SparseMatrix(shape, [], [], [], p)
+    rows, cols, verts = direct_sum_pattern(modules, t)
+    mults = [SparseMatrix((mdst, msrc), rows, cols, np.array(form, dtype=np.int64)[verts], p)
+             for form in theta]
+    dst_index = {S: k for k, S in enumerate(combinations(range(n), i + 1))}
+    blocks = []
+    for ci, S in enumerate(combinations(range(n), i)):
+        for u in range(n):
+            if u not in S:
+                sign = -1 if sum(1 for s in S if s < u) % 2 else 1
+                ri = dst_index[tuple(sorted(S + (u,)))]
+                blocks.append((ri * mdst, ci * msrc, mults[u], sign))
+    return SparseMatrix.from_blocks(shape, blocks, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+def test_broadcast_koszul_step_keeps_the_blockwise_entry_order(p):
+    # the same (rows, cols, vals) in the same order keep every pivot sequence
+    field = PrimeField(p)
+    for name in ("torus7", "disk_with_induced_boundary_2", "two_points"):
+        psi = builtin_complex(name)
+        theta = LinearFormSequence.random(psi, expected_lsop_length(psi), 11, field)
+        stars = [psi.star(v) for v in psi.delta.vertex_masks()]
+        for modules in ([psi], stars):
+            for t in range(-1, psi.dim + 3):
+                pattern = direct_sum_pattern(modules, t) if t >= 0 else None
+                for i in range(-1, len(theta) + 2):
+                    got = koszul.koszul_step(pattern, _sum_dims(modules, t), theta, i, p)
+                    want = blockwise_koszul_step(modules, theta, i, t, p)
+                    assert got.shape == want.shape
+                    for x, y in ((got.rows, want.rows), (got.cols, want.cols),
+                                 (got.vals, want.vals)):
+                        assert x.dtype == y.dtype and x.tolist() == y.tolist()
 
 
 @pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])

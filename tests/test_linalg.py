@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from srlab.linalg import (
     FrozenQuotient,
     LazyHomology,
     LinAlgError,
+    MAX_PRIME,
     PrimeField,
     SparseMatrix,
     _PEEL_ROUNDS,
@@ -48,6 +51,32 @@ def test_prime_field_rejects_composites_and_huge_moduli():
 def test_is_prime_small_table():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    # trial division of every n < 2 * 10^5 at once, by each d up to its square root
+    n = np.arange(200_000)
+    prime = n >= 2
+    for d in range(2, math.isqrt(n.size) + 1):
+        prime &= (n % d != 0) | (n == d)
+    assert [k for k in range(n.size) if is_prime(k)] == np.flatnonzero(prime).tolist()
+    # strong pseudoprimes to base 2, and composites around 2^31
+    for n in (2047, 3277, 4033, 4681, 8321):
+        assert not is_prime(n) and not _trial_division(n)
+    near = range(2**31 - 40, 2**31 + 40)
+    assert [n for n in near if is_prime(n)] == [n for n in near if _trial_division(n)]
+    assert is_prime(2147483647) and is_prime(2147483629) and not is_prime(2147483649)
+
+
+def test_is_prime_range_covers_every_field():
+    assert MAX_PRIME < 3_215_031_751
+    # the least strong pseudoprime to 2, 3, 5 and 7 is past the exact range
+    with pytest.raises(LinAlgError):
+        is_prime(3_215_031_751)
 
 
 def test_inverse_roundtrip():

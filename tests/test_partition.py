@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srlab import partition
+from srlab import facering, koszul, partition
 from srlab.complexes import (
     RelativeComplex,
     SimplicialComplex,
@@ -39,7 +39,7 @@ from srlab.partition import (
     subdivision_partition_check,
     total_complex_homology,
 )
-from test_koszul import dense_koszul_step
+from test_koszul import dense_koszul_step, direct_sum_pattern
 
 F = PrimeField(DEFAULT_PRIME)
 
@@ -71,7 +71,9 @@ def test_wide_windows_build_no_monomial_matrices(monkeypatch):
     # matrices would fill the monomial_basis cache and map monomials
     psi = builtin_complex("cross_polytope_4")
     mapped = []
-    monkeypatch.setattr(partition, "_monomial_map", lambda *args: mapped.append(args))
+    index_map = partition._index_map
+    monkeypatch.setattr(partition, "_index_map",
+                        lambda *args: mapped.append(args) or index_map(*args))
 
     def cache():
         return monomial_basis.cache_info().misses, monomial_basis.cache_info().currsize
@@ -81,6 +83,9 @@ def test_wide_windows_build_no_monomial_matrices(monkeypatch):
     assert cache() == before and not mapped
     assert len(table) == 5 * 9
     assert {k: v for k, v in table.items() if v} == {(3, 0): 1}
+    # the spy sees the maps of the matrix route
+    PartitionComplexSpec.full(psi).differential(-1, 1, F)
+    assert mapped
 
 
 def test_partition_module_keeps_no_cache():
@@ -147,7 +152,8 @@ def _relative_pairs(seed, count):
     return out
 
 
-def test_sparse_differential_equals_signed_restriction_matrices(monkeypatch):
+def _variant_specs():
+    """Full specs, absolute and relative with Gamma not void, and the other two variants."""
     bary = SimplicialComplex.from_facets((1, 2, 3), [(1, 2, 3)]).barycentric_subdivision()
     specs = [PartitionComplexSpec.full(builtin_complex(name))
              for name in ("torus7", "boundary_simplex_3", "moebius", "two_points")]
@@ -156,6 +162,76 @@ def test_sparse_differential_equals_signed_restriction_matrices(monkeypatch):
               PartitionComplexSpec.interior(builtin_complex("disk_with_induced_boundary_2")),
               PartitionComplexSpec.subdivision(barycentric_subdivision_structure(
                   SimplicialComplex.from_facets((1, 2, 3, 4), [(1, 2, 3), (1, 3, 4)])))]
+    return specs
+
+
+def test_selections_pick_each_summand_basis_out_of_delta():
+    specs = _variant_specs()
+    assert {spec.variant for spec in specs} == {"full", "interior", "subdivision"}
+    assert any(not spec.psi.is_absolute for spec in specs if spec.variant == "full")
+    for pspec in specs:
+        ambient = RelativeComplex(pspec.psi.delta)
+        dim = pspec.psi.delta.dim
+        for i in range(-1, pspec.max_position + 1):
+            for j in range(dim + 4):
+                delta_basis = monomial_basis(ambient, j).exponents
+                sels = pspec._selections(i, j)
+                assert len(sels) == len(pspec.summands(i))
+                for sel, (_, mod) in zip(sels, pspec.summands(i)):
+                    assert np.all(np.diff(sel) > 0)
+                    assert [delta_basis[k] for k in sel] == list(monomial_basis(mod, j).exponents)
+                assert pspec.summand_dims(i, j) == tuple(len(monomial_basis(mod, j))
+                                                         for _, mod in pspec.summands(i))
+            assert pspec.space_dim(i, -1) == 0
+
+
+def test_position_patterns_concatenate_the_summand_patterns():
+    for pspec in _variant_specs():
+        dim = pspec.psi.delta.dim
+        for i in range(-1, pspec.max_position + 1):
+            for t in range(dim + 3):
+                got = pspec.mult_pattern(i, t)
+                assert pspec.mult_pattern(i, t) is got
+                want = direct_sum_pattern([mod for _, mod in pspec.summands(i)], t)
+                for x, y in zip(got, want):
+                    assert not x.flags.writeable and x.tolist() == y.tolist()
+
+
+def test_vertical_maps_of_every_variant_equal_the_dense_koszul_step():
+    # the subdivision variant is no complex, but its columns are direct sums all the same
+    specs = _variant_specs()
+    for pspec in specs[:1] + specs[4:5] + specs[-3:]:
+        psi = RelativeComplex(pspec.psi.delta)
+        for p in (3, DEFAULT_PRIME):
+            field = PrimeField(p)
+            theta = LinearFormSequence.random(psi, expected_lsop_length(psi), 7, field)
+            for j in range(psi.dim + 3):
+                sl = DoubleComplexSlice(pspec, theta, field, j)
+                for a in range(-1, pspec.max_position + 1):
+                    for b in range(sl.n):
+                        got = sl.vertical(a, b).toarray()
+                        assert np.array_equal(got, _dense_vertical(sl, a, b))
+
+
+def test_total_complex_builds_bases_and_patterns_on_delta_only(monkeypatch):
+    seen = []
+    for module in (facering, partition, koszul):
+        for name in ("monomial_basis", "_mult_pattern"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda psi, j, real=real, name=name:
+                                    seen.append((name, psi)) or real(psi, j))
+    for psi in (builtin_complex("torus7"), builtin_complex("disk_with_induced_boundary_2")):
+        seen.clear()
+        theta = lsop(psi)
+        table = total_complex_homology(psi, theta, F)
+        assert any(table.values())
+        assert {name for name, _ in seen} == {"monomial_basis", "_mult_pattern"}
+        assert {mod for _, mod in seen} == {RelativeComplex(psi.delta)}
+
+
+def test_sparse_differential_equals_signed_restriction_matrices(monkeypatch):
+    specs = _variant_specs()
     degrees = []
     basis = partition.monomial_basis
     monkeypatch.setattr(partition, "monomial_basis",

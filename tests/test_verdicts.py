@@ -390,3 +390,30 @@ def test_kuhnel_needs_a_manifold():
     assert rep.diagnostics == [
         "link of face (1,) is not a homology 1-sphere over F_2147483647"
     ]
+
+
+def test_each_manifold_report_runs_the_sanity_check_once(monkeypatch):
+    from srlab import duality
+
+    calls = []
+    real = duality.manifold_sanity_check
+
+    def spy(delta, field):
+        calls.append(field.p)
+        return real(delta, field)
+
+    monkeypatch.setattr(duality, "manifold_sanity_check", spy)
+    monkeypatch.setattr(verdicts, "manifold_sanity_check", spy)
+    tor = builtin_complex("torus7")
+    for report in (lambda: dehn_sommerville_check(tor),
+                   lambda: lefschetz_report(tor, "almost", trials=3),
+                   lambda: duality.build_B(tor, lsop(tor), F)):
+        calls.clear()
+        report()
+        assert calls == [F.p]
+    # the public entry keeps its gate; the private one still refuses relative pairs
+    with pytest.raises(duality.DualityError, match="not a homology"):
+        duality.build_B(builtin_complex("moebius"), lsop(builtin_complex("moebius")), F)
+    disk = builtin_complex("disk_with_induced_boundary_2")
+    with pytest.raises(duality.DualityError, match="absolute"):
+        duality._build_B(disk, lsop(disk), F, {})
