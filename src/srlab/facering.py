@@ -106,23 +106,6 @@ def support_monomial_count(j: int, m: int) -> int:
     return math.comb(j - 1, m - 1) if j >= 1 else 0
 
 
-def _hilbert_by_face_counts(psi, up_to: int) -> list[int]:
-    """Hilbert function via supports: each m-face contributes C(j-1, m-1) in degree j.
-
-    Second route behind hilbert_series_coeffs, kept separate so the two
-    can be compared against each other and against monomial enumeration.
-    """
-    psi = as_relative(psi)
-    if up_to < 0:
-        raise FaceRingError("up_to must be nonnegative")
-    faces = psi.faces()
-    counts: dict[int, int] = {}
-    for f in faces:
-        counts[_popcount(f)] = counts.get(_popcount(f), 0) + 1
-    return [sum(cnt * support_monomial_count(j, m) for m, cnt in counts.items())
-            for j in range(up_to + 1)]
-
-
 class LinearFormSequence:
     """Theta = (theta_1, ..., theta_m): degree-1 forms with one coefficient per vertex."""
 
@@ -211,13 +194,6 @@ def multiplication_matrix(psi, form, j: int, field: PrimeField) -> np.ndarray:
     if len(coeffs) != len(psi.delta.labels):
         raise FaceRingError("form needs one coefficient per ground-set vertex")
     return _mult_matrix(psi, coeffs, j, field.p)
-
-
-def variable_form(psi, v, field: PrimeField) -> tuple[int, ...]:
-    """The coordinate form x_v."""
-    psi = as_relative(psi)
-    idx = psi.delta.index[v]
-    return tuple(1 if i == idx else 0 for i in range(len(psi.delta.labels)))
 
 
 def _generator_max_degree(psi: RelativeComplex) -> int:

@@ -356,7 +356,11 @@ def _markowitz_rank(a: SparseMatrix, p: int, *, pivots: list | None = None) -> i
     that any nonsingular minor of the rest extends; the ranks add up, and
     the reported pivots stay ``rank`` independent rows and columns.
 
-    What is left becomes ``{column: value}`` row dicts, and each column
+    What is left is renumbered: its rows and columns are numbered from 0
+    in their order in ``a``, so the row dicts, column sets and buckets below
+    cover only the live block, not the whole matrix, and each pivot is
+    mapped back to ``a``'s row and column when it is reported. The live
+    rows become ``{column: value}`` row dicts, and each live column
     keeps the set of live rows that hold it. Every step pivots on the
     shortest live row, in the column of that row with the fewest live
     rows: the update costs (row length - 1) * (column count - 1) dict
@@ -366,27 +370,31 @@ def _markowitz_rank(a: SparseMatrix, p: int, *, pivots: list | None = None) -> i
     indexed by row length finds the shortest row: a row whose length
     changes is queued again under its new length, and an entry whose
     length is out of date is skipped when popped. Once more dict updates
-    have been made than the matrix has cells, the live rows and columns
-    are handed to ``_eliminate`` as one dense block, a safety net against
-    fill-in. If ``pivots`` is given, each pivot's (row, column) is
+    have been made than ``a`` has cells, the live rows and columns are
+    handed to ``_eliminate`` as one dense block, a safety net against
+    fill-in. If ``pivots`` is given, each pivot's (row, column) of ``a`` is
     appended to it.
     """
-    nrows, ncols = a.shape
-    peeled, live = _peel_singletons(a)
+    peeled, (live_rows, live_cols, vals) = _peel_singletons(a)
     if pivots is not None:
         pivots.extend(peeled)
-    rows: list[dict[int, int] | None] = [{} for _ in range(nrows)]
-    holders: list[set[int]] = [set() for _ in range(ncols)]
-    for i, j, x in zip(*(x.tolist() for x in live)):
+    # number the live rows and columns from 0; row_of and col_of map them back to a's
+    row_of, live_rows = np.unique(live_rows, return_inverse=True)
+    col_of, live_cols = np.unique(live_cols, return_inverse=True)
+    row_of, col_of = row_of.tolist(), col_of.tolist()
+    ncols = len(col_of)
+    rows: list[dict[int, int] | None] = [{} for _ in row_of]
+    holders: list[set[int]] = [set() for _ in col_of]
+    for i, j, x in zip(live_rows.tolist(), live_cols.tolist(), vals.tolist()):
         rows[i][j] = x
         holders[j].add(i)
-    del live  # the dicts hold these entries now; free the arrays before eliminating
+    # the dicts hold these entries now; free the arrays before eliminating
+    del live_rows, live_cols, vals
     # buckets[k]: rows queued when they held k entries; a row never holds more than ncols
     buckets: list[list[int]] = [[] for _ in range(ncols + 1)]
     for i, row in enumerate(rows):
-        if row:
-            buckets[len(row)].append(i)
-    budget = nrows * ncols
+        buckets[len(row)].append(i)
+    budget = a.shape[0] * a.shape[1]
     work = 0
     r = len(peeled)
     short = 1
@@ -400,7 +408,7 @@ def _markowitz_rank(a: SparseMatrix, p: int, *, pivots: list | None = None) -> i
             continue
         c = min(piv, key=lambda j: len(holders[j]))
         if pivots is not None:
-            pivots.append((pr, c))
+            pivots.append((row_of[pr], col_of[c]))
         rows[pr] = None
         targets = holders[c]
         holders[c] = set()
@@ -433,16 +441,17 @@ def _markowitz_rank(a: SparseMatrix, p: int, *, pivots: list | None = None) -> i
         work += len(targets) * len(rest)
         r += 1
         if work > budget:
-            return r + _dense_rank_of_live(rows, holders, p, pivots)
+            return r + _dense_rank_of_live(rows, holders, row_of, col_of, p, pivots)
     return r
 
 
-def _dense_rank_of_live(rows: list, holders: list[set[int]], p: int,
-                        pivots: list | None) -> int:
+def _dense_rank_of_live(rows: list, holders: list[set[int]], row_of: list[int],
+                        col_of: list[int], p: int, pivots: list | None) -> int:
     """Rank of the live rows and columns left by ``_markowitz_rank``, densified.
 
-    If ``pivots`` is given, each pivot's (row, column) of the sparse
-    matrix is appended to it.
+    rows and holders are numbered from 0, and row_of and col_of give the
+    sparse matrix's row and column of each. If ``pivots`` is given, each
+    pivot's (row, column) of the sparse matrix is appended to it.
     """
     live_rows = [i for i, row in enumerate(rows) if row]
     live_cols = [j for j, held in enumerate(holders) if held]
@@ -453,7 +462,7 @@ def _dense_rank_of_live(rows: list, holders: list[set[int]], p: int,
     found: list[tuple[int, int]] = []
     _, cols = _eliminate(sub, p, False, pivots=found)
     if pivots is not None:
-        pivots.extend((live_rows[i], live_cols[j]) for i, j in found)
+        pivots.extend((row_of[live_rows[i]], col_of[live_cols[j]]) for i, j in found)
     return len(cols)
 
 

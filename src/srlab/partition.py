@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,17 +86,21 @@ def _locate(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return pos, table[np.minimum(pos, table.size - 1)] == keys
 
 
-def _index_map(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Restriction between two summands in degree j as index arrays (cols, rows).
+class _PositionBasis(NamedTuple):
+    """One position's degree-j basis as selections of Delta's degree-j basis."""
 
-    src and dst are the summands' selections: the sorted positions of
-    their degree-j monomials in the ambient basis. The map sends the
-    monomial at cols[k] of src's basis to the one at rows[k] of dst's and
-    every other monomial to 0; it need not be onto.
-    """
-    pos, hit = _locate(src, dst)
-    rows = np.flatnonzero(hit)
-    return pos[rows], rows
+    flat: np.ndarray  # the summands' selections, concatenated
+    sels: list  # each summand's selection, a view of flat
+    offsets: tuple  # each summand's offset in the direct sum, then the sum's dimension
+    width: int  # len(monomial_basis(Delta, j)), above every selected index
+
+    def owners(self) -> np.ndarray:
+        """The summand of every entry of flat."""
+        return np.repeat(np.arange(len(self.sels)), np.diff(self.offsets))
+
+    def keys(self) -> np.ndarray:
+        """summand * width + monomial for every entry of flat: sorted, as each selection is."""
+        return self.owners() * self.width + self.flat
 
 
 def restriction_matrix(src, dst, j: int) -> np.ndarray:
@@ -126,11 +131,15 @@ class PartitionComplexSpec:
     Delta's (both list faces by size, then mask, then compositions in lex
     order). The spec holds it as a selection: the sorted positions of the
     summand's monomials in ``monomial_basis(Delta, j)``, built for all
-    summands of a position at once from the face runs of Delta's basis. A
-    restriction is the intersection of two selections (``_index_map``),
-    and the multiplication pattern of a position's direct sum is Delta's
-    ``_mult_pattern`` filtered to the selections (``mult_pattern``), so no
-    summand's own basis or pattern is built.
+    summands of a position at once from the face runs of Delta's basis,
+    with each summand's offset in the direct sum (``_basis``). Keyed by
+    summand * len(monomial_basis(Delta, j)) + monomial, a position's
+    selections form one sorted array, so one ``searchsorted`` finds every
+    restriction of position i into position i + 1 at once, over all signed
+    summand pairs (``_restrictions``), and the multiplication pattern of a
+    position's direct sum is Delta's ``_mult_pattern`` filtered to the
+    selections the same way (``mult_pattern``). No summand's own basis or
+    pattern is built, and no map is built pair by pair.
 
     ``differential(i, j)`` is the map of position i into position i + 1 in
     degree j on monomial bases, built once per (i, j, p) and kept with the
@@ -146,7 +155,7 @@ class PartitionComplexSpec:
     """
 
     __slots__ = ("psi", "variant", "positions", "structure", "_signs", "_ambient",
-                 "_faces", "_sels", "_links", "_patterns", "_pieces", "_maps")
+                 "_delta", "_faces", "_sels", "_links", "_patterns", "_pieces", "_maps")
 
     def __init__(self, psi: RelativeComplex, variant: str, positions: dict,
                  structure=None, signs=None):
@@ -158,10 +167,11 @@ class PartitionComplexSpec:
         self.structure = structure
         self._signs = signs or {}
         self._ambient = RelativeComplex(psi.delta)
+        self._delta: tuple[dict[int, int], np.ndarray] | None = None
         # position -> (Delta-face indices of its summands, concatenated; summand of each)
         self._faces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # (position, degree) -> one selection per summand
-        self._sels: dict[tuple[int, int], list[np.ndarray]] = {}
+        self._sels: dict[tuple[int, int], _PositionBasis] = {}
         # position -> [(s, d, sign)] over the summand pairs with a nonzero sign
         self._links: dict[int, list[tuple[int, int, int]]] = {}
         self._patterns: dict[tuple[int, int], tuple] = {}
@@ -211,10 +221,18 @@ class PartitionComplexSpec:
     def summands(self, i: int) -> list:
         return self.positions.get(i, [])
 
-    def _delta_faces(self) -> list[int]:
-        """Delta's faces in the order its monomial bases list them: by size, then mask."""
-        by_card = self.psi.delta.faces_by_cardinality()
-        return [f for m in sorted(by_card) for f in by_card[m]]
+    def _delta_faces(self) -> tuple[dict[int, int], np.ndarray]:
+        """Delta's faces in the order its monomial bases list them: by size, then mask.
+
+        Returns each face's index in that order and the size of the face
+        at each index, built once.
+        """
+        if self._delta is None:
+            by_card = self.psi.delta.faces_by_cardinality()
+            faces = [f for m in sorted(by_card) for f in by_card[m]]
+            self._delta = ({f: k for k, f in enumerate(faces)},
+                           np.array([_popcount(f) for f in faces], dtype=np.int64))
+        return self._delta
 
     def _summand_faces(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The faces of every summand at position i as indices into ``_delta_faces``.
@@ -224,38 +242,45 @@ class PartitionComplexSpec:
         """
         got = self._faces.get(i)
         if got is None:
-            order = {f: k for k, f in enumerate(self._delta_faces())}
+            order = self._delta_faces()[0]
             faces = [sorted(order[f] for f in mod.faces()) for _, mod in self.summands(i)]
             got = self._faces[i] = (
                 np.array([k for fs in faces for k in fs], dtype=np.int64),
                 np.repeat(np.arange(len(faces)), [len(fs) for fs in faces]))
         return got
 
-    def _selections(self, i: int, j: int) -> list[np.ndarray]:
-        """Each summand's degree-j basis at position i as a selection of Delta's basis.
+    def _basis(self, i: int, j: int) -> _PositionBasis:
+        """Position i's degree-j basis as selections of Delta's basis, built once per (i, j).
 
         The degree-j monomials of Delta come in one run per face, of
         ``support_monomial_count(j, |face|)`` compositions, so a summand's
         selection is the concatenated runs of its faces. Empty for j < 0.
         """
-        sels = self._sels.get((i, j))
-        if sels is None:
-            lens = np.array([support_monomial_count(j, _popcount(f)) for f in self._delta_faces()],
-                            dtype=np.int64)
+        got = self._sels.get((i, j))
+        if got is None:
+            sizes = self._delta_faces()[1]
+            lens = np.array([support_monomial_count(j, m) for m in range(sizes.max(initial=0) + 1)],
+                            dtype=np.int64)[sizes]
             faces, owner = self._summand_faces(i)
             flat = _runs((np.cumsum(lens) - lens)[faces], lens[faces])
-            sizes = np.bincount(owner, lens[faces], minlength=len(self.summands(i)))
-            sels = self._sels[i, j] = np.split(flat, np.cumsum(sizes[:-1], dtype=np.int64))
-            for x in sels:
-                x.setflags(write=False)
-        return sels
+            flat.setflags(write=False)
+            dims = np.bincount(owner, lens[faces], minlength=len(self.summands(i)))
+            offsets = (0, *np.cumsum(dims, dtype=np.int64).tolist())
+            sels = [flat[a:b] for a, b in zip(offsets, offsets[1:])]
+            got = self._sels[i, j] = _PositionBasis(flat, sels, offsets, int(lens.sum()))
+        return got
+
+    def _selections(self, i: int, j: int) -> list[np.ndarray]:
+        """Each summand's degree-j basis at position i as a selection of Delta's basis."""
+        return self._basis(i, j).sels
 
     def summand_dims(self, i: int, j: int) -> tuple[int, ...]:
         """Degree-j dimension of each summand at position i."""
-        return tuple(x.size for x in self._selections(i, j))
+        offsets = self._basis(i, j).offsets
+        return tuple(b - a for a, b in zip(offsets, offsets[1:]))
 
     def space_dim(self, i: int, j: int) -> int:
-        return sum(x.size for x in self._selections(i, j))
+        return self._basis(i, j).offsets[-1]
 
     def mult_pattern(self, i: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Multiplication pattern of the direct sum at position i, degree t to t + 1.
@@ -270,18 +295,12 @@ class PartitionComplexSpec:
         pat = self._patterns.get((i, t))
         if pat is None:
             rows, cols, verts = _mult_pattern(self._ambient, t)
-            src, dst = self._selections(i, t), self._selections(i, t + 1)
+            src, dst = self._basis(i, t), self._basis(i, t + 1)
             colptr = np.searchsorted(cols, np.arange(len(monomial_basis(self._ambient, t)) + 1))
-            flat = np.concatenate(src)
-            counts = colptr[flat + 1] - colptr[flat]
-            entries = _runs(colptr[flat], counts)
-            col = np.repeat(np.arange(flat.size), counts)
-            # one key per (summand, monomial of Delta) keeps the targets' search sorted
-            wide = len(monomial_basis(self._ambient, t + 1))
-            owner = np.repeat(np.arange(len(src)), [x.size for x in src])
-            table = np.repeat(np.arange(len(dst)), [x.size for x in dst]) * wide
-            table += np.concatenate(dst)
-            row, hit = _locate(table, owner[col] * wide + rows[entries])
+            counts = colptr[src.flat + 1] - colptr[src.flat]
+            entries = _runs(colptr[src.flat], counts)
+            col = np.repeat(np.arange(src.flat.size), counts)
+            row, hit = _locate(dst.keys(), src.owners()[col] * dst.width + rows[entries])
             pat = self._patterns[i, t] = (row[hit], col[hit], verts[entries[hit]])
             for x in pat:
                 x.setflags(write=False)
@@ -328,6 +347,33 @@ class PartitionComplexSpec:
                 if (sign := self._block_sign(i, src[s][0], dst[d][0]))]
         return links
 
+    def _restrictions(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Every restriction of position i into position i + 1 in degree j, from one search.
+
+        Returns (rows, cols, stops). The entries of the k-th pair of
+        ``_signed_pairs(i)`` are [stops[k], stops[k + 1]) of rows and cols,
+        in the coordinates of the two direct sums: that pair's restriction
+        sends the monomial at column cols[e] to the one at row rows[e] and
+        every other monomial to 0, as it need not be onto. Rows ascend
+        within a pair.
+
+        A monomial of the target summand d is hit by the source summand s
+        when s's selection holds it, so every pair's targets, keyed by
+        s * width + monomial, are located at once among position i's keys:
+        the key found is the column itself.
+        """
+        src, dst = self._basis(i, j), self._basis(i + 1, j)
+        links = self._signed_pairs(i)
+        pair_s = np.array([s for s, _, _ in links], dtype=np.int64)
+        pair_d = np.array([d for _, d, _ in links], dtype=np.int64)
+        offsets = np.array(dst.offsets, dtype=np.int64)
+        starts = offsets[pair_d]
+        lens = offsets[pair_d + 1] - starts
+        rows = _runs(starts, lens)
+        cols, hit = _locate(src.keys(), np.repeat(pair_s * src.width, lens) + dst.flat[rows])
+        stops = np.concatenate(([0], np.cumsum(hit)))[np.cumsum(np.concatenate(([0], lens)))]
+        return rows[hit], cols[hit], stops.tolist()
+
     def _assemble(self, i: int, j: int, src_dims, dst_dims):
         """The blocks of the map of position i into position i + 1 in degree j.
 
@@ -335,15 +381,18 @@ class PartitionComplexSpec:
         either side. For every signed summand pair whose dimensions are
         nonzero this yields (row offset, column offset, s, d, index map,
         sign): the pair is the s-th summand at position i and the d-th at
-        position i + 1, and the index map the ``_index_map`` of their
-        selections.
+        position i + 1, and the index map its slice of ``_restrictions``,
+        as (cols, rows) in the coordinates of the two summands' monomials.
         """
-        src, dst = self._selections(i, j), self._selections(i + 1, j)
-        cols = np.cumsum((0,) + tuple(src_dims)).tolist()
-        rows = np.cumsum((0,) + tuple(dst_dims)).tolist()
-        for s, d, sign in self._signed_pairs(i):
+        rows, cols, stops = self._restrictions(i, j)
+        src, dst = self._basis(i, j).offsets, self._basis(i + 1, j).offsets
+        col_at = np.cumsum((0,) + tuple(src_dims)).tolist()
+        row_at = np.cumsum((0,) + tuple(dst_dims)).tolist()
+        for k, (s, d, sign) in enumerate(self._signed_pairs(i)):
             if src_dims[s] and dst_dims[d]:
-                yield rows[d], cols[s], s, d, _index_map(src[s], dst[d]), sign
+                a, b = stops[k], stops[k + 1]
+                yield (row_at[d], col_at[s], s, d, (cols[a:b] - src[s], rows[a:b] - dst[d]),
+                       sign)
 
     def differential(self, i: int, j: int, field: PrimeField) -> SparseMatrix:
         """Matrix of position i into position i + 1 at coarse degree j, built once.
@@ -354,11 +403,10 @@ class PartitionComplexSpec:
         m = self._maps.get(key)
         if m is not None:
             return m
-        src_dims, dst_dims = self.summand_dims(i, j), self.summand_dims(i + 1, j)
-        blocks = [(rows + r, cols + c, np.full(rows.size, sign))
-                  for r, c, _, _, (cols, rows), sign in self._assemble(i, j, src_dims, dst_dims)]
-        entries = (np.concatenate(x) for x in zip(*blocks)) if blocks else ([], [], [])
-        m = self._maps[key] = SparseMatrix((sum(dst_dims), sum(src_dims)), *entries, field.p)
+        rows, cols, stops = self._restrictions(i, j)
+        signs = np.array([sign for _, _, sign in self._signed_pairs(i)], dtype=np.int64)
+        m = self._maps[key] = SparseMatrix((self.space_dim(i + 1, j), self.space_dim(i, j)),
+                                           rows, cols, np.repeat(signs, np.diff(stops)), field.p)
         for x in (m.rows, m.cols, m.vals):
             x.setflags(write=False)
         return m
@@ -446,8 +494,9 @@ class ReducedPartitionComplex:
     differential descends because restriction commutes with multiplication
     by linear forms, and in quotient coordinates the block from summand q
     to summand q' at degree j is q'.reduce(j, moved): the rows of q.lift(j)
-    moved to their monomials' rows by ``_index_map``, and zero rows for
-    the monomials of q' outside q, as restriction need not be onto.
+    moved to their monomials' rows by the pair's slice of the spec's
+    ``_restrictions``, and zero rows for the monomials of q' outside q, as
+    restriction need not be onto.
     """
 
     def __init__(self, pspec: PartitionComplexSpec, theta: LinearFormSequence,

@@ -1,8 +1,20 @@
+import random
+
 import numpy as np
 import pytest
 
-from srlab import facering, partition
-from srlab.complexes import RelativeComplex, SimplicialComplex, as_relative, builtin_complex, f_h_vectors
+from srlab import duality, facering
+from srlab.complexes import (
+    BUILTIN_EXAMPLES,
+    RelativeComplex,
+    SimplicialComplex,
+    _popcount,
+    as_relative,
+    betti_numbers,
+    builtin_complex,
+    f_h_vectors,
+    random_relative_complex,
+)
 from srlab.duality import (
     DualityError,
     DualityPresentation,
@@ -26,6 +38,19 @@ def lsop(psi, seed=0, field=F, budget=20000):
     theta = sample_lsop(psi, expected_lsop_length(psi), seed, field, budget=budget)
     assert theta is not None
     return theta
+
+
+def annihilator_ok(P) -> bool:
+    """Check x_v * J_i = 0 in A_{i+1} for every vertex v and degree i of a presentation."""
+    nvert = len(P.psi.delta.labels)
+    for i, jb in P._j_bases.items():
+        if jb.shape[1] == 0:
+            continue
+        for k in range(nvert):
+            unit = tuple(int(m == k) for m in range(nvert))
+            if matmul(P.base.quotient_mult_matrix(unit, i), jb, P.field.p).any():
+                return False
+    return True
 
 
 def test_manifold_sanity_check_names_offending_faces():
@@ -68,7 +93,7 @@ def test_torus_duality_quotient():
     assert P.fundamental_degree == 3
     assert P.diagnostics["orientable_like"]
     assert P.diagnostics["betti"] == {-1: 0, 0: 0, 1: 2, 2: 1}
-    assert P.annihilator_ok()
+    assert annihilator_ok(P)
     rep = poincare_duality_report(P)
     assert rep["pd"] and rep["routes"] == {"pairing": True, "socle": True}
     assert rep["pairings"][1] == {"rank": 4, "full": True, "dim_left": 4, "dim_right": 4}
@@ -144,9 +169,9 @@ def test_build_B_builds_one_quotient_and_no_restriction(monkeypatch):
 
     monkeypatch.setattr(facering.GradedQuotientPresentation, "__init__", spy)
     mapped = []
-    index_map = partition._index_map
-    monkeypatch.setattr(partition, "_index_map",
-                        lambda *args: mapped.append(args) or index_map(*args))
+    restrictions = PartitionComplexSpec._restrictions
+    monkeypatch.setattr(PartitionComplexSpec, "_restrictions",
+                        lambda *args: mapped.append(args) or restrictions(*args))
     for name in ("torus7", "cross_polytope_3"):
         psi = builtin_complex(name)
         theta = lsop(psi)
@@ -157,6 +182,95 @@ def test_build_B_builds_one_quotient_and_no_restriction(monkeypatch):
     # the spy sees the maps of a star-cover differential
     PartitionComplexSpec.full(psi).differential(-1, 1, F)
     assert mapped
+
+
+def _sanity_check_by_links(delta, field):
+    """``manifold_sanity_check`` with the Betti numbers of every face link computed.
+
+    Returns the Betti numbers, or the message of the error it raises.
+    """
+    try:
+        dc = as_relative(delta).delta
+        d = dc.dim
+        if d is None or dc.is_void:
+            raise DualityError("the void complex is not a manifold candidate")
+        if not dc.is_pure():
+            raise DualityError("complex is not pure")
+        bet = betti_numbers(as_relative(dc), field)
+        if bet.get(0, 0) != 0:
+            raise DualityError("complex is not connected")
+        for tau in sorted(dc.faces):
+            if tau == 0:
+                continue
+            expected = d - _popcount(tau)
+            got = {i: v for i, v in betti_numbers(as_relative(dc.link(tau)), field).items() if v}
+            if got != {expected: 1}:
+                raise DualityError(
+                    f"link of face {dc.labels_of(tau)} is not a homology "
+                    f"{expected}-sphere over F_{field.p}")
+        return bet
+    except DualityError as exc:
+        return str(exc)
+
+
+def _sanity_outcome(delta, field):
+    try:
+        return manifold_sanity_check(delta, field)
+    except DualityError as exc:
+        return str(exc)
+
+
+# pure connected 2-complexes whose first offender in face order is the ridge (1, 2)
+RIDGE_IN_ONE_FACET = [(3, 4, 5), (3, 4, 6), (1, 2, 4), (1, 3, 5), (1, 5, 6), (2, 3, 4), (2, 3, 5),
+                      (2, 4, 5), (1, 4, 6), (1, 3, 4)]
+RIDGE_IN_THREE_FACETS = [(2, 3, 6), (3, 4, 5), (1, 2, 3), (1, 2, 6), (1, 2, 4), (1, 5, 6),
+                         (1, 4, 6), (3, 4, 6), (2, 5, 6)]
+
+
+@pytest.mark.parametrize("facets,owners", [(RIDGE_IN_ONE_FACET, 1), (RIDGE_IN_THREE_FACETS, 3)])
+def test_ridges_off_two_facets_raise_as_their_links_do(facets, owners):
+    delta = SimplicialComplex.from_facets(tuple(range(1, 7)), facets)
+    assert sum(set(f) >= {1, 2} for f in facets) == owners
+    for field in (PrimeField(2), PrimeField(3), F):
+        with pytest.raises(DualityError) as err:
+            manifold_sanity_check(delta, field)
+        assert str(err.value) == (f"link of face (1, 2) is not a homology 0-sphere "
+                                  f"over F_{field.p}")
+        assert str(err.value) == _sanity_check_by_links(delta, field)
+    # in a graph the ridges are the vertices: vertex 1 lies on three edges, vertex 4 on one
+    claw = SimplicialComplex.from_facets((1, 2, 3, 4), [(1, 2), (1, 3), (1, 4), (2, 3)])
+    assert _sanity_outcome(claw, F) == _sanity_check_by_links(claw, F) == (
+        f"link of face (1,) is not a homology 0-sphere over F_{F.p}")
+
+
+def test_sanity_check_counts_facets_and_ridges_and_agrees_with_every_link():
+    rng = random.Random(21)
+    cases = [builtin_complex(name).delta for name in BUILTIN_EXAMPLES]
+    cases += [builtin_complex(name).delta for name in
+              ("boundary_simplex_4", "cross_polytope_4", "path_2")]
+    cases += [SimplicialComplex.from_facets((1, 2, 3, 4), edges) for edges in
+              ([(1, 2), (2, 3), (3, 4), (1, 4)], [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])]
+    cases += [SimplicialComplex.from_facets(tuple(range(1, 7)), f)
+              for f in (RIDGE_IN_ONE_FACET, RIDGE_IN_THREE_FACETS)]
+    cases += [random_relative_complex(rng, max_vertices=6).delta for _ in range(60)]
+    passed = 0
+    for delta in cases:
+        for field in (PrimeField(2), PrimeField(3), F):
+            want = _sanity_check_by_links(delta, field)
+            assert _sanity_outcome(delta, field) == want
+            passed += isinstance(want, dict)
+    assert passed >= 15
+
+
+def test_sanity_check_computes_no_facet_or_ridge_link(monkeypatch):
+    linked = []
+    real = duality.betti_numbers
+    monkeypatch.setattr(duality, "betti_numbers",
+                        lambda psi, field: linked.append(psi) or real(psi, field))
+    tor = builtin_complex("torus7").delta
+    assert manifold_sanity_check(tor, F) == {-1: 0, 0: 0, 1: 2, 2: 1}
+    # the whole complex, then the seven vertex links only
+    assert [x.delta.dim for x in linked] == [2] + [1] * 7
 
 
 def test_unquotiented_torus_algebra_is_not_self_dual():
@@ -179,7 +293,7 @@ def test_projective_plane_splits_by_field():
     assert P.j_dims_list(3) == [0, 0, 3, 0]
     assert P.diagnostics["orientable_like"]
     assert is_poincare_duality_algebra(P)
-    assert P.annihilator_ok()
+    assert annihilator_ok(P)
     reduced = ReducedPartitionComplex(PartitionComplexSpec.full(rp2), theta, f2, max_position=0)
     assert [reduced.front_kernel_dims(2)[j] for j in range(3)] == P.j_dims_list(2)
 

@@ -27,7 +27,6 @@ from srlab.facering import (
     _certified,
     _full_column_rank,
     _generator_max_degree,
-    _hilbert_by_face_counts,
     _maximal_columns,
     _mult_matrix,
     _mult_pattern,
@@ -44,7 +43,7 @@ from srlab.facering import (
     quotient_presentation,
     random_linear_forms,
     sample_lsop,
-    variable_form,
+    support_monomial_count,
 )
 from srlab.linalg import DEFAULT_PRIME, PrimeField, matmul, rref
 
@@ -56,6 +55,26 @@ def lsop(psi, field=F, seed=0):
     theta = sample_lsop(psi, expected_lsop_length(psi), seed, field)
     assert theta is not None
     return theta
+
+
+def variable_form(psi, v, field: PrimeField) -> tuple[int, ...]:
+    """The coordinate form x_v."""
+    psi = as_relative(psi)
+    idx = psi.delta.index[v]
+    return tuple(1 if i == idx else 0 for i in range(len(psi.delta.labels)))
+
+
+def _hilbert_by_face_counts(psi, up_to: int) -> list[int]:
+    """Hilbert function via supports: each m-face contributes C(j-1, m-1) in degree j.
+
+    A route independent of ``hilbert_series_coeffs``, so the two can be
+    compared against each other and against monomial enumeration.
+    """
+    counts: dict[int, int] = {}
+    for f in as_relative(psi).faces():
+        counts[_popcount(f)] = counts.get(_popcount(f), 0) + 1
+    return [sum(cnt * support_monomial_count(j, m) for m, cnt in counts.items())
+            for j in range(up_to + 1)]
 
 
 def test_monomial_basis_degree_zero():

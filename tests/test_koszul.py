@@ -22,12 +22,13 @@ from srlab.facering import (
     multiplication_matrix,
     quotient_presentation,
     sample_lsop,
-    variable_form,
 )
 from srlab.koszul import KoszulComplex, KoszulError, depth, is_algebraically_cm, koszul_homology_dims
 from srlab.linalg import DEFAULT_PRIME, PrimeField, SparseMatrix, kernel_basis, rank
 
 import random
+
+from test_facering import variable_form
 
 F = PrimeField(DEFAULT_PRIME)
 

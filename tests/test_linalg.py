@@ -754,3 +754,56 @@ def test_peel_carries_the_total_complex(monkeypatch):
     assert {k: v for k, v in table.items() if v} == {(2, 3): 1, (3, 2): 3, (4, 1): 3, (5, 0): 1}
     assert counts["rank"] > 1000
     assert 2 * counts["peeled"] >= counts["rank"]
+
+
+def _scattered_remainder_case(rng, p, shape=(300, 260), block=(14, 11)):
+    """A matrix whose peel leaves one block on scattered high rows and columns.
+
+    Outside the block every row is paired with a column it alone holds,
+    and may hold block columns too; so the peel deletes it by a column
+    singleton, and what is left is the block, where every row and column
+    holds at least two entries. Returns the matrix, the block's rows and
+    its columns.
+    """
+    nrows, ncols = shape
+    brows = np.sort(rng.choice(np.arange(nrows // 2, nrows), block[0], replace=False))
+    bcols = np.sort(rng.choice(np.arange(ncols // 2, ncols), block[1], replace=False))
+    m = np.zeros(shape, dtype=np.int64)
+    sub = _random_matrix(rng, block, p, 0.5) % p
+    for k in range(max(block)):  # a cycle keeps two entries in every row and column
+        for i, j in ((k % block[0], k % block[1]), (k % block[0], (k + 1) % block[1])):
+            sub[i, j] = sub[i, j] or rng.integers(1, p)
+    m[np.ix_(brows, bcols)] = sub
+    rest_rows = np.setdiff1d(np.arange(nrows), brows)
+    rest_cols = rng.permutation(np.setdiff1d(np.arange(ncols), bcols))
+    for i, j in zip(rest_rows, rest_cols):
+        m[i, j] = rng.integers(1, p)
+        m[i, bcols[rng.random(block[1]) < 0.2]] = 1
+    return m, brows, bcols
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+def test_markowitz_rank_reports_pivots_of_a_scattered_remainder_in_input_coordinates(p):
+    rng = np.random.default_rng([p % 1000, 21])
+    for _ in range(3):
+        m, brows, bcols = _scattered_remainder_case(rng, p)
+        want = len(_oracle_rref(m, p)[1])
+        sparse = SparseMatrix.from_dense(m, p)
+        for a, dense, (live_rows, live_cols) in [(sparse, m, (brows, bcols)),
+                                                  (sparse.T, m.T, (bcols, brows))]:
+            peeled, live = _peel_singletons(a)
+            # the peel leaves exactly the block, on high and scattered indices
+            assert set(live[0].tolist()) == set(live_rows.tolist())
+            assert set(live[1].tolist()) == set(live_cols.tolist())
+            found = []
+            assert _markowitz_rank(a, p, pivots=found) == want
+            assert found[:len(peeled)] == peeled
+            rows = [i for i, _ in found]
+            cols = [j for _, j in found]
+            assert len(set(rows)) == len(set(cols)) == want
+            # the pivots past the peel are the block's, as rows and columns of a
+            assert {i for i, _ in found[len(peeled):]} <= set(live_rows.tolist())
+            assert {j for _, j in found[len(peeled):]} <= set(live_cols.tolist())
+            assert len(found) > len(peeled)
+            assert rank(dense[rows], p) == want
+            assert rank(dense[np.ix_(rows, cols)], p) == want

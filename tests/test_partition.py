@@ -11,6 +11,7 @@ import pytest
 
 from srlab import facering, koszul, partition
 from srlab.complexes import (
+    BUILTIN_EXAMPLES,
     RelativeComplex,
     SimplicialComplex,
     builtin_complex,
@@ -71,9 +72,9 @@ def test_wide_windows_build_no_monomial_matrices(monkeypatch):
     # matrices would fill the monomial_basis cache and map monomials
     psi = builtin_complex("cross_polytope_4")
     mapped = []
-    index_map = partition._index_map
-    monkeypatch.setattr(partition, "_index_map",
-                        lambda *args: mapped.append(args) or index_map(*args))
+    restrictions = PartitionComplexSpec._restrictions
+    monkeypatch.setattr(PartitionComplexSpec, "_restrictions",
+                        lambda *args: mapped.append(args) or restrictions(*args))
 
     def cache():
         return monomial_basis.cache_info().misses, monomial_basis.cache_info().currsize
@@ -250,6 +251,98 @@ def test_sparse_differential_equals_signed_restriction_matrices(monkeypatch):
             got = pspec.differential(i, -1, F)
             assert got.shape == (0, 0) and not got.vals.size
             assert all(j >= 0 for j in degrees)
+
+
+def _index_map(src, dst):
+    """Restriction between two summands in degree j as index arrays (cols, rows).
+
+    src and dst are the summands' selections. The map sends the monomial
+    at cols[k] of src's basis to the one at rows[k] of dst's and every
+    other monomial to 0. One search per summand pair: the oracle for the
+    spec's single keyed search over all pairs.
+    """
+    pos = np.searchsorted(src, dst)
+    hit = pos < src.size
+    hit[hit] = src[pos[hit]] == dst[hit]
+    rows = np.flatnonzero(hit)
+    return pos[rows], rows
+
+
+def _pairwise_differential(pspec, i, j, p):
+    """Position i into position i + 1 in degree j, one ``_index_map`` per signed pair."""
+    src, dst = pspec._selections(i, j), pspec._selections(i + 1, j)
+    cols = np.cumsum([0] + [x.size for x in src])
+    rows = np.cumsum([0] + [x.size for x in dst])
+    m = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+    for s, d, sign in pspec._signed_pairs(i):
+        c, r = _index_map(src[s], dst[d])
+        m[rows[d] + r, cols[s] + c] = sign % p
+    return m
+
+
+def _pairwise_reduced_differential(reduced, i, j):
+    """``ReducedPartitionComplex.differential`` with one ``_index_map`` per signed pair."""
+    pspec, p = reduced.pspec, reduced.field.p
+    src, dst = reduced.quotients.get(i, []), reduced.quotients.get(i + 1, [])
+    ssel, dsel = pspec._selections(i, j), pspec._selections(i + 1, j)
+    cols = np.cumsum([0] + [q.dim(j) for _, _, q in src])
+    rows = np.cumsum([0] + [q.dim(j) for _, _, q in dst])
+    mat = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+    for s, d, sign in pspec._signed_pairs(i):
+        sq, dq = src[s][2], dst[d][2]
+        if sq.dim(j) and dq.dim(j):
+            c, r = _index_map(ssel[s], dsel[d])
+            moved = np.zeros((dsel[d].size, sq.dim(j)), dtype=np.int64)
+            moved[r] = sq.lift(j)[c]
+            mat[rows[d]:rows[d + 1], cols[s]:cols[s + 1]] = sign * dq.reduce(j, moved) % p
+    return mat
+
+
+def _oracle_homology(dims, maps, top, window, p):
+    """{(i, j): dim - rank in - rank out} from dense maps, i in [-1, top], j in [0, window]."""
+    def rk(i, j):
+        m = maps(i, j) if -1 <= i < top else None
+        return rank(m, p) if m is not None and m.size else 0
+    return {(i, j): dims(i, j) - rk(i - 1, j) - rk(i, j)
+            for i in range(-1, top + 1) for j in range(window + 1)}
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+def test_keyed_star_cover_maps_equal_the_pairwise_index_maps(p):
+    field = PrimeField(p)
+    specs = [PartitionComplexSpec.full(builtin_complex(name)) for name in BUILTIN_EXAMPLES]
+    specs += _variant_specs()
+    reduced_checked = 0
+    for pspec in specs:
+        psi = pspec.psi
+        window = partition._window(psi, None)
+        for i in range(-1, pspec.max_position + 1):
+            for j in range(-1, window + 1):
+                got = pspec.differential(i, j, field)
+                assert np.array_equal(got.toarray(), _pairwise_differential(pspec, i, j, p))
+        theta = sample_lsop(psi, expected_lsop_length(psi), 0, field, budget=4000)
+        if theta is None:
+            continue
+        try:
+            top = None if pspec.variant == "full" else 0
+            reduced = ReducedPartitionComplex(pspec, theta, field, max_position=top)
+        except PartitionError:
+            continue  # Theta is no parameter system of some summand
+        for i in range(-1, reduced.max_position):
+            for j in range(window + 1):
+                assert np.array_equal(reduced.differential(i, j),
+                                      _pairwise_reduced_differential(reduced, i, j))
+        if pspec.variant == "subdivision":
+            continue
+        want = _oracle_homology(reduced.space_dim,
+                                lambda i, j: _pairwise_reduced_differential(reduced, i, j),
+                                reduced.max_position, window, p)
+        if pspec.variant == "full":
+            assert reduced.homology_dims() == want
+        else:
+            assert reduced.front_kernel_dims(window) == {j: want[-1, j] for j in range(window + 1)}
+        reduced_checked += 1
+    assert reduced_checked >= 20
 
 
 def test_reduced_differential_equals_the_restriction_matrix_route():
@@ -520,13 +613,13 @@ def test_total_complex_assembles_each_star_cover_map_once(monkeypatch):
     # every slice of the total complex tiles the maps of the same spec, and
     # the spec keeps each (i, j) map after building it
     assembled = []
-    real = PartitionComplexSpec._assemble
+    real = PartitionComplexSpec._restrictions
 
-    def spy(self, i, j, *args):
+    def spy(self, i, j):
         assembled.append((id(self), i, j))
-        return real(self, i, j, *args)
+        return real(self, i, j)
 
-    monkeypatch.setattr(PartitionComplexSpec, "_assemble", spy)
+    monkeypatch.setattr(PartitionComplexSpec, "_restrictions", spy)
     bs4 = builtin_complex("boundary_simplex_4")
     table = total_complex_homology(bs4, lsop(bs4), F)
     assert {k: v for k, v in table.items() if v} == {(7 - j, j): math.comb(4, j)
