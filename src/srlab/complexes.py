@@ -14,6 +14,19 @@ Conventions that matter and are easy to get wrong:
   faces(Delta) minus faces(Gamma); Gamma may be void, which recovers
   the absolute case;
 * cohomology is reduced, with the empty face sitting in dimension -1.
+
+Every face link is read off Psi's own cochain complex. For a face tau
+of Delta, rho -> rho - tau maps the faces of Psi containing tau onto the
+faces of lk_tau Psi, shifting dimension by |tau|, and the coboundary of
+Psi restricted to those faces is the link's up to the diagonal sign
+
+    eps(rho) = (-1)^(sum over w in rho - tau of #{u in tau : u < w}).
+
+Proof: the entry of rho -> rho + v is (-1)^#{u in rho : u < v} in Psi and
+(-1)^#{u in rho - tau : u < v} in the link, and they differ by
+(-1)^#{u in tau : u < v} = eps(rho + v) eps(rho). A diagonal +-1 change
+of basis keeps every rank, so ``FaceLinkCohomology`` ranks submatrices of
+Psi's coboundaries and never builds a link.
 """
 
 from __future__ import annotations
@@ -46,6 +59,26 @@ def _bit_positions(mask: int) -> tuple[int, ...]:
 
 def _popcount(mask: int) -> int:
     return bin(mask).count("1")
+
+
+def _submasks(mask: int):
+    """Every submask of mask, from mask itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def _is_maximal(face: int, faces, free: int) -> bool:
+    """No one-vertex extension of face by a vertex of ``free`` lies in faces.
+
+    In a family closed under subsets inside a complex, such as the faces
+    of Delta - Gamma, this is maximality: a larger face contains some
+    face + v, which then lies in the family too.
+    """
+    return not any(face | (1 << v) in faces for v in _bit_positions(free & ~face))
 
 
 class SimplicialComplex:
@@ -154,11 +187,8 @@ class SimplicialComplex:
 
     def facets(self) -> list[int]:
         if self._facets_cache is None:
-            facets = []
-            for f in self.faces:
-                if not any(f != g and f & g == f for g in self.faces):
-                    facets.append(f)
-            self._facets_cache = sorted(facets)
+            free = (1 << len(self.labels)) - 1
+            self._facets_cache = sorted(f for f in self.faces if _is_maximal(f, self.faces, free))
         return list(self._facets_cache)
 
     def vertex_masks(self) -> list[int]:
@@ -389,46 +419,113 @@ def euler_characteristic(psi) -> int:
 # -- relative simplicial cohomology -----------------------------------------
 
 
+def _cochain_faces(psi: RelativeComplex) -> list[list[int]]:
+    """Psi's faces by dimension: list k holds dimension k - 1, sorted by mask, up to dim Psi."""
+    by_card = psi.delta.faces_by_cardinality()
+    gamma = psi.gamma.faces
+    bases = [[f for f in by_card.get(m, ()) if f not in gamma]
+             for m in range(max(by_card, default=-1) + 1)]
+    while bases and not bases[-1]:
+        bases.pop()
+    return bases
+
+
 def coboundary_matrices(psi, field: PrimeField) -> tuple[dict[int, int], dict[int, np.ndarray]]:
-    """Reduced relative cochain complex: spaces and coboundaries indexed -1..dim."""
-    psi = as_relative(psi)
-    if psi.is_void:
-        return {}, {}
-    d = psi.dim
-    bases = {i: psi.faces_of_dim(i) for i in range(-1, d + 1)}
-    positions = {i: {m: k for k, m in enumerate(b)} for i, b in bases.items()}
-    dims = {i: len(b) for i, b in bases.items()}
-    delta_faces = psi.delta.faces
+    """Reduced relative cochain complex: spaces and coboundaries indexed -1..dim.
+
+    The coboundary out of dimension i has the entry (-1)^#{u in sigma : u < v}
+    from each face sigma to each face sigma + v of Psi, found by dropping
+    one vertex at a time from the faces of dimension i + 1.
+    """
+    bases = _cochain_faces(as_relative(psi))
+    dims = {i: len(b) for i, b in enumerate(bases, start=-1)}
     diffs = {}
-    n = len(psi.delta.labels)
-    for i in range(-1, d):
-        mat = np.zeros((dims[i + 1], dims[i]), dtype=np.int64)
-        target_pos = positions[i + 1]
-        for col, sigma in enumerate(bases[i]):
-            for v in range(n):
-                bit = 1 << v
-                if sigma & bit:
-                    continue
-                tau = sigma | bit
-                if tau not in delta_faces:
-                    continue
-                row = target_pos.get(tau)
-                if row is None:
-                    continue  # tau lies in Gamma: cannot happen when sigma is outside
-                sign = (-1) ** _popcount(tau & (bit - 1))
-                mat[row, col] = sign % field.p
-        diffs[i] = mat
+    for i in range(-1, len(bases) - 2):
+        where = {f: k for k, f in enumerate(bases[i + 1])}
+        rows, cols, vals = [], [], []
+        for row, rho in enumerate(bases[i + 2]):
+            for k, v in enumerate(_bit_positions(rho)):
+                col = where.get(rho ^ (1 << v))
+                if col is not None:
+                    rows.append(row)
+                    cols.append(col)
+                    vals.append(field.p - 1 if k % 2 else 1)
+        mat = diffs[i] = np.zeros((dims[i + 1], dims[i]), dtype=np.int64)
+        mat[rows, cols] = vals
     return dims, diffs
 
 
+class FaceLinkCohomology:
+    """Reduced cohomology over F_p of the link of every face of Delta in Psi.
+
+    ``table[tau]`` equals ``relative_cohomology_dims(psi.link(tau), field)``:
+    {i: dim} over i in -1..dim lk_tau Psi, and {} when the link is void (no
+    face of Psi contains tau). No link is built. The link's cochains of
+    dimension i are Psi's on the faces of dimension i + |tau| containing
+    tau, and its coboundaries are Psi's coboundary matrices restricted to
+    those faces, up to a sign change that keeps every rank (see the module
+    docstring).
+
+    Psi's coboundaries are built once, with the table. The faces containing
+    each tau are found by one pass over the submasks of Psi's faces, made
+    when the first nonempty tau is asked for. Each entry is ranked on first
+    demand and then kept. The entry of the empty face is the cohomology of
+    Psi itself, which ``relative_cohomology_dims`` reads. A table serves one
+    (Psi, field); a caller that needs it twice passes it on.
+    """
+
+    __slots__ = ("psi", "field", "_dims", "_diffs", "_above", "_table")
+
+    def __init__(self, psi, field: PrimeField):
+        self.psi = as_relative(psi)
+        self.field = field
+        self._dims, self._diffs = coboundary_matrices(self.psi, field)
+        # tau -> {dimension i: positions in Psi's i-faces of those containing tau}
+        self._above: dict[int, dict[int, list[int]]] | None = None
+        self._table: dict[int, dict[int, int]] = {}
+
+    def _faces_above(self) -> dict[int, dict[int, list[int]]]:
+        if self._above is None:
+            above: dict[int, dict[int, list[int]]] = {}
+            for i, faces in enumerate(_cochain_faces(self.psi), start=-1):
+                for k, rho in enumerate(faces):
+                    for tau in _submasks(rho):
+                        above.setdefault(tau, {}).setdefault(i, []).append(k)
+            self._above = above
+        return self._above
+
+    def __getitem__(self, tau: int) -> dict[int, int]:
+        got = self._table.get(tau)
+        if got is None:
+            got = self._table[tau] = self._link(tau)
+        return got
+
+    def _link(self, tau: int) -> dict[int, int]:
+        if not tau:
+            dims, top = self._dims, len(self._dims) - 2
+            h = LazyHomology(lambda i: dims.get(i, 0), self._diffs.__getitem__, (1,),
+                             self.field.p)
+            return {i: h.homology(i) for i in range(-1, top + 1)}
+        if tau not in self.psi.delta.faces:
+            raise ComplexError("link of a non-face")
+        above = self._faces_above().get(tau)
+        if above is None:
+            return {}
+        t = _popcount(tau)
+
+        def diff(i: int) -> np.ndarray:
+            return self._diffs[i + t][above[i + t + 1]][:, above[i + t]]
+
+        h = LazyHomology(lambda i: len(above.get(i + t, ())), diff, (1,), self.field.p)
+        return {i: h.homology(i) for i in range(-1, max(above) - t + 1)}
+
+
 def relative_cohomology_dims(psi, field: PrimeField) -> dict[int, int]:
-    """Reduced cohomology dims of the pair over F_p, indices -1..dim."""
-    psi = as_relative(psi)
-    if psi.is_void:
-        return {}
-    dims, diffs = coboundary_matrices(psi, field)
-    h = LazyHomology(lambda i: dims.get(i, 0), diffs.__getitem__, (1,), field.p)
-    return {i: h.homology(i) for i in dims}
+    """Reduced cohomology dims of the pair over F_p, indices -1..dim.
+
+    The empty face's entry of ``FaceLinkCohomology``: its link is Psi.
+    """
+    return FaceLinkCohomology(psi, field)[0]
 
 
 def betti_numbers(psi, field: PrimeField) -> dict[int, int]:

@@ -28,7 +28,13 @@ hence J_i = intersection over v of N_{v,i}, read off A alone.
 
 import numpy as np
 
-from .complexes import RelativeComplex, as_relative, betti_numbers, _bit_positions, _popcount
+from .complexes import (
+    FaceLinkCohomology,
+    RelativeComplex,
+    as_relative,
+    _bit_positions,
+    _popcount,
+)
 from .facering import (
     GradedQuotientPresentation,
     LinearFormSequence,
@@ -65,7 +71,8 @@ def manifold_sanity_check(delta, field: PrimeField) -> dict[int, int]:
     Facets and ridges are decided by counting.  In a pure complex the
     link of a facet is {empty face}, a (-1)-sphere, and the link of a
     ridge has one vertex per facet containing it, so it is a homology
-    0-sphere exactly when two facets contain the ridge.
+    0-sphere exactly when two facets contain the ridge. The other links,
+    and the Betti numbers, are read off one ``FaceLinkCohomology``.
     """
     dc = as_relative(delta).delta
     d = dc.dim
@@ -73,7 +80,8 @@ def manifold_sanity_check(delta, field: PrimeField) -> dict[int, int]:
         raise DualityError("the void complex is not a manifold candidate")
     if not dc.is_pure():
         raise DualityError("complex is not pure")
-    bet = betti_numbers(as_relative(dc), field)
+    links = FaceLinkCohomology(dc, field)
+    bet = links[0]
     if bet.get(0, 0) != 0:
         raise DualityError("complex is not connected")
     cofacets: dict[int, int] = {}  # ridge -> number of facets containing it
@@ -87,8 +95,7 @@ def manifold_sanity_check(delta, field: PrimeField) -> dict[int, int]:
         if expected == 0:
             sphere = cofacets[tau] == 2
         else:
-            got = betti_numbers(as_relative(dc.link(tau)), field)
-            sphere = {i: v for i, v in got.items() if v} == {expected: 1}
+            sphere = {i: v for i, v in links[tau].items() if v} == {expected: 1}
         if not sphere:
             raise DualityError(
                 f"link of face {dc.labels_of(tau)} is not a homology "

@@ -28,7 +28,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .complexes import RelativeComplex, as_relative, f_h_vectors, _bit_positions, _popcount
+from .complexes import (
+    RelativeComplex,
+    as_relative,
+    f_h_vectors,
+    _bit_positions,
+    _is_maximal,
+    _popcount,
+)
 from .linalg import FrozenQuotient, PrimeField
 
 
@@ -422,11 +429,13 @@ def _maximal_columns(psi: RelativeComplex) -> tuple[np.ndarray, ...]:
     """Vertex positions of the nonempty maximal faces of Psi, grouped by size.
 
     One read-only (faces, size) index array per face size, sizes ascending.
-    The O(F^2) scan runs once per complex, not once per block of Theta
-    draws of sample_lsop.
+    A face is maximal when none of its one-vertex extensions is a face of
+    Psi (``complexes._is_maximal``), an O(F n) scan run once per complex,
+    not once per block of Theta draws of sample_lsop.
     """
     faces = psi.faces()
-    maximal = [f for f in faces if not any(f != g and f & g == f for g in faces)]
+    free = (1 << len(psi.delta.labels)) - 1
+    maximal = [f for f in faces if _is_maximal(f, faces, free)]
     by_size: dict[int, list[tuple[int, ...]]] = {}
     for cols in map(_bit_positions, maximal):
         if cols:

@@ -29,6 +29,13 @@ A restriction intersects two such selections, and a position's Koszul
 pattern is Delta's multiplication pattern filtered to its selections, so
 no summand's own basis or pattern is ever built.
 
+A star is a face selection too. For the full variant sigma lies in
+st_tau Psi iff sigma + tau is a face of Delta - Gamma, so one pass over
+Delta's faces finds st_tau Psi as sorted indices into Delta's faces, and
+the same selections give each support piece its summands. No star is
+built as a complex, except where a quotient of it is taken
+(``ReducedPartitionComplex``).
+
 Two variants change the columns. The interior complex of a disk keeps
 only stars of strongly interior faces (every vertex off the boundary)
 with the absolute face ring up front. The subdivision complex of a
@@ -122,9 +129,13 @@ def _cech_sign(tau: int, bit: int) -> int:
 class PartitionComplexSpec:
     """Columns of a star-cover complex, one summand per chosen face or cell.
 
-    positions maps the cohomological index i to an ordered list of
-    (descriptor, module) pairs; descriptors are face masks for the full
-    and interior variants and cell indices for the subdivision variant.
+    positions maps the cohomological index i to the ordered list of its
+    summands' descriptors: face masks for the full and interior variants,
+    cell indices for the subdivision variant. A summand's module is built
+    only on demand (``module``, ``summands``), for a quotient; the spec
+    itself holds every summand by its faces, a selection of Delta's
+    (``_stars``), found by one pass over Delta's faces per descriptor for
+    the face-mask variants.
 
     Every summand module lives on Delta's ground set and its faces are
     faces of Delta, so its degree-j monomial basis is a subsequence of
@@ -150,8 +161,9 @@ class PartitionComplexSpec:
     docstring), whose map of position i has the entry
     ``_block_sign(i, src, dst)`` for every pair of descriptors whose
     modules both contain sigma, the entry the monomials of support sigma
-    get in the degree-j differential. Faces whose descriptor lists agree
-    share one piece, ranked once per prime.
+    get in the degree-j differential. The summands holding each sigma are
+    read off the same face selections (``_supports``), and faces whose
+    descriptor lists agree share one piece, ranked once per prime.
     """
 
     __slots__ = ("psi", "variant", "positions", "structure", "_signs", "_ambient",
@@ -167,9 +179,9 @@ class PartitionComplexSpec:
         self.structure = structure
         self._signs = signs or {}
         self._ambient = RelativeComplex(psi.delta)
-        self._delta: tuple[dict[int, int], np.ndarray] | None = None
-        # position -> (Delta-face indices of its summands, concatenated; summand of each)
-        self._faces: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._delta: tuple[list[int], np.ndarray] | None = None
+        # each summand's faces as indices into _delta_faces, summands as in _numbered
+        self._faces: list[list[int]] | None = None
         # (position, degree) -> one selection per summand
         self._sels: dict[tuple[int, int], _PositionBasis] = {}
         # position -> [(s, d, sign)] over the summand pairs with a nonzero sign
@@ -184,7 +196,7 @@ class PartitionComplexSpec:
         psi = as_relative(psi)
         positions: dict[int, list] = {}
         for tau in sorted(psi.delta.faces):
-            positions.setdefault(_popcount(tau) - 1, []).append((tau, psi.star(tau)))
+            positions.setdefault(_popcount(tau) - 1, []).append(tau)
         return cls(psi, "full", positions)
 
     @classmethod
@@ -196,20 +208,18 @@ class PartitionComplexSpec:
         for v in delta.vertex_masks():
             if v not in disk.gamma.faces:
                 interior |= v
-        positions: dict[int, list] = {-1: [(0, RelativeComplex(delta))]}
+        positions: dict[int, list] = {-1: [0]}
         for tau in sorted(delta.faces):
             if tau and tau & interior == tau:
-                summand = (tau, RelativeComplex(delta.star(tau)))
-                positions.setdefault(_popcount(tau) - 1, []).append(summand)
+                positions.setdefault(_popcount(tau) - 1, []).append(tau)
         return cls(disk, "interior", positions)
 
     @classmethod
     def subdivision(cls, structure: "SubdivisionStructure") -> "PartitionComplexSpec":
         d = structure.dim
-        positions: dict[int, list] = {-1: [("delta", RelativeComplex(structure.delta))]}
+        positions: dict[int, list] = {-1: ["delta"]}
         for idx, cell in enumerate(structure.cells):
-            i = d - cell["dim"]
-            positions.setdefault(i, []).append((idx, RelativeComplex(cell["subcomplex"])))
+            positions.setdefault(d - cell["dim"], []).append(idx)
         signs = dict(structure.incidence_signs)
         return cls(RelativeComplex(structure.delta), "subdivision", positions,
                    structure=structure, signs=signs)
@@ -218,21 +228,65 @@ class PartitionComplexSpec:
     def max_position(self) -> int:
         return max(self.positions, default=-1)
 
-    def summands(self, i: int) -> list:
-        return self.positions.get(i, [])
+    def module(self, desc) -> RelativeComplex:
+        """The summand module of a descriptor, built on every call.
 
-    def _delta_faces(self) -> tuple[dict[int, int], np.ndarray]:
+        ``ReducedPartitionComplex`` takes its quotient, and ``_stars`` reads
+        a cell's faces off it; every other path reads a summand's faces off
+        ``_stars``.
+        """
+        if self.variant == "full":
+            return self.psi.star(desc)
+        if self.variant == "interior":
+            return RelativeComplex(self.psi.delta.star(desc))
+        if desc == "delta":
+            return RelativeComplex(self.structure.delta)
+        return RelativeComplex(self.structure.cells[desc]["subcomplex"])
+
+    def summands(self, i: int) -> list:
+        """(descriptor, module) for every summand at position i, each module built on this call."""
+        return [(desc, self.module(desc)) for desc in self.positions.get(i, [])]
+
+    def _delta_faces(self) -> tuple[list[int], np.ndarray]:
         """Delta's faces in the order its monomial bases list them: by size, then mask.
 
-        Returns each face's index in that order and the size of the face
-        at each index, built once.
+        Returns the masks in that order and the size of each face, built once.
         """
         if self._delta is None:
             by_card = self.psi.delta.faces_by_cardinality()
-            faces = [f for m in sorted(by_card) for f in by_card[m]]
-            self._delta = ({f: k for k, f in enumerate(faces)},
-                           np.array([_popcount(f) for f in faces], dtype=np.int64))
+            sizes = sorted(by_card)
+            self._delta = ([f for m in sizes for f in by_card[m]],
+                           np.repeat(np.array(sizes, dtype=np.int64),
+                                     [len(by_card[m]) for m in sizes]))
         return self._delta
+
+    def _numbered(self) -> list[tuple[int, object]]:
+        """(position, descriptor) of every summand, numbered across positions from -1 up."""
+        return [(i, desc) for i in range(-1, self.max_position + 1)
+                for desc in self.positions.get(i, [])]
+
+    def _stars(self) -> list[list[int]]:
+        """Every summand's faces as sorted indices into ``_delta_faces``, built once.
+
+        Summands are numbered as in ``_numbered``. A star is a face
+        selection: sigma lies in st_tau Psi iff sigma + tau is a face of
+        Delta - Gamma (full variant), and in st_tau Delta iff sigma + tau is
+        a face of Delta (interior variant), so one pass over Delta's faces
+        per descriptor finds it. The subdivision variant reads its cells'
+        faces.
+        """
+        if self._faces is None:
+            faces = self._delta_faces()[0]
+            descs = [desc for _, desc in self._numbered()]
+            if self.variant == "subdivision":
+                order = {f: k for k, f in enumerate(faces)}
+                self._faces = [sorted(order[f] for f in self.module(desc).faces())
+                               for desc in descs]
+            else:
+                base = self.psi.faces() if self.variant == "full" else self.psi.delta.faces
+                self._faces = [[k for k, f in enumerate(faces) if f | tau in base]
+                               for tau in descs]
+        return self._faces
 
     def _summand_faces(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The faces of every summand at position i as indices into ``_delta_faces``.
@@ -240,14 +294,10 @@ class PartitionComplexSpec:
         Returns the sorted index arrays of the summands concatenated, and
         the summand each index belongs to.
         """
-        got = self._faces.get(i)
-        if got is None:
-            order = self._delta_faces()[0]
-            faces = [sorted(order[f] for f in mod.faces()) for _, mod in self.summands(i)]
-            got = self._faces[i] = (
-                np.array([k for fs in faces for k in fs], dtype=np.int64),
-                np.repeat(np.arange(len(faces)), [len(fs) for fs in faces]))
-        return got
+        first = sum(len(self.positions.get(k, [])) for k in range(-1, i))
+        stars = self._stars()[first:first + len(self.positions.get(i, []))]
+        return (np.array([k for star in stars for k in star], dtype=np.int64),
+                np.repeat(np.arange(len(stars)), [len(star) for star in stars]))
 
     def _basis(self, i: int, j: int) -> _PositionBasis:
         """Position i's degree-j basis as selections of Delta's basis, built once per (i, j).
@@ -264,7 +314,7 @@ class PartitionComplexSpec:
             faces, owner = self._summand_faces(i)
             flat = _runs((np.cumsum(lens) - lens)[faces], lens[faces])
             flat.setflags(write=False)
-            dims = np.bincount(owner, lens[faces], minlength=len(self.summands(i)))
+            dims = np.bincount(owner, lens[faces], minlength=len(self.positions.get(i, [])))
             offsets = (0, *np.cumsum(dims, dtype=np.int64).tolist())
             sels = [flat[a:b] for a, b in zip(offsets, offsets[1:])]
             got = self._sels[i, j] = _PositionBasis(flat, sels, offsets, int(lens.sum()))
@@ -335,16 +385,16 @@ class PartitionComplexSpec:
         """
         links = self._links.get(i)
         if links is None:
-            src, dst = self.summands(i), self.summands(i + 1)
+            src, dst = self.positions.get(i, []), self.positions.get(i + 1, [])
             if self.variant == "subdivision":
                 pairs = [(s, d) for s in range(len(src)) for d in range(len(dst))]
             else:
-                where = {desc: s for s, (desc, _) in enumerate(src)}
-                pairs = sorted((where[ddesc ^ (1 << b)], d) for d, (ddesc, _) in enumerate(dst)
+                where = {desc: s for s, desc in enumerate(src)}
+                pairs = sorted((where[ddesc ^ (1 << b)], d) for d, ddesc in enumerate(dst)
                                for b in _bit_positions(ddesc) if ddesc ^ (1 << b) in where)
             links = self._links[i] = [
                 (s, d, sign) for s, d in pairs
-                if (sign := self._block_sign(i, src[s][0], dst[d][0]))]
+                if (sign := self._block_sign(i, src[s], dst[d]))]
         return links
 
     def _restrictions(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -415,24 +465,38 @@ class PartitionComplexSpec:
         """{descriptors per position: {|sigma|: count}} over faces |sigma| <= max_degree.
 
         A key lists, for each position from -1 to the top, the descriptors
-        of the summands whose module contains sigma, in summand order.
+        of the summands whose module contains sigma, in summand order. It is
+        read off the star selections (``_stars``), and faces held by the
+        same summands share one key.
         """
-        top = self.max_position
-        lists: dict[int, list[list]] = {}
-        for i in range(-1, top + 1):
-            for desc, mod in self.summands(i):
-                for sigma in mod.faces():
-                    lists.setdefault(sigma, [[] for _ in range(top + 2)])[i + 1].append(desc)
-        out: dict[tuple, dict[int, int]] = {}
-        for sigma, descs in lists.items():
-            m = _popcount(sigma)
+        holders: dict[int, list[int]] = {}
+        for g, star in enumerate(self._stars()):
+            for k in star:
+                holders.setdefault(k, []).append(g)
+        sizes = self._delta_faces()[1]
+        groups: dict[tuple, dict[int, int]] = {}
+        for k, held in holders.items():
+            m = int(sizes[k])
             if m <= max_degree:
-                sizes = out.setdefault(tuple(map(tuple, descs)), {})
-                sizes[m] = sizes.get(m, 0) + 1
+                counts = groups.setdefault(tuple(held), {})
+                counts[m] = counts.get(m, 0) + 1
+        top = self.max_position
+        where = self._numbered()
+        out: dict[tuple, dict[int, int]] = {}
+        for held, counts in groups.items():
+            lists: list[list] = [[] for _ in range(top + 2)]
+            for g in held:
+                i, desc = where[g]
+                lists[i + 1].append(desc)
+            out[tuple(map(tuple, lists))] = counts
         return out
 
     def _piece_homology(self, key: tuple, p: int) -> tuple[int, ...]:
-        """(h^-1, ..., h^top) of the support piece with descriptors ``key``."""
+        """(h^-1, ..., h^top) of the support piece with descriptors ``key``.
+
+        Its map of position i has the Cech sign from the summand of tau to
+        that of each tau + v, found from tau + v's vertices.
+        """
         h = self._pieces.get((key, p))
         if h is None:
             top = len(key) - 2
@@ -441,8 +505,14 @@ class PartitionComplexSpec:
                 return len(key[i + 1]) if -1 <= i <= top else 0
 
             def signs(i: int) -> np.ndarray:
-                return np.array([[self._block_sign(i, s, d) % p for s in key[i + 1]]
-                                 for d in key[i + 2]], dtype=np.int64)
+                at = {desc: c for c, desc in enumerate(key[i + 1])}
+                rows = [[0] * len(at) for _ in key[i + 2]]
+                for row, desc in zip(rows, key[i + 2]):
+                    for v in _bit_positions(desc):
+                        c = at.get(desc ^ (1 << v))
+                        if c is not None:
+                            row[c] = _cech_sign(desc, 1 << v) % p
+                return np.array(rows, dtype=np.int64)
 
             lazy = LazyHomology(dim, signs, (1,), p)
             h = self._pieces[key, p] = tuple(lazy.homology(i) for i in range(-1, top + 1))
@@ -497,6 +567,11 @@ class ReducedPartitionComplex:
     moved to their monomials' rows by the pair's slice of the spec's
     ``_restrictions``, and zero rows for the monomials of q' outside q, as
     restriction need not be onto.
+
+    This is the one place a summand's module is built as a complex
+    (``PartitionComplexSpec.module``), to take its quotient. A complex cut
+    at ``max_position`` builds no quotient above it, so the map out of its
+    top position is zero.
     """
 
     def __init__(self, pspec: PartitionComplexSpec, theta: LinearFormSequence,
@@ -527,8 +602,10 @@ class ReducedPartitionComplex:
         dst = self.quotients.get(i + 1, [])
         src_dims = [q.dim(j) for _, _, q in src]
         dst_dims = [q.dim(j) for _, _, q in dst]
-        monomials = self.pspec.summand_dims(i + 1, j)
         mat = np.zeros((sum(dst_dims), sum(src_dims)), dtype=np.int64)
+        if i not in self.quotients or i + 1 not in self.quotients:
+            return mat
+        monomials = self.pspec.summand_dims(i + 1, j)
         for row, col, s, d, (cols, rows), sign in self.pspec._assemble(i, j, src_dims, dst_dims):
             moved = np.zeros((monomials[d], src_dims[s]), dtype=np.int64)
             moved[rows] = src[s][2].lift(j)[cols]

@@ -3,8 +3,11 @@ import random
 
 import pytest
 
+from srlab import facering
 from srlab.complexes import (
+    BUILTIN_EXAMPLES,
     ComplexError,
+    FaceLinkCohomology,
     RelativeComplex,
     SimplicialComplex,
     as_relative,
@@ -208,3 +211,55 @@ def test_random_generator_is_deterministic():
     rng = random.Random(10)
     sizes = {len(random_relative_complex(rng).delta.labels) for _ in range(50)}
     assert sizes <= set(range(1, 7)) and len(sizes) > 1
+
+
+def _relative_cases(seed: int, count: int) -> list:
+    """Every builtin, then ``count`` random pairs."""
+    rng = random.Random(seed)
+    return ([builtin_complex(name) for name in BUILTIN_EXAMPLES]
+            + [random_relative_complex(rng) for _ in range(count)])
+
+
+def test_link_table_equals_the_cohomology_of_every_built_link():
+    in_gamma = void = relative = 0
+    for psi in _relative_cases(22, 120):
+        relative += not psi.is_absolute
+        for field in (F2, F3, F):
+            links = FaceLinkCohomology(psi, field)
+            assert links[0] == relative_cohomology_dims(psi, field)
+            for tau in sorted(psi.delta.faces):
+                want = relative_cohomology_dims(psi.link(tau), field)
+                assert links[tau] == want
+                in_gamma += tau in psi.gamma.faces
+                void += want == {}
+    assert relative >= 40 and in_gamma >= 100 and void >= 50
+
+
+def test_link_table_sees_the_torus_links_and_rejects_non_faces():
+    tor = builtin_complex("torus7")
+    links = FaceLinkCohomology(tor, F)
+    assert links[0] == {-1: 0, 0: 0, 1: 2, 2: 1}
+    # a vertex link is a circle, an edge link two points, a triangle link {empty face}
+    for tau in tor.delta.faces - {0}:
+        assert {i: v for i, v in links[tau].items() if v} == {2 - bin(tau).count("1"): 1}
+    missing = next(m for m in range(1, 1 << 7) if m not in tor.delta.faces)
+    with pytest.raises(ComplexError):
+        links[missing]
+
+
+def _pairwise_maximal(faces) -> list[int]:
+    """The faces contained in no other face, by comparing every pair."""
+    return [f for f in faces if not any(f != g and f & g == f for g in faces)]
+
+
+def test_maximal_faces_are_found_by_one_vertex_extensions():
+    for psi in _relative_cases(23, 150):
+        for c in (psi.delta, psi.gamma):
+            assert c.facets() == sorted(_pairwise_maximal(c.faces))
+        groups = facering._maximal_columns(psi)
+        maximal = [f for f in _pairwise_maximal(psi.faces()) if f]
+        want = [[[v for v in range(len(psi.delta.labels)) if f >> v & 1]
+                 for f in maximal if bin(f).count("1") == size]
+                for size in sorted({bin(f).count("1") for f in maximal})]
+        assert [g.tolist() for g in groups] == want
+

@@ -3,9 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from srlab import duality, facering
+from srlab import facering
 from srlab.complexes import (
     BUILTIN_EXAMPLES,
+    FaceLinkCohomology,
     RelativeComplex,
     SimplicialComplex,
     _popcount,
@@ -264,13 +265,13 @@ def test_sanity_check_counts_facets_and_ridges_and_agrees_with_every_link():
 
 def test_sanity_check_computes_no_facet_or_ridge_link(monkeypatch):
     linked = []
-    real = duality.betti_numbers
-    monkeypatch.setattr(duality, "betti_numbers",
-                        lambda psi, field: linked.append(psi) or real(psi, field))
+    real = FaceLinkCohomology._link
+    monkeypatch.setattr(FaceLinkCohomology, "_link",
+                        lambda table, tau: linked.append(tau) or real(table, tau))
     tor = builtin_complex("torus7").delta
     assert manifold_sanity_check(tor, F) == {-1: 0, 0: 0, 1: 2, 2: 1}
-    # the whole complex, then the seven vertex links only
-    assert [x.delta.dim for x in linked] == [2] + [1] * 7
+    # the whole complex, then the seven vertex links only, each read off the one table
+    assert linked == [0] + tor.vertex_masks()
 
 
 def test_unquotiented_torus_algebra_is_not_self_dual():

@@ -479,6 +479,73 @@ def test_front_kernel_agrees_with_the_duality_ideal():
     assert kernels[3] == 1 and P.j_dim(3) == 0
 
 
+def test_cut_complex_maps_its_top_position_to_zero():
+    tor = builtin_complex("torus7")
+    reduced = ReducedPartitionComplex(PartitionComplexSpec.full(tor), lsop(tor), F,
+                                      max_position=0)
+    # the spec pairs position 0 with position 1, whose quotients were never built
+    assert reduced.pspec._signed_pairs(0) and 1 not in reduced.quotients
+    assert reduced.space_dim(0, 1) == 28 and reduced.space_dim(1, 1) == 0
+    mat = reduced.differential(0, 1)
+    assert mat.shape == (0, 28) and mat.dtype == np.int64
+    assert reduced.differential(1, 1).shape == (0, 0)
+
+
+def _face_mask_specs():
+    """Full specs of every builtin and of relative pairs, one with Psi void, and interior specs."""
+    specs = [spec for spec in _variant_specs() if spec.variant != "subdivision"]
+    specs += [PartitionComplexSpec.full(builtin_complex(name)) for name in BUILTIN_EXAMPLES]
+    path = builtin_complex("path_4").delta
+    specs.append(PartitionComplexSpec.full(RelativeComplex(path, path)))
+    # vertex 63 sets the top bit of a 64-bit mask
+    wide = SimplicialComplex.from_facets(range(64), [(0, 62, 63), (1, 63), (1, 2, 3)])
+    specs.append(PartitionComplexSpec.full(RelativeComplex(
+        wide, SimplicialComplex.from_facets(range(64), [(62, 63), (2,)]))))
+    return specs
+
+
+def _built_star(pspec, tau) -> RelativeComplex:
+    if pspec.variant == "full":
+        return pspec.psi.star(tau)
+    return RelativeComplex(pspec.psi.delta).star(tau)
+
+
+def test_star_selections_are_the_faces_of_the_built_stars():
+    for pspec in _face_mask_specs():
+        masks = pspec._delta_faces()[0]
+        for i in range(-1, pspec.max_position + 1):
+            faces, owner = pspec._summand_faces(i)
+            assert np.array_equal(owner, np.sort(owner))
+            for s, tau in enumerate(pspec.positions[i]):
+                want = sorted(_built_star(pspec, tau).faces(), key=lambda f: (bin(f).count("1"), f))
+                assert [masks[k] for k in faces[owner == s]] == want
+                assert pspec.module(tau) == _built_star(pspec, tau)
+
+
+def _supports_of_built_stars(pspec, max_degree):
+    """``_supports`` read off every summand's built module, face by face."""
+    top = pspec.max_position
+    lists = {}
+    for i in range(-1, top + 1):
+        for desc in pspec.positions[i]:
+            for sigma in _built_star(pspec, desc).faces():
+                lists.setdefault(sigma, [[] for _ in range(top + 2)])[i + 1].append(desc)
+    out = {}
+    for sigma, descs in lists.items():
+        m = bin(sigma).count("1")
+        if m <= max_degree:
+            sizes = out.setdefault(tuple(map(tuple, descs)), {})
+            sizes[m] = sizes.get(m, 0) + 1
+    return out
+
+
+def test_supports_read_off_the_selections_equal_those_of_the_built_stars():
+    for pspec in _face_mask_specs():
+        dim = pspec.psi.delta.dim
+        for max_degree in (0, 1, dim + 2):
+            assert pspec._supports(max_degree) == _supports_of_built_stars(pspec, max_degree)
+
+
 def test_double_complex_commutes_and_total_squares_to_zero():
     mo = builtin_complex("moebius")
     sl = DoubleComplexSlice(PartitionComplexSpec.full(mo), lsop(mo), F, 2)

@@ -8,14 +8,20 @@ import pytest
 
 from srlab import koszul, verdicts
 from srlab.complexes import (
+    BUILTIN_EXAMPLES,
     RelativeComplex,
     SimplicialComplex,
     builtin_complex,
     random_relative_complex,
 )
+from srlab.duality import manifold_sanity_check
 from srlab.facering import LinearFormSequence, expected_lsop_length, lsop_trials, sample_lsop
 from srlab.linalg import DEFAULT_PRIME, PrimeField
-from srlab.partition import barycentric_subdivision_structure
+from srlab.partition import (
+    barycentric_subdivision_structure,
+    partition_homology_dims,
+    total_complex_homology,
+)
 from srlab.verdicts import (
     TheoremReport,
     buchsbaum_offender,
@@ -417,3 +423,48 @@ def test_each_manifold_report_runs_the_sanity_check_once(monkeypatch):
     disk = builtin_complex("disk_with_induced_boundary_2")
     with pytest.raises(duality.DualityError, match="absolute"):
         duality._build_B(disk, lsop(disk), F, {})
+
+
+def _offender_star_by_star(psi, field):
+    """``buchsbaum_offender`` by running ``reisner_link_table`` on the star of every face."""
+    for tau in sorted(psi.delta.faces):
+        if tau and not reisner_link_table(psi.star(tau), field)["cm"]:
+            return psi.delta.labels_of(tau)
+    return None
+
+
+def test_buchsbaum_lookup_agrees_with_the_star_by_star_route():
+    rng = random.Random(2201)
+    cases = [builtin_complex(name) for name in BUILTIN_EXAMPLES]
+    cases.append(RelativeComplex(SimplicialComplex.from_facets((1, 2, 3, 4, 5),
+                                                               [(1, 2, 3), (3, 4, 5)])))
+    cases += [random_relative_complex(rng) for _ in range(200)]
+    relative = offenders = 0
+    for psi in cases:
+        for field in (PrimeField(2), PrimeField(3), F):
+            want = _offender_star_by_star(psi, field)
+            assert buchsbaum_offender(psi, field) == want
+            relative += not psi.is_absolute
+            offenders += want is not None
+    assert relative >= 250 and offenders >= 100
+
+
+def test_link_and_star_readers_build_no_complex_per_face(monkeypatch):
+    built = []
+    real = SimplicialComplex.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", spy)
+    tor = builtin_complex("torus7")
+    theta = lsop(tor)
+    for run in (lambda: reisner_link_table(tor, F), lambda: manifold_sanity_check(tor, F),
+                lambda: buchsbaum_offender(tor, F), lambda: partition_homology_dims(tor, F),
+                lambda: total_complex_homology(tor, theta, F)):
+        built.clear()
+        run()
+        # at most the void Gamma of one absolute wrapper of Delta, against 43 faces
+        assert len(built) <= 1
+
