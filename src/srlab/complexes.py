@@ -295,9 +295,13 @@ class SimplicialComplex:
 
 
 class RelativeComplex:
-    """A pair Psi = (Delta, Gamma) with Gamma a subcomplex of Delta (possibly void)."""
+    """A pair Psi = (Delta, Gamma) with Gamma a subcomplex of Delta (possibly void).
 
-    __slots__ = ("delta", "gamma")
+    The faces of Psi are computed once, and are Delta's own set when Gamma
+    is void; dim is computed on first use.
+    """
+
+    __slots__ = ("delta", "gamma", "_faces", "_dim")
 
     def __init__(self, delta: SimplicialComplex, gamma: SimplicialComplex | None = None):
         if gamma is None:
@@ -308,24 +312,25 @@ class RelativeComplex:
             raise ComplexError("Gamma is not a subcomplex of Delta")
         self.delta = delta
         self.gamma = gamma
+        self._faces = delta.faces if gamma.is_void else delta.faces - gamma.faces
+        self._dim = -2  # not computed yet
 
     @property
     def is_absolute(self) -> bool:
         return self.gamma.is_void
 
     def faces(self) -> frozenset[int]:
-        return self.delta.faces - self.gamma.faces
+        return self._faces
 
     @property
     def is_void(self) -> bool:
-        return not self.faces()
+        return not self._faces
 
     @property
     def dim(self):
-        fs = self.faces()
-        if not fs:
-            return None
-        return max(_popcount(f) for f in fs) - 1
+        if self._dim == -2:
+            self._dim = max(map(_popcount, self._faces)) - 1 if self._faces else None
+        return self._dim
 
     def faces_of_dim(self, k: int) -> list[int]:
         gamma_faces = self.gamma.faces

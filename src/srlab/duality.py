@@ -16,14 +16,11 @@ builds B in frozen coordinates, checks the cone lemma that drives the
 construction, and verifies duality by two independent routes: pairing
 ranks into the fundamental class, and socle concentration in degree n.
 
-No star quotient is built.  Restriction k[Delta] -> k[st_v Delta] is a
-surjective ring map that kills exactly the monomials whose support
-together with v is not a face, so <Theta> k[st_v] is the image of
-<Theta> and
-
-    A(st_v Delta) = A / N_v,   N_v = span of those monomials in A,
-
-hence J_i = intersection over v of N_{v,i}, read off A alone.
+No star quotient is built: A(st_v Delta) = A/N_v, N_v the span of the
+monomials whose support together with v is not a face, so J is read off
+A alone by ``GradedQuotientPresentation.restriction_kernel``.  Its other
+two callers are in ``partition``: the interior check (stars of the
+interior vertices of a disk) and the subdivision check (top cells).
 """
 
 import numpy as np
@@ -41,7 +38,7 @@ from .facering import (
     monomial_basis,
     quotient_presentation,
 )
-from .linalg import FrozenQuotient, PrimeField, kernel_basis, matmul, rank
+from .linalg import FrozenQuotient, PrimeField, matmul, rank
 
 
 class DualityError(ValueError):
@@ -190,13 +187,10 @@ def build_B(delta, theta, field: PrimeField, cap: int | None = None) -> DualityP
     duality verdict comes out false, which is the honest answer rather
     than a refusal to construct the quotient.
 
-    Only A is built.  A(st_v) = A/N_v, where N_v is spanned by the
-    monomials whose support together with v is not a face, so for each
-    degree i < n the A_i coordinates of the degree-i monomials give N_v
-    as a set of columns, one ``FrozenQuotient`` per vertex gives the map
-    A_i -> A(st_v)_i, and J_i is the kernel of the stacked maps.  Each
-    A(st_v) is a quotient of A, so once A is finite every star quotient
-    is finite too and needs no check of its own.
+    Only A is built: for each degree i < n, J_i is
+    ``restriction_kernel(i, stars)`` with the face sets of the vertex
+    stars.  Each A(st_v) is a quotient of A, so once A is finite every
+    star quotient is finite too and needs no check of its own.
     """
     psi = _absolute(delta)
     return _build_B(psi, theta, field, manifold_sanity_check(psi.delta, field), cap)
@@ -224,23 +218,9 @@ def _build_B(delta, theta, field: PrimeField, bet: dict[int, int],
     base = quotient_presentation(psi, forms, field, cap=cap)
     if not base.finite_at_cap:
         raise DualityError("Theta is not a linear system of parameters for this complex")
-    vmasks = dc.vertex_masks()
-    j_bases: dict[int, np.ndarray] = {}
-    for i in range(n):
-        if base.dim(i) == 0:
-            j_bases[i] = np.zeros((0, 0), dtype=np.int64)
-            continue
-        coords = base.coordinates(i)
-        basis = monomial_basis(psi, i)
-        # uint64 holds the support of every vertex index up to MAX_VERTICES = 64
-        bits = np.left_shift(np.uint64(1), np.arange(basis.n, dtype=np.uint64))
-        masks = (np.array(basis.exponents) > 0) @ bits
-        supports, where = np.unique(masks, return_inverse=True)
-        blocks = []
-        for vmask in vmasks:
-            outside = np.array([(int(s) | vmask) not in dc.faces for s in supports])[where]
-            blocks.append(FrozenQuotient(coords[:, outside].T, p).coordinates())
-        j_bases[i] = kernel_basis(np.vstack(blocks), p)
+    # the faces of st_v Delta, without building it as a complex
+    stars = [frozenset(f for f in dc.faces if f | v in dc.faces) for v in dc.vertex_masks()]
+    j_bases = {i: base.restriction_kernel(i, stars) for i in range(n)}
     diagnostics = {
         "betti": {int(k): int(v) for k, v in bet.items()},
         "orientable_like": bet.get(d, 0) == 1,

@@ -36,7 +36,7 @@ from .complexes import (
     _is_maximal,
     _popcount,
 )
-from .linalg import FrozenQuotient, PrimeField
+from .linalg import FrozenQuotient, PrimeField, kernel_basis
 
 
 class FaceRingError(ValueError):
@@ -364,6 +364,40 @@ class GradedQuotientPresentation:
             return np.zeros((self.dim(j + 1), self.dim(j)), dtype=np.int64)
         raw = _mult_matrix(self.psi, coeffs, j, p)
         return self.reduce(j + 1, raw[:, self._quotients[j].free])
+
+    def restriction_kernel(self, j: int, subcomplexes) -> np.ndarray:
+        """A basis of ker(A_j -> sum_K A(K)_j) as columns in A_j coordinates.
+
+        Each K of ``subcomplexes`` is a subcomplex of Delta given by its set
+        of faces, and A(K) = k[K]/<Theta>. Restriction k[Delta] -> k[K] is a
+        surjective ring map that kills exactly the monomials whose support
+        is not a face of K, so <Theta> k[K] is the image of <Theta> and
+
+            A(K) = A / N_K,   N_K = span of those monomials in A.
+
+        No quotient of K is built: the A_j coordinates of the monomials
+        outside K span N_K, one ``FrozenQuotient`` by them is the map
+        A_j -> A(K)_j, and the kernel of the stacked maps is returned (all
+        of A_j when there is no K). Each A(K) is a quotient of A, so it is
+        finite when A is. A relative Psi is refused: its stars are not
+        quotients of A.
+        """
+        if not self.psi.is_absolute:
+            raise FaceRingError("restriction kernels are defined for absolute complexes")
+        dim = self.dim(j)
+        if dim == 0:
+            return np.zeros((0, 0), dtype=np.int64)
+        coords = self.coordinates(j)
+        basis = monomial_basis(self.psi, j)
+        # uint64 holds the support of every vertex index up to MAX_VERTICES = 64
+        bits = np.left_shift(np.uint64(1), np.arange(basis.n, dtype=np.uint64))
+        supports, where = np.unique((np.array(basis.exponents) > 0) @ bits, return_inverse=True)
+        p = self.field.p
+        maps = [np.zeros((0, dim), dtype=np.int64)]
+        for faces in subcomplexes:
+            outside = np.array([int(s) not in faces for s in supports])[where]
+            maps.append(FrozenQuotient(coords[:, outside].T, p).coordinates())
+        return kernel_basis(np.vstack(maps), p)
 
 
 def quotient_presentation(psi, theta: LinearFormSequence, field: PrimeField,

@@ -36,14 +36,14 @@ the same selections give each support piece its summands. No star is
 built as a complex, except where a quotient of it is taken
 (``ReducedPartitionComplex``).
 
-Two variants change the columns. The interior complex of a disk keeps
-only stars of strongly interior faces (every vertex off the boundary)
-with the absolute face ring up front. The subdivision complex of a
-declared cell structure uses face rings of subdivided cells in
-decreasing dimension, with incidence signs frozen by orienting each
-cell's fundamental chain; the leading junction map from k[Delta] is not
-part of a cochain complex (its composite with the cellular differential
-survives on boundary walls), but only its kernel is ever consumed.
+The interior variant changes the columns: the interior complex of a
+disk keeps only stars of strongly interior faces (every vertex off the
+boundary) with the absolute face ring up front.
+
+The interior and subdivision checks need only the kernel of A =
+k[Delta]/<Theta> into the quotients of the interior vertex stars, resp.
+the top cells of a cell structure; it is read off A alone
+(``GradedQuotientPresentation.restriction_kernel``).
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from .facering import (
 from .koszul import koszul_step
 from .linalg import LazyHomology, PrimeField, SparseMatrix
 
-VARIANTS = ("full", "interior", "subdivision")
+VARIANTS = ("full", "interior")
 
 
 class PartitionError(ValueError):
@@ -127,15 +127,13 @@ def _cech_sign(tau: int, bit: int) -> int:
 
 
 class PartitionComplexSpec:
-    """Columns of a star-cover complex, one summand per chosen face or cell.
+    """Columns of a star-cover complex, one summand per chosen face.
 
     positions maps the cohomological index i to the ordered list of its
-    summands' descriptors: face masks for the full and interior variants,
-    cell indices for the subdivision variant. A summand's module is built
-    only on demand (``module``, ``summands``), for a quotient; the spec
-    itself holds every summand by its faces, a selection of Delta's
-    (``_stars``), found by one pass over Delta's faces per descriptor for
-    the face-mask variants.
+    summands' descriptors, face masks of Delta. A summand's module is
+    built only on demand (``module``, ``summands``), for a quotient; the
+    spec itself holds every summand by its faces, a selection of Delta's
+    (``_stars``), found by one pass over Delta's faces per descriptor.
 
     Every summand module lives on Delta's ground set and its faces are
     faces of Delta, so its degree-j monomial basis is a subsequence of
@@ -158,26 +156,23 @@ class PartitionComplexSpec:
     patterns and the signed summand pairs of each position are kept too.
     ``homology_dims`` never builds it: it ranks the support piece C_sigma
     of every face sigma of the summand modules (see the module
-    docstring), whose map of position i has the entry
-    ``_block_sign(i, src, dst)`` for every pair of descriptors whose
-    modules both contain sigma, the entry the monomials of support sigma
-    get in the degree-j differential. The summands holding each sigma are
-    read off the same face selections (``_supports``), and faces whose
-    descriptor lists agree share one piece, ranked once per prime.
+    docstring), whose map of position i has the Cech sign of every pair
+    tau, tau + v of descriptors whose modules both contain sigma, the
+    entry the monomials of support sigma get in the degree-j
+    differential. The summands holding each sigma are read off the same
+    face selections (``_supports``), and faces whose descriptor lists
+    agree share one piece, ranked once per prime.
     """
 
-    __slots__ = ("psi", "variant", "positions", "structure", "_signs", "_ambient",
+    __slots__ = ("psi", "variant", "positions", "_ambient",
                  "_delta", "_faces", "_sels", "_links", "_patterns", "_pieces", "_maps")
 
-    def __init__(self, psi: RelativeComplex, variant: str, positions: dict,
-                 structure=None, signs=None):
+    def __init__(self, psi: RelativeComplex, variant: str, positions: dict):
         if variant not in VARIANTS:
             raise PartitionError(f"variant must be one of {VARIANTS}")
         self.psi = psi
         self.variant = variant
         self.positions = positions
-        self.structure = structure
-        self._signs = signs or {}
         self._ambient = RelativeComplex(psi.delta)
         self._delta: tuple[list[int], np.ndarray] | None = None
         # each summand's faces as indices into _delta_faces, summands as in _numbered
@@ -214,16 +209,6 @@ class PartitionComplexSpec:
                 positions.setdefault(_popcount(tau) - 1, []).append(tau)
         return cls(disk, "interior", positions)
 
-    @classmethod
-    def subdivision(cls, structure: "SubdivisionStructure") -> "PartitionComplexSpec":
-        d = structure.dim
-        positions: dict[int, list] = {-1: ["delta"]}
-        for idx, cell in enumerate(structure.cells):
-            positions.setdefault(d - cell["dim"], []).append(idx)
-        signs = dict(structure.incidence_signs)
-        return cls(RelativeComplex(structure.delta), "subdivision", positions,
-                   structure=structure, signs=signs)
-
     @property
     def max_position(self) -> int:
         return max(self.positions, default=-1)
@@ -231,17 +216,12 @@ class PartitionComplexSpec:
     def module(self, desc) -> RelativeComplex:
         """The summand module of a descriptor, built on every call.
 
-        ``ReducedPartitionComplex`` takes its quotient, and ``_stars`` reads
-        a cell's faces off it; every other path reads a summand's faces off
-        ``_stars``.
+        ``ReducedPartitionComplex`` takes its quotient; every other path
+        reads a summand's faces off ``_stars``.
         """
         if self.variant == "full":
             return self.psi.star(desc)
-        if self.variant == "interior":
-            return RelativeComplex(self.psi.delta.star(desc))
-        if desc == "delta":
-            return RelativeComplex(self.structure.delta)
-        return RelativeComplex(self.structure.cells[desc]["subcomplex"])
+        return RelativeComplex(self.psi.delta.star(desc))
 
     def summands(self, i: int) -> list:
         """(descriptor, module) for every summand at position i, each module built on this call."""
@@ -272,20 +252,13 @@ class PartitionComplexSpec:
         selection: sigma lies in st_tau Psi iff sigma + tau is a face of
         Delta - Gamma (full variant), and in st_tau Delta iff sigma + tau is
         a face of Delta (interior variant), so one pass over Delta's faces
-        per descriptor finds it. The subdivision variant reads its cells'
-        faces.
+        per descriptor finds it.
         """
         if self._faces is None:
             faces = self._delta_faces()[0]
-            descs = [desc for _, desc in self._numbered()]
-            if self.variant == "subdivision":
-                order = {f: k for k, f in enumerate(faces)}
-                self._faces = [sorted(order[f] for f in self.module(desc).faces())
-                               for desc in descs]
-            else:
-                base = self.psi.faces() if self.variant == "full" else self.psi.delta.faces
-                self._faces = [[k for k, f in enumerate(faces) if f | tau in base]
-                               for tau in descs]
+            base = self.psi.faces() if self.variant == "full" else self.psi.delta.faces
+            self._faces = [[k for k, f in enumerate(faces) if f | tau in base]
+                           for _, tau in self._numbered()]
         return self._faces
 
     def _summand_faces(self, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -356,45 +329,20 @@ class PartitionComplexSpec:
                 x.setflags(write=False)
         return pat
 
-    def _block_sign(self, i: int, src_desc, dst_desc) -> int:
-        if self.variant == "subdivision":
-            if i == -1:
-                return 1
-            return self._signs.get((src_desc, dst_desc), 0)
-        # face-mask variants connect tau to tau | bit
-        extra = dst_desc & ~src_desc
-        if src_desc & dst_desc != src_desc or _popcount(extra) != 1:
-            return 0
-        return _cech_sign(dst_desc, extra)
-
-    def _require_complex(self) -> None:
-        """Raise unless the maps form a complex, as ``LazyHomology`` assumes.
-
-        The subdivision variant's front map, k[Delta] into the top cells, is
-        not a cochain map; only its kernel (``front_kernel_dims``) is read.
-        """
-        if self.variant == "subdivision":
-            raise PartitionError("the subdivision variant is not a complex: "
-                                 "only the kernel of its front map is defined")
-
     def _signed_pairs(self, i: int) -> list[tuple[int, int, int]]:
-        """(s, d, sign) for the summand pairs of positions i, i + 1 with a nonzero sign.
+        """(s, d, sign) for the summand pairs of positions i, i + 1, sorted by s, then d.
 
-        Sorted by s, then d. The face-mask variants pair tau only with the
-        faces tau + v one vertex larger; the subdivision variant tries all.
+        The summand of tau is paired with that of each face tau + v one
+        vertex larger, with the Cech sign of v in tau + v.
         """
         links = self._links.get(i)
         if links is None:
             src, dst = self.positions.get(i, []), self.positions.get(i + 1, [])
-            if self.variant == "subdivision":
-                pairs = [(s, d) for s in range(len(src)) for d in range(len(dst))]
-            else:
-                where = {desc: s for s, desc in enumerate(src)}
-                pairs = sorted((where[ddesc ^ (1 << b)], d) for d, ddesc in enumerate(dst)
-                               for b in _bit_positions(ddesc) if ddesc ^ (1 << b) in where)
-            links = self._links[i] = [
-                (s, d, sign) for s, d in pairs
-                if (sign := self._block_sign(i, src[s], dst[d]))]
+            where = {desc: s for s, desc in enumerate(src)}
+            links = self._links[i] = sorted(
+                (where[ddesc ^ (1 << b)], d, _cech_sign(ddesc, 1 << b))
+                for d, ddesc in enumerate(dst) for b in _bit_positions(ddesc)
+                if ddesc ^ (1 << b) in where)
         return links
 
     def _restrictions(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -524,7 +472,6 @@ class PartitionComplexSpec:
         H^i_j = sum over faces sigma of h^i(C_sigma) times the number of
         degree-j monomials with support sigma.
         """
-        self._require_complex()
         max_degree = _window(self.psi, max_degree)
         table = {(i, j): 0 for i in range(-1, self.max_position + 1)
                  for j in range(max_degree + 1)}
@@ -545,12 +492,6 @@ def _window(psi, max_degree: int | None) -> int:
     return max_degree
 
 
-def _homology_table(h: LazyHomology, psi, top: int, max_degree: int | None) -> dict:
-    """{(i, j): h.homology(i, j)} over i in [-1, top], j in [0, max_degree]."""
-    return {(i, j): h.homology(i, j)
-            for i in range(-1, top + 1) for j in range(_window(psi, max_degree) + 1)}
-
-
 def partition_homology_dims(psi, field: PrimeField,
                             max_degree: int | None = None) -> dict:
     """Homology table of the full star-cover complex of Psi."""
@@ -569,20 +510,16 @@ class ReducedPartitionComplex:
     restriction need not be onto.
 
     This is the one place a summand's module is built as a complex
-    (``PartitionComplexSpec.module``), to take its quotient. A complex cut
-    at ``max_position`` builds no quotient above it, so the map out of its
-    top position is zero.
+    (``PartitionComplexSpec.module``), to take its quotient.
     """
 
     def __init__(self, pspec: PartitionComplexSpec, theta: LinearFormSequence,
-                 field: PrimeField, max_position: int | None = None):
+                 field: PrimeField):
         self.pspec = pspec
         self.theta = theta
         self.field = field
-        top = pspec.max_position if max_position is None else max_position
-        self.max_position = top
         self.quotients: dict[int, list] = {}
-        for i in range(-1, top + 1):
+        for i in range(-1, pspec.max_position + 1):
             rows = []
             for desc, mod in pspec.summands(i):
                 q = quotient_presentation(mod, theta, field)
@@ -603,8 +540,6 @@ class ReducedPartitionComplex:
         src_dims = [q.dim(j) for _, _, q in src]
         dst_dims = [q.dim(j) for _, _, q in dst]
         mat = np.zeros((sum(dst_dims), sum(src_dims)), dtype=np.int64)
-        if i not in self.quotients or i + 1 not in self.quotients:
-            return mat
         monomials = self.pspec.summand_dims(i + 1, j)
         for row, col, s, d, (cols, rows), sign in self.pspec._assemble(i, j, src_dims, dst_dims):
             moved = np.zeros((monomials[d], src_dims[s]), dtype=np.int64)
@@ -613,21 +548,11 @@ class ReducedPartitionComplex:
             mat[row:row + dst_dims[d], col:col + src_dims[s]] = b if sign > 0 else -b % self.field.p
         return mat
 
-    def _homology(self) -> LazyHomology:
-        return LazyHomology(self.space_dim, self.differential, (1, 0), self.field.p)
-
     def homology_dims(self, max_degree: int | None = None) -> dict:
-        self.pspec._require_complex()
-        return _homology_table(self._homology(), self.pspec.psi, self.max_position,
-                               max_degree)
-
-    def front_kernel_dims(self, max_degree: int) -> dict[int, int]:
-        """Degreewise kernel of the first map, position -1 into position 0.
-
-        Nothing maps into position -1, so its homology is that kernel.
-        """
-        h = self._homology()
-        return {j: h.homology(-1, j) for j in range(max_degree + 1)}
+        """{(i, j): dim} over i in [-1, max position], j in [0, max_degree]."""
+        h = LazyHomology(self.space_dim, self.differential, (1, 0), self.field.p)
+        return {(i, j): h.homology(i, j) for i in range(-1, self.pspec.max_position + 1)
+                for j in range(_window(self.pspec.psi, max_degree) + 1)}
 
 
 def reduced_partition_homology(psi, theta: LinearFormSequence, field: PrimeField,
@@ -742,9 +667,26 @@ def total_complex_homology(psi, theta: LinearFormSequence, field: PrimeField,
     return out
 
 
+def _restriction_kernel_dims(delta: SimplicialComplex, subcomplexes, theta: LinearFormSequence,
+                             field: PrimeField, max_degree: int) -> dict[int, int]:
+    """{j: dim ker(A_j -> sum_K A(K)_j)} for j in [0, max_degree], A = k[Delta]/<Theta>.
+
+    subcomplexes gives each K by its faces. Each A(K) is a quotient of A,
+    so all of them are finite once A is.
+    """
+    A = quotient_presentation(RelativeComplex(delta), theta, field)
+    if not A.finite_at_cap:
+        raise PartitionError("Theta is not a parameter system for Delta")
+    return {j: A.restriction_kernel(j, subcomplexes).shape[1] for j in range(max_degree + 1)}
+
+
 def interior_partition_check(disk, theta: LinearFormSequence, field: PrimeField,
                              max_degree: int | None = None) -> dict:
     """Exactness of the interior star complex and injectivity of its front map.
+
+    The front map restricts A = k[Delta]/<Theta> to the quotients of the
+    stars of the interior vertices; its kernel is read off A
+    (``_restriction_kernel_dims``).
 
     The verdict carries the sanity flags rather than gating on them: a
     pair whose boundary is not induced (or that is not a disk at all)
@@ -768,8 +710,8 @@ def interior_partition_check(disk, theta: LinearFormSequence, field: PrimeField,
     table = pspec.homology_dims(field, max_degree=window)
     exact = not any(table.values())
 
-    reduced = ReducedPartitionComplex(pspec, theta, field, max_position=0)
-    kernels = reduced.front_kernel_dims(d)
+    stars = [delta.star(v).faces for v in pspec.positions.get(0, [])]
+    kernels = _restriction_kernel_dims(delta, stars, theta, field, d)
     injective = not any(kernels.values())
 
     return {
@@ -1003,9 +945,8 @@ def subdivision_partition_check(structure: SubdivisionStructure,
     dimension. The induced-boundary flags are reported, not enforced.
     """
     d = structure.dim
-    pspec = PartitionComplexSpec.subdivision(structure)
-    reduced = ReducedPartitionComplex(pspec, theta, field, max_position=0)
-    kernels = reduced.front_kernel_dims(d + 1)
+    cells = [c["subcomplex"].faces for c in structure.cells if c["dim"] == d]
+    kernels = _restriction_kernel_dims(structure.delta, cells, theta, field, d + 1)
     ok, failing = structure.boundary_induced_ok()
     return {
         "kernel_dims": kernels,

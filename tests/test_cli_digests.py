@@ -3,12 +3,14 @@
 `tests/data/cli_digests.json` maps one invocation per key to the sha256
 of its exit code, stdout and stderr under `--format json`. The keys
 cover every command except `corpus` on each builtin example over F_2,
-F_3 and F_(2^31-1), `lefschetz` in every mode; invocations that took
-0.5 s or more when the file was recorded are left out. That leaves out
-the subdivision commands (`subdiv-check`, `lefschetz` mode=subdivision)
-on cross_polytope_3, torus7, rp2_6, and on moebius over F_2. The torus7
-invocations over F_2 that reject every Theta draw are pinned; their
-digests were first computed on the tree before Theta was drawn in blocks.
+F_3 and F_(2^31-1), `lefschetz` in every mode. A full re-recording
+leaves out invocations that take 0.5 s or more; none is left out of the
+file today. The subdivision commands (`subdiv-check`, `lefschetz`
+mode=subdivision) on cross_polytope_3, torus7 and rp2_6 over F_2 and
+F_3, and on moebius over F_2, once took longer; they now take 0.1-0.35 s
+(exit 3) and were pinned by name. The torus7 invocations over F_2 that
+reject every Theta draw are pinned; their digests were first computed
+on the tree before Theta was drawn in blocks.
 
 Re-record every invocation under 0.5 s (only when an output change is
 intended), or only the named keys, leaving every other line as it is:

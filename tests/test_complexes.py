@@ -59,6 +59,18 @@ def test_relative_faces_exclude_gamma():
     assert 0 not in faces  # empty face sits in Gamma
 
 
+def test_relative_complex_computes_its_faces_and_dim_once():
+    tor = builtin_complex("torus7")
+    # over a void Gamma the faces are Delta's own set
+    assert tor.faces() is tor.faces() is tor.delta.faces
+    for psi in [tor] + [random_relative_complex(random.Random(k)) for k in range(40)]:
+        faces = psi.faces()
+        assert psi.faces() is faces and faces == psi.delta.faces - psi.gamma.faces
+        want = max(bin(f).count("1") for f in faces) - 1 if faces else None
+        assert psi.dim == want and psi.dim == want
+        assert psi.is_void == (not faces)
+
+
 def test_torus_f_h_vectors():
     fv = f_h_vectors(builtin_complex("torus7"))
     assert fv.f == (1, 7, 21, 14)

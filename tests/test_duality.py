@@ -295,8 +295,10 @@ def test_projective_plane_splits_by_field():
     assert P.diagnostics["orientable_like"]
     assert is_poincare_duality_algebra(P)
     assert annihilator_ok(P)
-    reduced = ReducedPartitionComplex(PartitionComplexSpec.full(rp2), theta, f2, max_position=0)
-    assert [reduced.front_kernel_dims(2)[j] for j in range(3)] == P.j_dims_list(2)
+    # J by the star-quotient route: dim - rank of the map out of position -1
+    reduced = ReducedPartitionComplex(PartitionComplexSpec.full(rp2), theta, f2)
+    assert [reduced.space_dim(-1, j) - rank(reduced.differential(-1, j), 2)
+            for j in range(3)] == P.j_dims_list(2)
 
     f3 = PrimeField(3)
     P = build_B(rp2.delta, lsop(rp2, field=f3, budget=4000), f3)

@@ -936,3 +936,11 @@ def test_importing_srlab_builds_no_rank_table():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "0"
+
+
+def test_restriction_kernel_refuses_a_relative_complex():
+    disk = builtin_complex("disk_with_induced_boundary_2")
+    theta = sample_lsop(disk, expected_lsop_length(disk), 0, F)
+    A = quotient_presentation(disk, theta, F)
+    with pytest.raises(FaceRingError, match="absolute"):
+        A.restriction_kernel(1, [disk.delta.faces])

@@ -133,12 +133,20 @@ def test_restriction_matrix_kills_foreign_monomials():
                 assert not column.any()
 
 
+def _block_sign(src_desc, dst_desc) -> int:
+    """The Cech sign of the summand pair tau -> tau + v, 0 for any other pair."""
+    extra = dst_desc & ~src_desc
+    if src_desc & dst_desc != src_desc or bin(extra).count("1") != 1:
+        return 0
+    return -1 if bin(dst_desc & (extra - 1)).count("1") % 2 else 1
+
+
 def _dense_differential(pspec, i, j, p):
     """Position i into position i + 1: restriction matrices signed by ``_block_sign``."""
     src, dst = pspec.summands(i), pspec.summands(i + 1)
     if not src or not dst:
         return None
-    return np.block([[pspec._block_sign(i, sdesc, ddesc) * restriction_matrix(smod, dmod, j) % p
+    return np.block([[_block_sign(sdesc, ddesc) * restriction_matrix(smod, dmod, j) % p
                       for sdesc, smod in src] for ddesc, dmod in dst])
 
 
@@ -154,21 +162,19 @@ def _relative_pairs(seed, count):
 
 
 def _variant_specs():
-    """Full specs, absolute and relative with Gamma not void, and the other two variants."""
+    """Full specs, absolute and relative with Gamma not void, and interior specs."""
     bary = SimplicialComplex.from_facets((1, 2, 3), [(1, 2, 3)]).barycentric_subdivision()
     specs = [PartitionComplexSpec.full(builtin_complex(name))
              for name in ("torus7", "boundary_simplex_3", "moebius", "two_points")]
     specs += [PartitionComplexSpec.full(psi) for psi in _relative_pairs(3, 12)]
     specs += [PartitionComplexSpec.interior(RelativeComplex(bary, bary.boundary_subcomplex())),
-              PartitionComplexSpec.interior(builtin_complex("disk_with_induced_boundary_2")),
-              PartitionComplexSpec.subdivision(barycentric_subdivision_structure(
-                  SimplicialComplex.from_facets((1, 2, 3, 4), [(1, 2, 3), (1, 3, 4)])))]
+              PartitionComplexSpec.interior(builtin_complex("disk_with_induced_boundary_2"))]
     return specs
 
 
 def test_selections_pick_each_summand_basis_out_of_delta():
     specs = _variant_specs()
-    assert {spec.variant for spec in specs} == {"full", "interior", "subdivision"}
+    assert {spec.variant for spec in specs} == {"full", "interior"}
     assert any(not spec.psi.is_absolute for spec in specs if spec.variant == "full")
     for pspec in specs:
         ambient = RelativeComplex(pspec.psi.delta)
@@ -199,9 +205,8 @@ def test_position_patterns_concatenate_the_summand_patterns():
 
 
 def test_vertical_maps_of_every_variant_equal_the_dense_koszul_step():
-    # the subdivision variant is no complex, but its columns are direct sums all the same
     specs = _variant_specs()
-    for pspec in specs[:1] + specs[4:5] + specs[-3:]:
+    for pspec in specs[:1] + specs[4:5] + specs[-2:]:
         psi = RelativeComplex(pspec.psi.delta)
         for p in (3, DEFAULT_PRIME):
             field = PrimeField(p)
@@ -324,23 +329,17 @@ def test_keyed_star_cover_maps_equal_the_pairwise_index_maps(p):
         if theta is None:
             continue
         try:
-            top = None if pspec.variant == "full" else 0
-            reduced = ReducedPartitionComplex(pspec, theta, field, max_position=top)
+            reduced = ReducedPartitionComplex(pspec, theta, field)
         except PartitionError:
             continue  # Theta is no parameter system of some summand
-        for i in range(-1, reduced.max_position):
+        for i in range(-1, pspec.max_position):
             for j in range(window + 1):
                 assert np.array_equal(reduced.differential(i, j),
                                       _pairwise_reduced_differential(reduced, i, j))
-        if pspec.variant == "subdivision":
-            continue
         want = _oracle_homology(reduced.space_dim,
                                 lambda i, j: _pairwise_reduced_differential(reduced, i, j),
-                                reduced.max_position, window, p)
-        if pspec.variant == "full":
-            assert reduced.homology_dims() == want
-        else:
-            assert reduced.front_kernel_dims(window) == {j: want[-1, j] for j in range(window + 1)}
+                                pspec.max_position, window, p)
+        assert reduced.homology_dims() == want
         reduced_checked += 1
     assert reduced_checked >= 20
 
@@ -362,7 +361,7 @@ def test_reduced_differential_equals_the_restriction_matrix_route():
                 for ddesc, dmod, dq in dst:
                     row = []
                     for sdesc, smod, sq in src:
-                        sign = pspec._block_sign(i, sdesc, ddesc)
+                        sign = _block_sign(sdesc, ddesc)
                         moved = matmul(restriction_matrix(smod, dmod, j), sq.lift(j), F.p)
                         row.append(sign * dq.reduce(j, moved) % F.p)
                         not_onto += bool(sign and sq.dim(j) and dq.dim(j)
@@ -468,10 +467,14 @@ def test_reduced_complex_requires_parameter_systems():
 
 
 def test_front_kernel_agrees_with_the_duality_ideal():
+    # the star-quotient route, independent of build_B's: dim - rank of the
+    # map out of position -1 of the whole reduced complex, which presents
+    # every star by a quotient of its own
     tor = builtin_complex("torus7")
     theta = lsop(tor)
-    reduced = ReducedPartitionComplex(PartitionComplexSpec.full(tor), theta, F, max_position=0)
-    kernels = reduced.front_kernel_dims(3)
+    reduced = ReducedPartitionComplex(PartitionComplexSpec.full(tor), theta, F)
+    kernels = {j: reduced.space_dim(-1, j) - rank(reduced.differential(-1, j), F.p)
+               for j in range(4)}
     P = build_B(tor.delta, theta, F)
     assert [kernels[j] for j in range(3)] == P.j_dims_list(2) == [0, 0, 6]
     # degree d+1 keeps the fundamental class: the raw kernel is everything,
@@ -479,21 +482,9 @@ def test_front_kernel_agrees_with_the_duality_ideal():
     assert kernels[3] == 1 and P.j_dim(3) == 0
 
 
-def test_cut_complex_maps_its_top_position_to_zero():
-    tor = builtin_complex("torus7")
-    reduced = ReducedPartitionComplex(PartitionComplexSpec.full(tor), lsop(tor), F,
-                                      max_position=0)
-    # the spec pairs position 0 with position 1, whose quotients were never built
-    assert reduced.pspec._signed_pairs(0) and 1 not in reduced.quotients
-    assert reduced.space_dim(0, 1) == 28 and reduced.space_dim(1, 1) == 0
-    mat = reduced.differential(0, 1)
-    assert mat.shape == (0, 28) and mat.dtype == np.int64
-    assert reduced.differential(1, 1).shape == (0, 0)
-
-
 def _face_mask_specs():
     """Full specs of every builtin and of relative pairs, one with Psi void, and interior specs."""
-    specs = [spec for spec in _variant_specs() if spec.variant != "subdivision"]
+    specs = _variant_specs()
     specs += [PartitionComplexSpec.full(builtin_complex(name)) for name in BUILTIN_EXAMPLES]
     path = builtin_complex("path_4").delta
     specs.append(PartitionComplexSpec.full(RelativeComplex(path, path)))
@@ -748,35 +739,109 @@ def test_subdivision_checks_pass_on_barycentric_structures():
     assert res["kernel_dims"] == {0: 0, 1: 0, 2: 1, 3: 0}
 
 
+def test_checks_refuse_forms_that_are_no_parameter_system():
+    disk = builtin_complex("disk_with_induced_boundary_2")
+    zero = LinearFormSequence([(0,) * len(disk.delta.labels)] * 3, F.p)
+    with pytest.raises(PartitionError, match="parameter system"):
+        interior_partition_check(disk, zero, F)
+    glued = barycentric_subdivision_structure(
+        SimplicialComplex.from_facets((1, 2, 3, 4), [(1, 2, 3), (1, 3, 4)]))
+    zero = LinearFormSequence([(0,) * len(glued.delta.labels)] * 3, F.p)
+    with pytest.raises(PartitionError, match="parameter system"):
+        subdivision_partition_check(glued, zero, F)
+
+
+def _stellar_disk(rng, dim, moves):
+    """The dim-simplex after ``moves`` random stellar subdivisions, with its boundary.
+
+    Each move cones a new vertex over a face of two or more vertices, so
+    the result is still a ball; a move on an interior face adds an
+    interior vertex, and no move leaves none.
+    """
+    facets = [frozenset(range(dim + 1))]
+    for v in range(dim + 1, dim + 1 + moves):
+        tau = frozenset(rng.sample(sorted(rng.choice(facets)), rng.randint(2, dim + 1)))
+        facets = [g for f in facets
+                  for g in ([f - {t} | {v} for t in tau] if tau <= f else [f])]
+    delta = SimplicialComplex.from_facets(range(dim + 1 + moves), [sorted(f) for f in facets])
+    return RelativeComplex(delta, delta.boundary_subcomplex())
+
+
+def _star_quotient_kernel_dims(delta, subcomplexes, theta, field, max_degree):
+    """dim ker(A_j -> sum_K A(K)_j) with one quotient presentation per K.
+
+    The independent route: each A(K) is presented on its own, and the
+    block of K is the restriction matrix k[Delta]_j -> k[K]_j applied to
+    A's representatives, reduced in A(K)'s coordinates.
+    """
+    A = facering.quotient_presentation(delta, theta, field)
+    quotients = [(K, facering.quotient_presentation(K, theta, field)) for K in subcomplexes]
+    assert A.finite_at_cap and all(q.finite_at_cap for _, q in quotients)
+    out = {}
+    for j in range(max_degree + 1):
+        blocks = [np.zeros((0, A.dim(j)), dtype=np.int64)]
+        blocks += [q.reduce(j, matmul(restriction_matrix(delta, K, j), A.lift(j), field.p))
+                   for K, q in quotients]
+        stacked = np.vstack(blocks)
+        out[j] = A.dim(j) - (rank(stacked, field.p) if stacked.size else 0)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+def test_restriction_kernels_equal_the_star_quotient_route(p):
+    field = PrimeField(p)
+    rng = random.Random(4100 + p % 1000)
+    disks = [_stellar_disk(rng, 2, 0)]  # a triangle: no interior vertex, no summand
+    disks += [_stellar_disk(rng, rng.choice((1, 2, 2, 3)), rng.randint(1, 4)) for _ in range(20)]
+    sigmas = [SimplicialComplex.from_facets((1, 2, 3, 4), [(1, 2, 3), (1, 3, 4)])]
+    for _ in range(8):
+        size = rng.choice((2, 3))
+        facets = {tuple(sorted(rng.sample(range(5), size))) for _ in range(rng.randint(1, 3))}
+        sigmas.append(SimplicialComplex.from_facets(range(5), sorted(facets)))
+    checked = {"interior": 0, "subdivision": 0, "empty": 0, "nonzero": 0}
+    for disk in disks:
+        delta = RelativeComplex(disk.delta)
+        theta = sample_lsop(delta, expected_lsop_length(delta), 0, field, budget=4000)
+        if theta is None:
+            continue
+        stars = [disk.delta.star(v) for v in disk.delta.vertex_masks()
+                 if v not in disk.gamma.faces]
+        want = _star_quotient_kernel_dims(disk.delta, stars, theta, field, disk.delta.dim)
+        assert interior_partition_check(disk, theta, field)["kernel_dims"] == want
+        checked["interior"] += 1
+        checked["empty"] += not stars
+        checked["nonzero"] += any(want.values())
+    for sigma in sigmas:
+        st = barycentric_subdivision_structure(sigma)
+        delta = RelativeComplex(st.delta)
+        theta = sample_lsop(delta, expected_lsop_length(delta), 0, field, budget=4000)
+        if theta is None:
+            continue
+        cells = [c["subcomplex"] for c in st.cells if c["dim"] == st.dim]
+        want = _star_quotient_kernel_dims(st.delta, cells, theta, field, st.dim + 1)
+        assert subdivision_partition_check(st, theta, field)["kernel_dims"] == want
+        checked["subdivision"] += 1
+        checked["nonzero"] += any(want.values())
+    assert checked["interior"] >= 15 and checked["subdivision"] >= 5
+    assert checked["empty"] and checked["nonzero"] > checked["empty"]
+
+
 def test_subdivision_round_trip_preserves_incidence():
     st = barycentric_subdivision_structure(
         SimplicialComplex.from_facets((1, 2, 3, 4), [(1, 2, 3), (1, 3, 4)]))
     again = SubdivisionStructure.from_json(st.to_json())
     assert again.incidence_signs == st.incidence_signs
     assert again.incidence == st.incidence
-    pspec = PartitionComplexSpec.subdivision(st)
-    for i in range(pspec.max_position):
-        for j in (0, 1, 2):
-            d0, d1 = (pspec.differential(k, j, F).toarray() for k in (i, i + 1))
-            m2 = d1 @ d0 % F.p
-            assert not m2.any()
-
-
-def test_subdivision_variant_has_no_homology_table():
-    st = barycentric_subdivision_structure(
-        SimplicialComplex.from_facets((1, 2, 3, 4), [(1, 2, 3), (1, 3, 4)]))
-    pspec = PartitionComplexSpec.subdivision(st)
-    # the front map is not a cochain map, so homology past position -1 is undefined
-    assert any((pspec.differential(0, j, F).toarray() @ pspec.differential(-1, j, F).toarray()
-                % F.p).any()
-               for j in (1, 2))
-    with pytest.raises(PartitionError, match="not a complex"):
-        pspec.homology_dims(F)
-    reduced = ReducedPartitionComplex(pspec, lsop(RelativeComplex(st.delta)), F)
-    with pytest.raises(PartitionError, match="not a complex"):
-        reduced.homology_dims()
-    # nothing maps into position -1: its kernel is still read
-    assert reduced.front_kernel_dims(3) == {0: 0, 1: 0, 2: 1, 3: 0}
+    # the cellular boundary squares to zero: every cell two dimensions down
+    # is reached through its walls with cancelling signs
+    signs = st.incidence_signs
+    for cell, walls in st.incidence.items():
+        through: dict[int, int] = {}
+        for w in walls:
+            for u in st.incidence[w]:
+                through[u] = through.get(u, 0) + signs[cell, w] * signs[w, u]
+        assert not any(through.values())
+    assert any(len(st.incidence[w]) for walls in st.incidence.values() for w in walls)
 
 
 def test_subdivision_structure_validation_errors():
