@@ -94,10 +94,8 @@ class SimplicialComplex:
             raise ComplexError("duplicate vertex labels in ground set")
         self.labels = labels
         self.index = {v: i for i, v in enumerate(labels)}
-        faces = frozenset(int(f) for f in faces)
-        if not _closed:
-            faces = self._close(faces)
-        self.faces = faces
+        # a _closed caller hands over a frozenset of Python ints
+        self.faces = faces if _closed else self._close(frozenset(int(f) for f in faces))
         self._facets_cache = None
         self._by_card = None
 

@@ -203,22 +203,41 @@ def multiplication_matrix(psi, form, j: int, field: PrimeField) -> np.ndarray:
     return _mult_matrix(psi, coeffs, j, field.p)
 
 
-def _generator_max_degree(psi: RelativeComplex) -> int:
-    """Max cardinality of a minimal face of Psi (module generator degrees)."""
-    faces = psi.faces()
-    if not faces:
-        return 0
-    gamma = psi.gamma.faces
-    best = 0
-    for f in faces:
-        minimal = True
-        for i in _bit_positions(f):
-            if (f ^ (1 << i)) not in gamma:
-                minimal = False
-                break
-        if minimal:
-            best = max(best, _popcount(f))
-    return best
+def _generator_max_degree(faces) -> int:
+    """Max cardinality of a face none of whose facets is in ``faces`` (generator degrees)."""
+    return max((_popcount(f) for f in faces
+                if not any(f ^ (1 << i) in faces for i in _bit_positions(f))), default=0)
+
+
+def _staged_quotients(theta: LinearFormSequence, p: int, width, mult, cap: int,
+                     gen_max: int, last: int | None) -> tuple[dict, int | None]:
+    """The staged build of ``GradedQuotientPresentation`` on any graded module.
+
+    ``width(j)`` is the size of the module's degree-j monomial basis and
+    ``mult(form, t)`` the dense matrix of a form from degree t to t + 1.
+    The build stops at the first degree j >= gen_max (the top generator
+    degree) whose quotient is 0, at degree last + 1 without eliminating it,
+    or past cap. Returns ({j: quotient} over the degrees eliminated, the
+    degree where the module vanishes, or None if it did not inside cap).
+    """
+    quotients: dict[int, FrozenQuotient] = {}
+    # below[i]: the free monomials of the module mod (theta_1..theta_i) one degree down;
+    # degree -1 has none
+    below = [np.zeros(0, dtype=np.intp)] * len(theta)
+    for j in range(cap + 1):
+        if last is not None and j > last:
+            return quotients, j
+        q = FrozenQuotient(np.zeros((0, width(j)), dtype=np.int64), p)
+        free = [q.free]
+        for form, cols in zip(theta, below):
+            if cols.size and q.dim:
+                q.extend(mult(form, j - 1)[:, cols].T)
+            free.append(q.free)
+        below = free
+        quotients[j] = q
+        if q.dim == 0 and j >= gen_max:
+            return quotients, j
+    return quotients, None
 
 
 class GradedQuotientPresentation:
@@ -274,44 +293,20 @@ class GradedQuotientPresentation:
         if cap is None:
             cap = (d if d is not None else -1) + 3
         self.cap = cap
-        self.dims: dict[int, int] = {}
-        self._quotients: dict[int, FrozenQuotient] = {}
-        self.vanishing_degree: int | None = None
-        self.finite_at_cap = True
-        self._build(_stop_when_certified)
-
-    def _build(self, stop_when_certified: bool) -> None:
-        p = self.field.p
-        gen_max = _generator_max_degree(self.psi)
-        # A_j = 0 for j > last by the lemma in the class docstring, and no generator
-        # of k[Psi] lies past last, so the build ends at degree last + 1 at the latest
+        p = field.p
+        # A_j = 0 for j > last by the lemma in the class docstring
         last = None
-        if stop_when_certified and len(self.theta) and lsop_certificate(
-                self.psi, self.theta, self.field):
-            last = expected_lsop_length(self.psi)
-        # below[i]: the free monomials of k[Psi]/(theta_1..theta_i) one degree down;
-        # k[Psi]_{-1} = 0 has none
-        below = [np.zeros(0, dtype=np.intp)] * len(self.theta)
-        for j in range(self.cap + 1):
-            if last is not None and j > last:
-                self.dims[j] = 0
-                self.vanishing_degree = j
-                break
-            q = FrozenQuotient(np.zeros((0, len(monomial_basis(self.psi, j))), dtype=np.int64), p)
-            free = [q.free]
-            for form, cols in zip(self.theta, below):
-                if cols.size and q.dim:
-                    q.extend(_mult_matrix(self.psi, form, j - 1, p)[:, cols].T)
-                free.append(q.free)
-            below = free
-            self._quotients[j] = q
-            self.dims[j] = q.dim
-            if q.dim == 0 and j >= gen_max:
-                self.vanishing_degree = j
-                break
-        else:
-            # never vanished inside the cap: the quotient is (or looks) infinite
-            self.finite_at_cap = False
+        if _stop_when_certified and len(theta) and lsop_certificate(psi, theta, field):
+            last = expected_lsop_length(psi)
+        self._quotients, self.vanishing_degree = _staged_quotients(
+            theta, p, lambda j: len(monomial_basis(psi, j)),
+            lambda form, t: _mult_matrix(psi, form, t, p),
+            cap, _generator_max_degree(psi.faces()), last)
+        self.dims = {j: q.dim for j, q in self._quotients.items()}
+        # a quotient that never vanished inside the cap is (or looks) infinite
+        self.finite_at_cap = self.vanishing_degree is not None
+        if self.finite_at_cap:
+            self.dims[self.vanishing_degree] = 0
 
     def _at(self, j: int) -> FrozenQuotient | None:
         """The quotient at degree j; None from the vanishing degree on where none is built."""

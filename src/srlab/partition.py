@@ -33,8 +33,9 @@ A star is a face selection too. For the full variant sigma lies in
 st_tau Psi iff sigma + tau is a face of Delta - Gamma, so one pass over
 Delta's faces finds st_tau Psi as sorted indices into Delta's faces, and
 the same selections give each support piece its summands. No star is
-built as a complex, except where a quotient of it is taken
-(``ReducedPartitionComplex``).
+built as a complex: the reduced complex takes each summand's quotient
+on its selections, for absolute and relative Psi alike, and checks Theta
+once, on Psi (a face sigma of st_tau Psi lies in the face sigma + tau).
 
 The interior variant changes the columns: the interior complex of a
 disk keeps only stars of strongly interior faces (every vertex off the
@@ -64,8 +65,12 @@ from .complexes import (
     _popcount,
 )
 from .facering import (
+    FaceRingError,
     LinearFormSequence,
+    _generator_max_degree,
     _mult_pattern,
+    _staged_quotients,
+    lsop_certificate,
     monomial_basis,
     quotient_presentation,
     support_monomial_count,
@@ -130,10 +135,9 @@ class PartitionComplexSpec:
     """Columns of a star-cover complex, one summand per chosen face.
 
     positions maps the cohomological index i to the ordered list of its
-    summands' descriptors, face masks of Delta. A summand's module is
-    built only on demand (``module``, ``summands``), for a quotient; the
-    spec itself holds every summand by its faces, a selection of Delta's
-    (``_stars``), found by one pass over Delta's faces per descriptor.
+    summands' descriptors, face masks of Delta. The spec holds every
+    summand by its faces, a selection of Delta's (``_stars``), found by
+    one pass over Delta's faces per descriptor.
 
     Every summand module lives on Delta's ground set and its faces are
     faces of Delta, so its degree-j monomial basis is a subsequence of
@@ -213,20 +217,6 @@ class PartitionComplexSpec:
     def max_position(self) -> int:
         return max(self.positions, default=-1)
 
-    def module(self, desc) -> RelativeComplex:
-        """The summand module of a descriptor, built on every call.
-
-        ``ReducedPartitionComplex`` takes its quotient; every other path
-        reads a summand's faces off ``_stars``.
-        """
-        if self.variant == "full":
-            return self.psi.star(desc)
-        return RelativeComplex(self.psi.delta.star(desc))
-
-    def summands(self, i: int) -> list:
-        """(descriptor, module) for every summand at position i, each module built on this call."""
-        return [(desc, self.module(desc)) for desc in self.positions.get(i, [])]
-
     def _delta_faces(self) -> tuple[list[int], np.ndarray]:
         """Delta's faces in the order its monomial bases list them: by size, then mask.
 
@@ -260,6 +250,13 @@ class PartitionComplexSpec:
             self._faces = [[k for k, f in enumerate(faces) if f | tau in base]
                            for _, tau in self._numbered()]
         return self._faces
+
+    def _star_faces(self, i: int) -> list[frozenset[int]]:
+        """The faces of every summand at position i, as a set of face masks each."""
+        masks = self._delta_faces()[0]
+        faces, owner = self._summand_faces(i)
+        return [frozenset(masks[k] for k in faces[owner == s])
+                for s in range(len(self.positions.get(i, [])))]
 
     def _summand_faces(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The faces of every summand at position i as indices into ``_delta_faces``.
@@ -372,26 +369,6 @@ class PartitionComplexSpec:
         stops = np.concatenate(([0], np.cumsum(hit)))[np.cumsum(np.concatenate(([0], lens)))]
         return rows[hit], cols[hit], stops.tolist()
 
-    def _assemble(self, i: int, j: int, src_dims, dst_dims):
-        """The blocks of the map of position i into position i + 1 in degree j.
-
-        src_dims and dst_dims give the dimension of each summand's space on
-        either side. For every signed summand pair whose dimensions are
-        nonzero this yields (row offset, column offset, s, d, index map,
-        sign): the pair is the s-th summand at position i and the d-th at
-        position i + 1, and the index map its slice of ``_restrictions``,
-        as (cols, rows) in the coordinates of the two summands' monomials.
-        """
-        rows, cols, stops = self._restrictions(i, j)
-        src, dst = self._basis(i, j).offsets, self._basis(i + 1, j).offsets
-        col_at = np.cumsum((0,) + tuple(src_dims)).tolist()
-        row_at = np.cumsum((0,) + tuple(dst_dims)).tolist()
-        for k, (s, d, sign) in enumerate(self._signed_pairs(i)):
-            if src_dims[s] and dst_dims[d]:
-                a, b = stops[k], stops[k + 1]
-                yield (row_at[d], col_at[s], s, d, (cols[a:b] - src[s], rows[a:b] - dst[d]),
-                       sign)
-
     def differential(self, i: int, j: int, field: PrimeField) -> SparseMatrix:
         """Matrix of position i into position i + 1 at coarse degree j, built once.
 
@@ -501,52 +478,79 @@ def partition_homology_dims(psi, field: PrimeField,
 class ReducedPartitionComplex:
     """The star-cover complex with every summand replaced by its quotient.
 
-    Each summand module is presented degreewise modulo <Theta>; the Cech
-    differential descends because restriction commutes with multiplication
-    by linear forms, and in quotient coordinates the block from summand q
-    to summand q' at degree j is q'.reduce(j, moved): the rows of q.lift(j)
-    moved to their monomials' rows by the pair's slice of the spec's
-    ``_restrictions``, and zero rows for the monomials of q' outside q, as
-    restriction need not be onto.
+    Summand k[st_tau Psi]/<Theta> is presented in degree j on the spec's
+    selection of Delta's monomials, which lists them in the star's own
+    basis order. Its relations are its slice of the position's
+    ``mult_pattern``, which drops a product leaving the star as k[st_tau Psi]
+    does, eliminated on ``GradedQuotientPresentation``'s staged schedule
+    (``facering._staged_quotients``); the RREF is unique, so the free
+    monomials are those of the star's own presentation. Theta is checked
+    once, on the position -1 module (Psi for the full variant): a face sigma
+    of st_tau Psi lies in the face sigma + tau, and M/<Theta>M is finite
+    iff Theta has full rank on every maximal face of M.
 
-    This is the one place a summand's module is built as a complex
-    (``PartitionComplexSpec.module``), to take its quotient.
+    The Cech differential descends because restriction commutes with
+    multiplication by linear forms. A lift is a column selection, so the
+    block into target summand d is d's ``reduce`` of its rows of the spec's
+    ``differential(i, j)`` at the sources' free columns.
     """
 
     def __init__(self, pspec: PartitionComplexSpec, theta: LinearFormSequence,
                  field: PrimeField):
+        if theta.p != field.p:
+            raise FaceRingError("Theta and field use different moduli")
         self.pspec = pspec
         self.theta = theta
         self.field = field
-        self.quotients: dict[int, list] = {}
-        for i in range(-1, pspec.max_position + 1):
-            rows = []
-            for desc, mod in pspec.summands(i):
-                q = quotient_presentation(mod, theta, field)
-                if not q.finite_at_cap:
-                    raise PartitionError(
-                        f"Theta is not a parameter system for the summand at {desc!r}")
-                rows.append((desc, mod, q))
-            self.quotients[i] = rows
+        front = pspec.psi if pspec.variant == "full" else pspec._ambient
+        if not lsop_certificate(front, theta, field):
+            raise PartitionError("Theta is not a parameter system for the summand at 0")
+        # position -> one {degree: FrozenQuotient} per summand; a degree left out is 0
+        self.quotients = {i: [self._summand_quotients(i, s, faces)
+                              for s, faces in enumerate(pspec._star_faces(i))]
+                          for i in range(-1, pspec.max_position + 1)}
+
+    def _summand_quotients(self, i: int, s: int, faces: frozenset[int]) -> dict:
+        """The degreewise quotients of the s-th summand at position i, whose faces are ``faces``."""
+        pspec, p = self.pspec, self.field.p
+
+        def mult(form, t: int) -> np.ndarray:
+            rows, cols, verts = pspec.mult_pattern(i, t)
+            src, dst = pspec._basis(i, t).offsets, pspec._basis(i, t + 1).offsets
+            lo, hi = np.searchsorted(cols, src[s:s + 2])
+            mat = np.zeros((dst[s + 1] - dst[s], src[s + 1] - src[s]), dtype=np.int64)
+            mat[rows[lo:hi] - dst[s], cols[lo:hi] - src[s]] = (np.array(form) % p)[verts[lo:hi]]
+            return mat
+
+        last = max(map(_popcount, faces), default=0)
+        quotients, _ = _staged_quotients(self.theta, p, lambda j: pspec.summand_dims(i, j)[s],
+                                         mult, last + 1, _generator_max_degree(faces), last)
+        return quotients
 
     def space_dim(self, i: int, j: int) -> int:
-        if j < 0:
-            return 0
-        return sum(q.dim(j) for _, _, q in self.quotients.get(i, []))
+        return sum(q[j].dim for q in self.quotients.get(i, []) if j in q)
 
     def differential(self, i: int, j: int) -> np.ndarray:
-        src = self.quotients.get(i, [])
-        dst = self.quotients.get(i + 1, [])
-        src_dims = [q.dim(j) for _, _, q in src]
-        dst_dims = [q.dim(j) for _, _, q in dst]
-        mat = np.zeros((sum(dst_dims), sum(src_dims)), dtype=np.int64)
-        monomials = self.pspec.summand_dims(i + 1, j)
-        for row, col, s, d, (cols, rows), sign in self.pspec._assemble(i, j, src_dims, dst_dims):
-            moved = np.zeros((monomials[d], src_dims[s]), dtype=np.int64)
-            moved[rows] = src[s][2].lift(j)[cols]
-            b = dst[d][2].reduce(j, moved)
-            mat[row:row + dst_dims[d], col:col + src_dims[s]] = b if sign > 0 else -b % self.field.p
-        return mat
+        src, dst = self.quotients.get(i, []), self.quotients.get(i + 1, [])
+        col_at, row_at = self.pspec._basis(i, j).offsets, self.pspec._basis(i + 1, j).offsets
+        free = [col_at[s] + q[j].free for s, q in enumerate(src) if j in q]
+        free = np.concatenate(free) if free else np.zeros(0, dtype=np.int64)
+        # every source monomial's column in quotient coordinates, -1 off the free ones
+        column = np.full(col_at[-1], -1)
+        column[free] = np.arange(free.size)
+        m = self.pspec.differential(i, j, self.field)
+        kept = np.flatnonzero(column[m.cols] >= 0)
+        kept = kept[np.argsort(m.rows[kept])]
+        rows, cols, vals = m.rows[kept], column[m.cols[kept]], m.vals[kept]
+        bounds = np.searchsorted(rows, row_at)
+        blocks = [np.zeros((0, free.size), dtype=np.int64)]
+        for d, q in enumerate(dst):
+            if j in q and q[j].dim:
+                a, b = bounds[d], bounds[d + 1]
+                moved = np.zeros((row_at[d + 1] - row_at[d], free.size), dtype=np.int64)
+                moved[rows[a:b] - row_at[d], cols[a:b]] = vals[a:b]
+                blocks.append(q[j].reduce(moved))
+        return np.vstack(blocks)
 
     def homology_dims(self, max_degree: int | None = None) -> dict:
         """{(i, j): dim} over i in [-1, max position], j in [0, max_degree]."""
@@ -710,8 +714,7 @@ def interior_partition_check(disk, theta: LinearFormSequence, field: PrimeField,
     table = pspec.homology_dims(field, max_degree=window)
     exact = not any(table.values())
 
-    stars = [delta.star(v).faces for v in pspec.positions.get(0, [])]
-    kernels = _restriction_kernel_dims(delta, stars, theta, field, d)
+    kernels = _restriction_kernel_dims(delta, pspec._star_faces(0), theta, field, d)
     injective = not any(kernels.values())
 
     return {

@@ -177,6 +177,22 @@ def test_induced_subcomplex():
     assert all(set(tor.labels_of(f)) <= {1, 2, 3} for f in sub.faces if f)
 
 
+def test_closed_face_sets_are_kept_as_frozensets_of_python_ints():
+    # a face set handed over as closed is kept as it is, not rebuilt, so
+    # every operation that hands one over must build it of Python ints
+    tor = builtin_complex("torus7").delta
+    v = tor.vertex_masks()[0]
+    built = [tor.link(v), tor.star(v), tor.deletion(v), tor.induced([1, 2, 3]),
+             tor.union(tor.star(v)), tor.cone("apex"), tor.barycentric_subdivision(),
+             SimplicialComplex.void_complex(tor.labels),
+             SimplicialComplex.empty_faces_only(tor.labels),
+             SimplicialComplex.from_facets(tor.labels, [], void=True)]
+    for c in built:
+        assert type(c.faces) is frozenset and all(type(f) is int for f in c.faces)
+    faces = frozenset({0, 1})
+    assert SimplicialComplex((1,), faces, _closed=True).faces is faces
+
+
 def test_json_round_trip_and_hash_stability():
     for name in ("torus7", "rp2_6", "disk_with_induced_boundary_2", "path_4"):
         psi = builtin_complex(name)

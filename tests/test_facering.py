@@ -300,7 +300,7 @@ def _stacked_quotient(psi, theta, field, cap):
     """
     psi = as_relative(psi)
     p = field.p
-    gen_max = _generator_max_degree(psi)
+    gen_max = _generator_max_degree(psi.faces())
     out = {}
     for j in range(cap + 1):
         nb = len(monomial_basis(psi, j))

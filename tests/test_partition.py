@@ -141,9 +141,21 @@ def _block_sign(src_desc, dst_desc) -> int:
     return -1 if bin(dst_desc & (extra - 1)).count("1") % 2 else 1
 
 
+def _built_star(pspec, tau) -> RelativeComplex:
+    """The summand module of descriptor tau, built as a complex."""
+    if pspec.variant == "full":
+        return pspec.psi.star(tau)
+    return RelativeComplex(pspec.psi.delta).star(tau)
+
+
+def _summands(pspec, i):
+    """(descriptor, built module) for every summand at position i."""
+    return [(tau, _built_star(pspec, tau)) for tau in pspec.positions.get(i, [])]
+
+
 def _dense_differential(pspec, i, j, p):
     """Position i into position i + 1: restriction matrices signed by ``_block_sign``."""
-    src, dst = pspec.summands(i), pspec.summands(i + 1)
+    src, dst = _summands(pspec, i), _summands(pspec, i + 1)
     if not src or not dst:
         return None
     return np.block([[_block_sign(sdesc, ddesc) * restriction_matrix(smod, dmod, j) % p
@@ -183,12 +195,12 @@ def test_selections_pick_each_summand_basis_out_of_delta():
             for j in range(dim + 4):
                 delta_basis = monomial_basis(ambient, j).exponents
                 sels = pspec._selections(i, j)
-                assert len(sels) == len(pspec.summands(i))
-                for sel, (_, mod) in zip(sels, pspec.summands(i)):
+                assert len(sels) == len(_summands(pspec, i))
+                for sel, (_, mod) in zip(sels, _summands(pspec, i)):
                     assert np.all(np.diff(sel) > 0)
                     assert [delta_basis[k] for k in sel] == list(monomial_basis(mod, j).exponents)
                 assert pspec.summand_dims(i, j) == tuple(len(monomial_basis(mod, j))
-                                                         for _, mod in pspec.summands(i))
+                                                         for _, mod in _summands(pspec, i))
             assert pspec.space_dim(i, -1) == 0
 
 
@@ -199,7 +211,7 @@ def test_position_patterns_concatenate_the_summand_patterns():
             for t in range(dim + 3):
                 got = pspec.mult_pattern(i, t)
                 assert pspec.mult_pattern(i, t) is got
-                want = direct_sum_pattern([mod for _, mod in pspec.summands(i)], t)
+                want = direct_sum_pattern([mod for _, mod in _summands(pspec, i)], t)
                 for x, y in zip(got, want):
                     assert not x.flags.writeable and x.tolist() == y.tolist()
 
@@ -285,24 +297,6 @@ def _pairwise_differential(pspec, i, j, p):
     return m
 
 
-def _pairwise_reduced_differential(reduced, i, j):
-    """``ReducedPartitionComplex.differential`` with one ``_index_map`` per signed pair."""
-    pspec, p = reduced.pspec, reduced.field.p
-    src, dst = reduced.quotients.get(i, []), reduced.quotients.get(i + 1, [])
-    ssel, dsel = pspec._selections(i, j), pspec._selections(i + 1, j)
-    cols = np.cumsum([0] + [q.dim(j) for _, _, q in src])
-    rows = np.cumsum([0] + [q.dim(j) for _, _, q in dst])
-    mat = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
-    for s, d, sign in pspec._signed_pairs(i):
-        sq, dq = src[s][2], dst[d][2]
-        if sq.dim(j) and dq.dim(j):
-            c, r = _index_map(ssel[s], dsel[d])
-            moved = np.zeros((dsel[d].size, sq.dim(j)), dtype=np.int64)
-            moved[r] = sq.lift(j)[c]
-            mat[rows[d]:rows[d + 1], cols[s]:cols[s + 1]] = sign * dq.reduce(j, moved) % p
-    return mat
-
-
 def _oracle_homology(dims, maps, top, window, p):
     """{(i, j): dim - rank in - rank out} from dense maps, i in [-1, top], j in [0, window]."""
     def rk(i, j):
@@ -317,58 +311,128 @@ def test_keyed_star_cover_maps_equal_the_pairwise_index_maps(p):
     field = PrimeField(p)
     specs = [PartitionComplexSpec.full(builtin_complex(name)) for name in BUILTIN_EXAMPLES]
     specs += _variant_specs()
-    reduced_checked = 0
     for pspec in specs:
-        psi = pspec.psi
-        window = partition._window(psi, None)
+        window = partition._window(pspec.psi, None)
         for i in range(-1, pspec.max_position + 1):
             for j in range(-1, window + 1):
                 got = pspec.differential(i, j, field)
                 assert np.array_equal(got.toarray(), _pairwise_differential(pspec, i, j, p))
+
+
+class _StarQuotientRoute:
+    """The reduced complex with every summand built as a complex: the oracle.
+
+    Each star k[st_tau Psi] gets its own quotient presentation on its own
+    monomial basis, and is gated on its own finiteness, in summand order.
+    The block of a signed summand pair is the restriction matrix applied
+    to the source's lift, reduced in the target's coordinates; restriction
+    between relative stars need not be onto.
+    """
+
+    def __init__(self, pspec, theta, field):
+        self.pspec, self.field = pspec, field
+        self.quotients = {}
+        for i in range(-1, pspec.max_position + 1):
+            self.quotients[i] = []
+            for tau, mod in _summands(pspec, i):
+                q = facering.quotient_presentation(mod, theta, field)
+                if not q.finite_at_cap:
+                    raise PartitionError(f"Theta is not a parameter system for the summand at {tau!r}")
+                self.quotients[i].append((tau, mod, q))
+
+    def space_dim(self, i, j):
+        return sum(q.dim(j) for _, _, q in self.quotients.get(i, []))
+
+    def not_onto(self, i, j):
+        """Signed pairs between nonzero quotients whose target has faces the source lacks."""
+        return sum(bool(_block_sign(s, d) and sq.dim(j) and dq.dim(j)
+                        and set(dmod.faces()) - set(smod.faces()))
+                   for d, dmod, dq in self.quotients[i + 1] for s, smod, sq in self.quotients[i])
+
+    def differential(self, i, j):
+        p = self.field.p
+        src, dst = self.quotients.get(i, []), self.quotients.get(i + 1, [])
+        mat = np.zeros((self.space_dim(i + 1, j), self.space_dim(i, j)), dtype=np.int64)
+        row = 0
+        for ddesc, dmod, dq in dst:
+            col = 0
+            for sdesc, smod, sq in src:
+                sign = _block_sign(sdesc, ddesc)
+                if sign and sq.dim(j) and dq.dim(j):
+                    moved = matmul(restriction_matrix(smod, dmod, j), sq.lift(j), p)
+                    mat[row:row + dq.dim(j), col:col + sq.dim(j)] = sign * dq.reduce(j, moved) % p
+                col += sq.dim(j)
+            row += dq.dim(j)
+        return mat
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, DEFAULT_PRIME])
+def test_reduced_differential_equals_the_restriction_matrix_route(p):
+    field = PrimeField(p)
+    specs = [PartitionComplexSpec.full(builtin_complex(name)) for name in BUILTIN_EXAMPLES]
+    specs += _variant_specs()
+    specs += [PartitionComplexSpec.full(psi) for psi in _relative_pairs(p % 1000, 60)]
+    checked = {"builtin": 0, "relative": 0, "not_onto": 0}
+    for pspec in specs:
+        psi = pspec.psi
         theta = sample_lsop(psi, expected_lsop_length(psi), 0, field, budget=4000)
         if theta is None:
             continue
-        try:
-            reduced = ReducedPartitionComplex(pspec, theta, field)
-        except PartitionError:
-            continue  # Theta is no parameter system of some summand
-        for i in range(-1, pspec.max_position):
-            for j in range(window + 1):
-                assert np.array_equal(reduced.differential(i, j),
-                                      _pairwise_reduced_differential(reduced, i, j))
-        want = _oracle_homology(reduced.space_dim,
-                                lambda i, j: _pairwise_reduced_differential(reduced, i, j),
-                                pspec.max_position, window, p)
+        reduced = ReducedPartitionComplex(pspec, theta, field)
+        oracle = _StarQuotientRoute(pspec, theta, field)
+        window = partition._window(psi, None)
+        for i in range(-1, pspec.max_position + 1):
+            for j in range(-1, window + 1):
+                assert reduced.space_dim(i, j) == oracle.space_dim(i, j)
+                if i < pspec.max_position:
+                    assert np.array_equal(reduced.differential(i, j), oracle.differential(i, j))
+                    checked["not_onto"] += j >= 0 and oracle.not_onto(i, j)
+        want = _oracle_homology(oracle.space_dim, oracle.differential, pspec.max_position,
+                                window, p)
         assert reduced.homology_dims() == want
-        reduced_checked += 1
-    assert reduced_checked >= 20
+        checked["relative" if not psi.is_absolute else "builtin"] += 1
+    assert checked["builtin"] >= 10 and checked["relative"] >= 50 and checked["not_onto"]
 
 
-def test_reduced_differential_equals_the_restriction_matrix_route():
-    # restriction between relative stars is not onto: a target monomial
-    # outside the source must keep a zero row, not a gathered lift row
-    not_onto = 0
-    for psi in _relative_pairs(3, 40):
-        theta = sample_lsop(psi, expected_lsop_length(psi), 0, F, budget=4000)
-        if theta is None:
-            continue
-        pspec = PartitionComplexSpec.full(psi)
-        reduced = ReducedPartitionComplex(pspec, theta, F)
-        for i in range(-1, pspec.max_position):
-            src, dst = reduced.quotients[i], reduced.quotients[i + 1]
-            for j in range(psi.dim + 3):
-                blocks = []
-                for ddesc, dmod, dq in dst:
-                    row = []
-                    for sdesc, smod, sq in src:
-                        sign = _block_sign(sdesc, ddesc)
-                        moved = matmul(restriction_matrix(smod, dmod, j), sq.lift(j), F.p)
-                        row.append(sign * dq.reduce(j, moved) % F.p)
-                        not_onto += bool(sign and sq.dim(j) and dq.dim(j)
-                                         and set(dmod.faces()) - set(smod.faces()))
-                    blocks.append(row)
-                assert np.array_equal(reduced.differential(i, j), np.block(blocks))
-    assert not_onto > 0
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+def test_reduced_complex_gate_agrees_with_the_star_quotients(p):
+    # one certificate of Theta on Psi stands for the finiteness of every star
+    field = PrimeField(p)
+    rng = random.Random(71 + p % 1000)
+    cases = [builtin_complex(name) for name in BUILTIN_EXAMPLES] + _relative_pairs(p % 1000, 25)
+    outcomes = set()
+    for psi in cases:
+        n, length = len(psi.delta.labels), expected_lsop_length(psi)
+        for theta in (LinearFormSequence([(0,) * n] * length, p),
+                      LinearFormSequence.random(psi, max(length - 1, 0), rng.randrange(999), field),
+                      LinearFormSequence.random(psi, length, rng.randrange(999), field)):
+            pspec = PartitionComplexSpec.full(psi)
+            errors = []
+            for route in (ReducedPartitionComplex, _StarQuotientRoute):
+                try:
+                    route(pspec, theta, field)
+                    errors.append(None)
+                except PartitionError as e:
+                    errors.append(str(e))
+            assert errors[0] == errors[1]
+            outcomes.add(errors[0])
+    assert outcomes == {None, "Theta is not a parameter system for the summand at 0"}
+
+
+def test_reduced_complex_caches_bases_and_patterns_of_delta_only():
+    # every summand's quotient is taken on Delta's monomials: the unbounded
+    # caches gain no entry keyed by a star
+    psi = builtin_complex("boundary_simplex_5")
+    theta = lsop(psi)
+    caches = (facering.monomial_basis, facering._mult_pattern)
+    for cache in caches:
+        cache.cache_clear()
+    assert any(reduced_partition_homology(psi, theta, F).values())
+    for cache in caches:
+        held, hits = cache.cache_info().currsize, cache.cache_info().hits
+        for j in range(psi.dim + 5):
+            cache(psi, j)
+        assert held and cache.cache_info().hits - hits == held
 
 
 def _fine_slice_dims(psi, alpha):
@@ -379,7 +443,7 @@ def _fine_slice_dims(psi, alpha):
     for i in range(-1, pspec.max_position + 1):
         rows = []
         off = 0
-        for _, mod in pspec.summands(i):
+        for _, mod in _summands(pspec, i):
             basis = monomial_basis(mod, j)
             idx = basis.index.get(tuple(alpha))
             if idx is not None:
@@ -495,12 +559,6 @@ def _face_mask_specs():
     return specs
 
 
-def _built_star(pspec, tau) -> RelativeComplex:
-    if pspec.variant == "full":
-        return pspec.psi.star(tau)
-    return RelativeComplex(pspec.psi.delta).star(tau)
-
-
 def test_star_selections_are_the_faces_of_the_built_stars():
     for pspec in _face_mask_specs():
         masks = pspec._delta_faces()[0]
@@ -510,7 +568,7 @@ def test_star_selections_are_the_faces_of_the_built_stars():
             for s, tau in enumerate(pspec.positions[i]):
                 want = sorted(_built_star(pspec, tau).faces(), key=lambda f: (bin(f).count("1"), f))
                 assert [masks[k] for k in faces[owner == s]] == want
-                assert pspec.module(tau) == _built_star(pspec, tau)
+                assert pspec._star_faces(i)[s] == _built_star(pspec, tau).faces()
 
 
 def _supports_of_built_stars(pspec, max_degree):
@@ -561,7 +619,7 @@ def _dense_vertical(sl, a, b):
     """The Koszul step of a double complex slice, assembled densely block by block."""
     if b < 0 or b >= sl.n:
         return np.zeros((sl.grid_dim(a, b + 1), sl.grid_dim(a, b)), dtype=np.int64)
-    return dense_koszul_step([mod for _, mod in sl.pspec.summands(a)], sl.theta, b,
+    return dense_koszul_step([mod for _, mod in _summands(sl.pspec, a)], sl.theta, b,
                              sl._t(b), sl.field)
 
 
