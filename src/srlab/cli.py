@@ -452,6 +452,9 @@ def run(config: RunConfig, out=None, err=None) -> int:
     if config.max_degree is not None and config.max_degree < 0:
         print("error: --max-degree must be nonnegative", file=err)
         return EXIT_INPUT
+    if config.trials < 1:
+        print("error: --trials must be at least 1", file=err)
+        return EXIT_INPUT
     try:
         code, payload, lines = handler(config, field)
     except InputError as e:

@@ -79,7 +79,14 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
+# Entries held by each of monomial_basis and _mult_pattern, keyed by (Psi,
+# degree). The benchmark's cm-corpus run (reisner_report on 200 complexes)
+# leaves 354 and 147, so a bound above that evicts nothing a run reads again,
+# and a long-lived process no longer grows with every complex it has seen.
+_CACHE_ENTRIES = 512
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def monomial_basis(psi: RelativeComplex, degree: int) -> MonomialBasis:
     """All monomials of degree j supported on faces of Psi."""
     if degree < 0:
@@ -149,7 +156,7 @@ class LinearFormSequence:
         return f"LinearFormSequence(m={len(self.forms)}, p={self.p}, seed={self.seed!r})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def _mult_pattern(psi: RelativeComplex, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nonzero pattern of multiplication by a linear form, k[Psi]_j -> k[Psi]_{j+1}.
 

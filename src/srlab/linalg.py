@@ -14,7 +14,10 @@ size and fill:
 
 - list path: ``rank`` of a matrix with at most ``_TINY_CELLS`` entries
   eliminates on Python ints, where numpy's per-call cost would dominate;
-  the l.s.o.p. certificate's checks are nearly all this small;
+  the l.s.o.p. certificate's checks are nearly all this small. So does
+  ``FrozenQuotient.extend`` when its new rows and the pivot rows it holds
+  come to at most ``_TINY_CELLS`` cells, as most of the staged Hilbert
+  certificate's extends by one degree-1 row do;
 - sparse path: ``rank`` of a ``SparseMatrix``, or of a larger dense
   matrix under 1/20 of whose cells are nonzero, runs ``_markowitz_rank``.
   It first peels singletons in numpy: a row or a column with one live
@@ -27,7 +30,8 @@ size and fill:
   lengths, in its column with the fewest live rows. Past as many dict
   updates as the matrix has cells, the rows and columns still live go to
   the dense path as one block;
-- dense path: everything else, and every ``rref`` and ``kernel_basis``.
+- dense path: everything else, and every ``rref``, ``kernel_basis`` and
+  larger ``FrozenQuotient.extend``.
   ``_eliminate`` scans columns left to right with a frozen pivot order
   and updates the rows below (or, reduced, around) each pivot as one
   slice ``m[targets, c:]``.
@@ -293,6 +297,35 @@ def _list_rank(rows: list[list[int]], p: int, *, pivots: list | None = None) -> 
         if r == n:
             break
     return r
+
+
+def _list_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """The nonzero rows of the RREF and the pivot columns, on Python ints.
+
+    The list regime of ``FrozenQuotient.extend``; ``rows`` have entries in
+    [0, p) and are overwritten.
+    """
+    n = len(rows)
+    cols: list[int] = []
+    for c in range(len(rows[0])):
+        r = len(cols)
+        if r == n:
+            break
+        for i in range(r, n):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        piv = rows[i]
+        rows[i] = rows[r]
+        inv = pow(piv[c], -1, p)
+        rows[r] = piv = [x * inv % p for x in piv]
+        for j in range(n):
+            f = rows[j][c]
+            if f and j != r:
+                rows[j] = [(a - f * b) % p for a, b in zip(rows[j], piv)]
+        cols.append(c)
+    return rows[:len(cols)], cols
 
 
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -577,7 +610,11 @@ class FrozenQuotient:
     mostly zeros here: vectors in monomial coordinates (relation rows,
     restrictions, lifted unit vectors) on the pivot columns, and the RREF
     rows on the new pivot columns. ``_minus_product`` does that work by
-    the nonzeros of s.
+    the nonzeros of s. An extend whose new rows and held pivot rows come
+    to at most ``_TINY_CELLS`` cells takes the same steps on Python ints
+    instead (``_extend_on_lists``), where numpy's per-call cost would
+    outweigh the arithmetic; the RREF is unique, so both paths store the
+    same int64 ``pivots``, ``free`` and ``rfree``.
     """
 
     __slots__ = ("p", "pivots", "free", "rfree", "dim")
@@ -601,6 +638,9 @@ class FrozenQuotient:
                               f"F_p^{self.pivots.size + self.dim}")
         if rows.shape[0] == 0 or self.dim == 0:
             return
+        if (rows.shape[0] + self.pivots.size) * rows.shape[1] <= _TINY_CELLS:
+            self._extend_on_lists(rows.tolist())
+            return
         red, fresh = rref(self.reduce(rows.T).T, p)
         if not fresh:
             return
@@ -613,6 +653,43 @@ class FrozenQuotient:
         self.rfree = np.vstack([old, red])[order][:, keep]
         self.free = self.free[keep]
         self.dim = self.free.size
+
+    def _extend_on_lists(self, rows: list[list[int]]) -> None:
+        """``extend`` by a few rows of a small quotient, on Python ints.
+
+        The same four steps as the numpy path (reduce the rows to free
+        coordinates, take their RREF, clear its pivot columns from the old
+        pivot rows, sort the pivot rows by column) give the same RREF of
+        all rows so far, hence the same ``pivots``, ``free`` and ``rfree``.
+        """
+        p = self.p
+        free, pivots, rfree = self.free.tolist(), self.pivots.tolist(), self.rfree.tolist()
+        reduced = []
+        for row in rows:
+            v = [row[c] % p for c in free]
+            for c, held in zip(pivots, rfree):
+                f = row[c] % p
+                if f:
+                    v = [(a - f * b) % p for a, b in zip(v, held)]
+            reduced.append(v)
+        red, fresh = _list_rref(reduced, p)
+        if not fresh:
+            return
+        for k, held in enumerate(rfree):
+            # red is reduced, so clearing one fresh column leaves the others as they were
+            for c, new in zip(fresh, red):
+                f = held[c]
+                if f:
+                    held = [(a - f * b) % p for a, b in zip(held, new)]
+            rfree[k] = held
+        merged = sorted(zip(pivots + [free[c] for c in fresh], rfree + red))
+        is_fresh = set(fresh)
+        keep = [j for j in range(len(free)) if j not in is_fresh]
+        self.pivots = np.array([c for c, _ in merged], dtype=np.int64)
+        self.rfree = np.array([[row[j] for j in keep] for _, row in merged],
+                              dtype=np.int64).reshape(len(merged), len(keep))
+        self.free = np.array([free[j] for j in keep], dtype=np.int64)
+        self.dim = len(keep)
 
     def reduce(self, vectors: np.ndarray) -> np.ndarray:
         """Quotient coordinates of the columns of ``vectors``."""

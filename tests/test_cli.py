@@ -230,6 +230,14 @@ def test_negative_max_degree_is_rejected(command):
     assert (code, out, err) == (2, "", "error: --max-degree must be nonnegative\n")
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_trials_below_one_is_rejected(command, trials):
+    # with no trial no parameter system is drawn, which is no verdict on the input
+    code, out, err = go(command=command, input="builtin:torus7", trials=trials)
+    assert (code, out, err) == (2, "", "error: --trials must be at least 1\n")
+
+
 @pytest.mark.parametrize("command", ["kuhnel", "dehn-sommerville"])
 def test_trials_sets_the_seeds_of_kuhnel_and_dehn_sommerville(command):
     # no parameter system of torus7 over F_2 is certified, so every trial is consumed

@@ -23,6 +23,7 @@ from srlab.facering import (
     FaceRingError,
     GradedQuotientPresentation,
     LinearFormSequence,
+    _CACHE_ENTRIES,
     _TABLE_CELLS,
     _certified,
     _full_column_rank,
@@ -928,6 +929,22 @@ def test_rank_table_cache_is_bounded_and_read_only():
         with pytest.raises(ValueError):
             table[0] = not table[0]
     assert _rank_table.cache_info().currsize == len(keys)
+
+
+def test_monomial_caches_are_bounded():
+    caches = (monomial_basis, _mult_pattern)
+    assert all(cache.cache_info().maxsize == _CACHE_ENTRIES for cache in caches)
+    for cache in caches:
+        cache.cache_clear()
+    # more distinct complexes than either cache holds: one vertex each, told apart by label
+    for v in range(_CACHE_ENTRIES + 1):
+        point = as_relative(SimplicialComplex.from_facets((v,), [(v,)]))
+        assert _mult_pattern(point, 1)[0].tolist() == [0]
+    try:
+        assert all(cache.cache_info().currsize == _CACHE_ENTRIES for cache in caches)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_importing_srlab_builds_no_rank_table():

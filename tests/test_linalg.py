@@ -445,6 +445,7 @@ def test_entry_points_leave_their_input_untouched():
         rank(m, p)
         rref(m, p)
         kernel_basis(m, p)
+        FrozenQuotient(m[:1], p).extend(m)  # the list regime for the 3 x 4 input
         assert np.array_equal(m, before)
     sparse = SparseMatrix.from_dense(_random_matrix(rng, (600, 500), p, 0.003), p)
     arrays = (sparse.rows, sparse.cols, sparse.vals)
@@ -479,10 +480,12 @@ def test_frozen_quotient_coordinates():
 
 
 def _same_quotient(q, want):
-    assert q.dim == want.dim
-    assert q.pivots.tolist() == want.pivots.tolist()
-    assert q.free.tolist() == want.free.tolist()
-    assert q.rfree.tolist() == want.rfree.tolist()
+    for name in ("pivots", "free", "rfree"):
+        got, exp = getattr(q, name), getattr(want, name)
+        assert got.dtype == exp.dtype == np.int64 and got.shape == exp.shape
+        assert got.tolist() == exp.tolist()
+    assert q.rfree.shape == (q.pivots.size, q.dim)
+    assert type(q.dim) is int and q.dim == want.dim
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, DEFAULT_PRIME])
@@ -506,6 +509,83 @@ def test_frozen_quotient_extended_in_batches_equals_the_stacked_quotient(p):
             q.extend(b)
         _same_quotient(q, FrozenQuotient(np.vstack(batches), p))
         _same_quotient(q, FrozenQuotient(rows, p))
+
+
+def _quotient_through(monkeypatch, cut, batches, p):
+    """The quotient by ``batches``, one extend each, with the list regime's cut set to ``cut``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_TINY_CELLS", cut)
+        q = FrozenQuotient(batches[0], p)
+        for b in batches[1:]:
+            q.extend(b)
+    return q
+
+
+def _extend_batches(rng, p):
+    """Batch sequences for FrozenQuotient, each starting with the rows it is built from.
+
+    Rows have entries in [-2p, 2p), so negative ones and ones >= p; the
+    sequences hold zero rows, rows dependent on earlier ones, a quotient
+    that reaches dim 0, and extends of exactly _TINY_CELLS and
+    _TINY_CELLS + 1 cells (new rows plus held pivot rows, times the width).
+    """
+    def raw(k, n):
+        return rng.integers(-2 * p, 2 * p, size=(k, n), dtype=np.int64)
+
+    cases = [
+        [raw(8, 8)],                                               # 64 cells
+        [raw(5, 13)],                                              # 65 cells
+        [raw(1, 16), raw(3, 16)],                                  # 1 held + 3 new = 64 cells
+        [raw(1, 13), raw(4, 13)],                                  # 1 held + 4 new = 65 cells
+        [raw(2, 6), raw(3, 6), raw(3, 6)],                         # reaches dim 0
+        [np.zeros((2, 7), dtype=np.int64), raw(1, 7), np.zeros((3, 7), dtype=np.int64)],
+        [rng.integers(-2, 3, size=(2, 9)) * p, raw(2, 9)],         # rows = 0 mod p
+    ]
+    for _ in range(16):
+        n = int(rng.integers(1, 12))
+        batches = [raw(int(rng.integers(0, 3)), n)]
+        for _ in range(int(rng.integers(1, 5))):
+            seen = np.vstack(batches)
+            new = raw(int(rng.integers(1, 4)), n)
+            if seen.shape[0] and rng.random() < 0.5:
+                mix = rng.integers(-2, 3, size=(new.shape[0], seen.shape[0]))
+                new = mix @ seen                                    # dependent on earlier rows
+            batches.append(new)
+        cases.append(batches)
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, MAX_PRIME])
+def test_frozen_quotient_list_regime_equals_the_numpy_path(monkeypatch, p):
+    rng = np.random.default_rng(p % 1000 + 11)
+    cases = _extend_batches(rng, p)
+    dims = set()
+    for batches in cases:
+        before = [b.copy() for b in batches]
+        on_lists = _quotient_through(monkeypatch, 1 << 30, batches, p)
+        on_numpy = _quotient_through(monkeypatch, -1, batches, p)
+        _same_quotient(on_lists, on_numpy)
+        _same_quotient(on_lists, FrozenQuotient(np.vstack(batches), p))
+        assert all(np.array_equal(b, c) for b, c in zip(batches, before))
+        dims.add(on_lists.dim == 0)
+    assert dims == {True, False}
+
+
+def test_small_extends_eliminate_on_lists(monkeypatch):
+    p = 7
+    called = []
+    for name in ("rref", "_eliminate"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *a, _real=real, _name=name, **k:
+                            called.append(_name) or _real(*a, **k))
+    rng = np.random.default_rng(29)
+    held = rng.integers(1, p, size=(1, 16), dtype=np.int64)
+    q = FrozenQuotient(held, p)                                     # 16 cells
+    q.extend(rng.integers(0, p, size=(3, 16), dtype=np.int64))      # (3 + 1) * 16 = 64 cells
+    assert called == [] and q.pivots.size == 4
+    q = FrozenQuotient(held[:, :13], p)
+    q.extend(rng.integers(0, p, size=(4, 13), dtype=np.int64))      # (4 + 1) * 13 = 65 cells
+    assert called == ["rref", "_eliminate"] and q.pivots.size == 5
 
 
 def test_frozen_quotient_extension_edge_cases():

@@ -420,7 +420,7 @@ def test_reduced_complex_gate_agrees_with_the_star_quotients(p):
 
 
 def test_reduced_complex_caches_bases_and_patterns_of_delta_only():
-    # every summand's quotient is taken on Delta's monomials: the unbounded
+    # every summand's quotient is taken on Delta's monomials: the
     # caches gain no entry keyed by a star
     psi = builtin_complex("boundary_simplex_5")
     theta = lsop(psi)
