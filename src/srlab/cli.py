@@ -24,7 +24,7 @@ from .complexes import (
     relative_cohomology_dims,
     relative_from_json,
 )
-from .duality import DualityError, build_B, cone_lemma_check, poincare_duality_report
+from .duality import DualityError, _ClosedManifold, cone_lemma_check, poincare_duality_report
 from .facering import (
     FaceRingError,
     expected_lsop_length,
@@ -67,6 +67,10 @@ _VERDICT_EXIT = {
 
 class InputError(ValueError):
     pass
+
+
+class _NoTheta(Exception):
+    """No certified parameter system for the complex in args[0]; ``run`` exits 3."""
 
 
 class RunConfig:
@@ -169,6 +173,14 @@ def _no_theta(cfg: RunConfig, psi) -> tuple[int, dict, list[str]]:
     return EXIT_INCONCLUSIVE, payload, [payload["note"]]
 
 
+def _certified_lsop(cfg: RunConfig, psi, field: PrimeField) -> tuple:
+    """(seed used, Theta) of the first certified trial; raises _NoTheta if there is none."""
+    used, theta = first_lsop(psi, cfg.seed, field, cfg.trials)
+    if theta is None:
+        raise _NoTheta(psi)
+    return used, theta
+
+
 def _entry_lines(rep, render) -> list[str]:
     # inconclusive reports carry no tables, only diagnostics
     if not rep.tables:
@@ -221,9 +233,7 @@ def _cmd_hilbert(cfg: RunConfig, field: PrimeField):
 
 def _cmd_lsop(cfg: RunConfig, field: PrimeField):
     psi = _resolve_complex(cfg.input)
-    used, theta = first_lsop(psi, cfg.seed, field, cfg.trials)
-    if theta is None:
-        return _no_theta(cfg, psi)
+    used, theta = _certified_lsop(cfg, psi, field)
     cert = is_lsop(psi, theta, field)
     payload = _base_payload(cfg, psi)
     payload.update({
@@ -243,9 +253,7 @@ def _cmd_depth(cfg: RunConfig, field: PrimeField):
     psi = _resolve_complex(cfg.input)
     if psi.is_void:
         raise InputError("depth is undefined for the zero module")
-    used, theta = first_lsop(psi, cfg.seed, field, cfg.trials)
-    if theta is None:
-        return _no_theta(cfg, psi)
+    used, theta = _certified_lsop(cfg, psi, field)
     dep = depth(psi, theta, field, max_degree=cfg.max_degree)
     expected = expected_lsop_length(psi)
     payload = _base_payload(cfg, psi)
@@ -286,9 +294,7 @@ def _cmd_partition_homology(cfg: RunConfig, field: PrimeField):
 
 def _cmd_pou(cfg: RunConfig, field: PrimeField):
     psi = _resolve_complex(cfg.input)
-    used, theta = first_lsop(psi, cfg.seed, field, cfg.trials)
-    if theta is None:
-        return _no_theta(cfg, psi)
+    _, theta = _certified_lsop(cfg, psi, field)
     rep = partition_of_unity_report(psi, theta, field, max_degree=cfg.max_degree)
     lines = _entry_lines(
         rep, lambda e: f"i={e['i']} j={e['j']} left={e['left']} right={e['right']}")
@@ -297,9 +303,7 @@ def _cmd_pou(cfg: RunConfig, field: PrimeField):
 
 def _cmd_schenzel(cfg: RunConfig, field: PrimeField):
     psi = _resolve_complex(cfg.input)
-    used, theta = first_lsop(psi, cfg.seed, field, cfg.trials)
-    if theta is None:
-        return _no_theta(cfg, psi)
+    _, theta = _certified_lsop(cfg, psi, field)
     rep = schenzel_report(psi, theta, field)
     lines = _entry_lines(
         rep, lambda e: f"j={e['j']} h={e['h']} left={e['left']} right={e['right']}")
@@ -308,14 +312,9 @@ def _cmd_schenzel(cfg: RunConfig, field: PrimeField):
 
 def _cmd_pd(cfg: RunConfig, field: PrimeField):
     psi = _require_absolute(_resolve_complex(cfg.input), "pd")
-    used, theta = first_lsop(psi, cfg.seed, field, cfg.trials)
-    if theta is None:
-        return _no_theta(cfg, psi)
-    try:
-        P = build_B(psi.delta, theta, field)
-    except DualityError as e:
-        raise InputError(str(e)) from e
-    rep = poincare_duality_report(P)
+    manifold = _ClosedManifold(psi, field)
+    used, theta = _certified_lsop(cfg, psi, field)
+    rep = poincare_duality_report(manifold.B(theta))
     payload = _base_payload(cfg, psi)
     payload.update({
         "theta_seed": used,
@@ -362,9 +361,7 @@ def _cmd_kuhnel(cfg: RunConfig, field: PrimeField):
 def _cmd_subdiv_check(cfg: RunConfig, field: PrimeField):
     structure = _resolve_structure(cfg.input)
     psi = RelativeComplex(structure.delta)
-    used, theta = first_lsop(psi, cfg.seed, field, cfg.trials)
-    if theta is None:
-        return _no_theta(cfg, psi)
+    used, theta = _certified_lsop(cfg, psi, field)
     res = subdivision_partition_check(structure, theta, field)
     payload = _base_payload(cfg, psi)
     payload.update({
@@ -385,9 +382,7 @@ def _cmd_cone_lemma(cfg: RunConfig, field: PrimeField):
     psi = _require_absolute(_resolve_complex(cfg.input), "cone-lemma")
     if psi.delta.dim is None:
         raise InputError("cone-lemma needs a nonvoid complex")
-    used, theta = first_lsop(psi, cfg.seed, field, cfg.trials)
-    if theta is None:
-        return _no_theta(cfg, psi)
+    used, theta = _certified_lsop(cfg, psi, field)
     results = []
     for vmask in psi.delta.vertex_masks():
         v = psi.delta.labels_of(vmask)[0]
@@ -457,6 +452,8 @@ def run(config: RunConfig, out=None, err=None) -> int:
         return EXIT_INPUT
     try:
         code, payload, lines = handler(config, field)
+    except _NoTheta as e:
+        code, payload, lines = _no_theta(config, e.args[0])
     except InputError as e:
         print(f"error: {e}", file=err)
         return EXIT_INPUT

@@ -21,13 +21,16 @@ monomials whose support together with v is not a face, so J is read off
 A alone by ``GradedQuotientPresentation.restriction_kernel``.  Its other
 two callers are in ``partition``: the interior check (stars of the
 interior vertices of a disk) and the subdivision check (top cells).
+
+``build_B`` and the closed-manifold commands pass one gate, the
+constructor of ``_ClosedManifold``, before any Theta is drawn; it keeps
+the Betti numbers and builds B for each Theta.
 """
 
 import numpy as np
 
 from .complexes import (
     FaceLinkCohomology,
-    RelativeComplex,
     as_relative,
     _bit_positions,
     _popcount,
@@ -178,54 +181,58 @@ class DualityPresentation:
         return self.b_reduce(i + 1, matmul(raw, self.b_lift(i), self.field.p))
 
 
+_RELATIVE = "B is defined for absolute complexes"
+
+
+class _ClosedManifold:
+    """The closed-manifold gate: ``manifold_sanity_check`` on Delta, then absoluteness.
+
+    ``betti`` are the Betti numbers the check returns; ``B`` is built past the gate.
+    """
+
+    def __init__(self, psi, field: PrimeField):
+        psi = as_relative(psi)
+        self.betti = manifold_sanity_check(psi.delta, field)
+        if not psi.is_absolute:
+            raise DualityError(_RELATIVE)
+        self.psi = psi
+        self.field = field
+
+    def B(self, theta, cap: int | None = None) -> DualityPresentation:
+        """A = k[Delta]/Theta modulo the kernel J of the star restriction.
+
+        Only A is built: for each degree i < n, J_i is
+        ``restriction_kernel(i, stars)`` with the face sets of the vertex
+        stars.  Each A(st_v) is a quotient of A, so once A is finite every
+        star quotient is finite too and needs no check of its own.
+        """
+        dc = self.psi.delta
+        n = dc.dim + 1
+        base = quotient_presentation(self.psi, _as_forms(theta, self.field.p), self.field,
+                                     cap=cap)
+        if not base.finite_at_cap:
+            raise DualityError("Theta is not a linear system of parameters for this complex")
+        # the faces of st_v Delta, without building it as a complex
+        stars = [frozenset(f for f in dc.faces if f | v in dc.faces) for v in dc.vertex_masks()]
+        j_bases = {i: base.restriction_kernel(i, stars) for i in range(n)}
+        diagnostics = {
+            "betti": {int(k): int(v) for k, v in self.betti.items()},
+            "orientable_like": self.betti.get(dc.dim, 0) == 1,
+        }
+        return DualityPresentation(self.psi, base, j_bases, n, diagnostics)
+
+
 def build_B(delta, theta, field: PrimeField, cap: int | None = None) -> DualityPresentation:
-    """Quotient A(Delta) by the kernel J of the star restriction.
+    """``_ClosedManifold(delta, field).B(theta, cap)``, refusing a relative pair first.
 
-    The manifold sanity check (purity, connectivity, sphere links) is a
-    hard gate.  The orientability proxy dim H^d = 1 is recorded in the
-    diagnostics instead: without it B has no fundamental class and the
-    duality verdict comes out false, which is the honest answer rather
-    than a refusal to construct the quotient.
-
-    Only A is built: for each degree i < n, J_i is
-    ``restriction_kernel(i, stars)`` with the face sets of the vertex
-    stars.  Each A(st_v) is a quotient of A, so once A is finite every
-    star quotient is finite too and needs no check of its own.
+    The manifold sanity check is a hard gate.  The orientability proxy
+    dim H^d = 1 is only recorded in the diagnostics: without it B has no
+    fundamental class and the duality verdict comes out false, which is
+    the honest answer rather than a refusal to construct the quotient.
     """
-    psi = _absolute(delta)
-    return _build_B(psi, theta, field, manifold_sanity_check(psi.delta, field), cap)
-
-
-def _absolute(delta) -> RelativeComplex:
-    psi = as_relative(delta)
-    if not psi.is_absolute:
-        raise DualityError("B is defined for absolute complexes")
-    return psi
-
-
-def _build_B(delta, theta, field: PrimeField, bet: dict[int, int],
-             cap: int | None = None) -> DualityPresentation:
-    """``build_B`` past its gate, for callers that already ran ``manifold_sanity_check``.
-
-    bet are the Betti numbers that check returned on the same complex and field.
-    """
-    psi = _absolute(delta)
-    dc = psi.delta
-    d = dc.dim
-    n = d + 1
-    p = field.p
-    forms = _as_forms(theta, p)
-    base = quotient_presentation(psi, forms, field, cap=cap)
-    if not base.finite_at_cap:
-        raise DualityError("Theta is not a linear system of parameters for this complex")
-    # the faces of st_v Delta, without building it as a complex
-    stars = [frozenset(f for f in dc.faces if f | v in dc.faces) for v in dc.vertex_masks()]
-    j_bases = {i: base.restriction_kernel(i, stars) for i in range(n)}
-    diagnostics = {
-        "betti": {int(k): int(v) for k, v in bet.items()},
-        "orientable_like": bet.get(d, 0) == 1,
-    }
-    return DualityPresentation(psi, base, j_bases, n, diagnostics)
+    if not as_relative(delta).is_absolute:
+        raise DualityError(_RELATIVE)
+    return _ClosedManifold(delta, field).B(theta, cap)
 
 
 def _pd_view(P) -> DualityPresentation:

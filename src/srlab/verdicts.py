@@ -21,12 +21,7 @@ from .complexes import (
     complex_hash,
     f_h_vectors,
 )
-from .duality import (
-    DualityError,
-    _build_B,
-    manifold_sanity_check,
-    poincare_duality_report,
-)
+from .duality import DualityError, _ClosedManifold, poincare_duality_report
 from .facering import (
     LinearFormSequence,
     lsop_trials,
@@ -96,6 +91,12 @@ class TheoremReport:
 
 def _field(field: PrimeField | None) -> PrimeField:
     return field if field is not None else PrimeField(DEFAULT_PRIME)
+
+
+def _inconclusive(theorem: str, input_hash: str, p: int, seeds: list,
+                  diagnostic: str) -> TheoremReport:
+    """An early exit: no tables, one diagnostic."""
+    return TheoremReport(theorem, input_hash, p, seeds, [], VERDICT_INCONCLUSIVE, [diagnostic])
 
 
 def _structure_hash(structure: SubdivisionStructure) -> str:
@@ -227,23 +228,19 @@ def partition_of_unity_report(psi, theta, field: PrimeField | None = None,
     """Reduced partition homology versus binomial-weighted Betti numbers."""
     field = _field(field)
     psi = as_relative(psi)
-    diagnostics = []
     seeds = [theta.seed] if isinstance(theta, LinearFormSequence) and theta.seed is not None else []
     links = FaceLinkCohomology(psi, field)
     offender = buchsbaum_offender(psi, field, links)
     if offender is not None:
-        diagnostics.append(f"star of {list(offender)} is not Cohen-Macaulay")
-        return TheoremReport("partition-of-unity", complex_hash(psi), field.p,
-                             seeds, [], VERDICT_INCONCLUSIVE, diagnostics)
+        return _inconclusive("partition-of-unity", complex_hash(psi), field.p, seeds,
+                             f"star of {list(offender)} is not Cohen-Macaulay")
     d = psi.dim if psi.dim is not None else -1
     if max_degree is None:
         max_degree = d + 2
     try:
         left = reduced_partition_homology(psi, theta, field, max_degree=max_degree)
     except PartitionError as e:
-        diagnostics.append(str(e))
-        return TheoremReport("partition-of-unity", complex_hash(psi), field.p,
-                             seeds, [], VERDICT_INCONCLUSIVE, diagnostics)
+        return _inconclusive("partition-of-unity", complex_hash(psi), field.p, seeds, str(e))
     betti = links[0]
     entries = []
     holds = True
@@ -258,27 +255,24 @@ def partition_of_unity_report(psi, theta, field: PrimeField | None = None,
                "entries": entries}]
     verdict = VERDICT_HOLDS if holds else VERDICT_FAILS
     return TheoremReport("partition-of-unity", complex_hash(psi), field.p,
-                         seeds, tables, verdict, diagnostics)
+                         seeds, tables, verdict, [])
 
 
 def schenzel_report(psi, theta, field: PrimeField | None = None) -> TheoremReport:
     """Quotient dimensions versus h-vector plus Betti correction."""
     field = _field(field)
     psi = as_relative(psi)
-    diagnostics = []
     seeds = [theta.seed] if isinstance(theta, LinearFormSequence) and theta.seed is not None else []
     links = FaceLinkCohomology(psi, field)
     offender = buchsbaum_offender(psi, field, links)
     if offender is not None:
-        diagnostics.append(f"star of {list(offender)} is not Cohen-Macaulay")
-        return TheoremReport("schenzel", complex_hash(psi), field.p, seeds, [],
-                             VERDICT_INCONCLUSIVE, diagnostics)
+        return _inconclusive("schenzel", complex_hash(psi), field.p, seeds,
+                             f"star of {list(offender)} is not Cohen-Macaulay")
     d = psi.dim if psi.dim is not None else -1
     base = quotient_presentation(psi, theta, field)
     if not base.finite_at_cap:
-        diagnostics.append("Theta is not a linear system of parameters")
-        return TheoremReport("schenzel", complex_hash(psi), field.p, seeds, [],
-                             VERDICT_INCONCLUSIVE, diagnostics)
+        return _inconclusive("schenzel", complex_hash(psi), field.p, seeds,
+                             "Theta is not a linear system of parameters")
     h = f_h_vectors(psi).h
     betti = links[0]
     entries = []
@@ -296,7 +290,7 @@ def schenzel_report(psi, theta, field: PrimeField | None = None) -> TheoremRepor
                "right_dims": [e["right"] for e in entries]}]
     verdict = VERDICT_HOLDS if holds else VERDICT_FAILS
     return TheoremReport("schenzel", complex_hash(psi), field.p, seeds, tables,
-                         verdict, diagnostics)
+                         verdict, [])
 
 
 def dehn_sommerville_check(delta, field: PrimeField | None = None, seed=0,
@@ -310,21 +304,18 @@ def dehn_sommerville_check(delta, field: PrimeField | None = None, seed=0,
     """
     field = _field(field)
     psi = as_relative(delta)
-    diagnostics = []
     try:
-        bet = manifold_sanity_check(psi, field)
+        manifold = _ClosedManifold(psi, field)
     except DualityError as e:
-        diagnostics.append(str(e))
-        return TheoremReport("dehn-sommerville", complex_hash(psi), field.p,
-                             [], [], VERDICT_INCONCLUSIVE, diagnostics)
+        return _inconclusive("dehn-sommerville", complex_hash(psi), field.p, [], str(e))
     seeds, theta = trials_until_certified(psi, seed, field, trials, budget)
     if theta is None:
-        diagnostics.append("no certified parameter system found within budget")
-        return TheoremReport("dehn-sommerville", complex_hash(psi), field.p,
-                             seeds, [], VERDICT_INCONCLUSIVE, diagnostics)
+        return _inconclusive("dehn-sommerville", complex_hash(psi), field.p, seeds,
+                             "no certified parameter system found within budget")
+    diagnostics = []
     h = list(f_h_vectors(psi).h)
     h_palindromic = h == h[::-1]
-    pres = _build_B(psi, theta, field, bet)
+    pres = manifold.B(theta)
     n = pres.fundamental_degree
     b_dims = pres.b_dims_list(n)
     b_palindromic = b_dims == b_dims[::-1]
@@ -372,7 +363,6 @@ def lefschetz_report(target, mode: str, field: PrimeField | None = None, seed=0,
     """
     field = _field(field)
     p = field.p
-    diagnostics = []
     if mode not in LEFSCHETZ_MODES:
         raise ValueError(f"unknown Lefschetz mode {mode!r}")
     if mode == "subdivision":
@@ -386,17 +376,14 @@ def lefschetz_report(target, mode: str, field: PrimeField | None = None, seed=0,
     d = psi.dim if psi.dim is not None else -1
     if mode == "strong":
         if not is_topologically_cm(psi, field):
-            diagnostics.append("complex is not Cohen-Macaulay")
-            return TheoremReport("lefschetz-strong", input_hash, p, [], [],
-                                 VERDICT_INCONCLUSIVE, diagnostics)
+            return _inconclusive("lefschetz-strong", input_hash, p, [],
+                                 "complex is not Cohen-Macaulay")
         jobs = [(j, d + 1 - 2 * j, d + 1 - j) for j in range((d + 1) // 2 + 1)]
     elif mode == "almost":
         try:
-            bet = manifold_sanity_check(psi, field)
+            manifold = _ClosedManifold(psi, field)
         except DualityError as e:
-            diagnostics.append(str(e))
-            return TheoremReport("lefschetz-almost", input_hash, p, [], [],
-                                 VERDICT_INCONCLUSIVE, diagnostics)
+            return _inconclusive("lefschetz-almost", input_hash, p, [], str(e))
         jobs = [(j, d - 2 * j, d - j) for j in range(d // 2 + 1)]
     else:
         jobs = [(i, d - 2 * i - 1, d - 1 - i) for i in range((d - 1) // 2 + 1)]
@@ -413,7 +400,7 @@ def lefschetz_report(target, mode: str, field: PrimeField | None = None, seed=0,
         ell_seed = (s << 20) ^ 0x10001 if isinstance(s, int) else f"{s}:ell"
         ell = LinearFormSequence.random(psi, 1, ell_seed, field)[0]
         if mode == "almost":
-            pres = _build_B(psi, theta, field, bet)
+            pres = manifold.B(theta)
             mult, dims = pres.mult_matrix, pres.b_dim
         else:
             base = quotient_presentation(psi, theta, field)
@@ -432,6 +419,7 @@ def lefschetz_report(target, mode: str, field: PrimeField | None = None, seed=0,
         if all_inj:
             passed = True
             break
+    diagnostics = []
     if passed:
         verdict = VERDICT_HOLDS
     elif not found_any:
@@ -457,13 +445,11 @@ def kuhnel_report(delta, field: PrimeField | None = None, seed=0,
     """
     field = _field(field)
     psi = as_relative(delta)
-    diagnostics = []
     try:
-        betti = manifold_sanity_check(psi, field)
+        betti = _ClosedManifold(psi, field).betti
     except DualityError as e:
-        diagnostics.append(str(e))
-        return TheoremReport("kuhnel", complex_hash(psi), field.p, [], [],
-                             VERDICT_INCONCLUSIVE, diagnostics)
+        return _inconclusive("kuhnel", complex_hash(psi), field.p, [], str(e))
+    diagnostics = []
     d = psi.dim
     nvert = len(psi.delta.labels)
     seeds, theta = trials_until_certified(psi, seed, field, trials, budget)

@@ -167,6 +167,42 @@ def test_kuhnel_inconclusive_on_a_nonmanifold():
     assert "verdict: inconclusive" in out.splitlines()
 
 
+@pytest.mark.parametrize("command, mode, code", [
+    ("pd", "strong", 2),
+    ("dehn-sommerville", "strong", 3),
+    ("kuhnel", "strong", 3),
+    ("lefschetz", "almost", 3),
+])
+def test_manifold_gate_fails_before_any_theta_is_drawn(command, mode, code, monkeypatch):
+    from srlab import facering
+
+    draws = []
+    real = facering.sample_lsop
+
+    def spy(*args, **kwargs):
+        draws.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(facering, "sample_lsop", spy)
+    got, out, err = go(command=command, input="builtin:simplex_2", mode=mode, format="json")
+    assert got == code
+    assert "is not a homology" in out + err
+    assert draws == []
+
+
+def test_almost_lefschetz_on_a_relative_closed_manifold_is_inconclusive(tmp_path):
+    pair = write_json(tmp_path / "pair.json", {
+        "vertices": [1, 2, 3, 4],
+        "facets": [list(f) for f in itertools.combinations(range(1, 5), 3)],
+        "gamma_facets": [[1]],
+    })
+    code, out, _ = go(command="lefschetz", input=pair, mode="almost", format="json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["seeds"] == []
+    assert payload["diagnostics"] == ["B is defined for absolute complexes"]
+
+
 def test_dehn_sommerville_exit_split():
     assert go(command="dehn-sommerville", input="builtin:cross_polytope_3")[0] == 0
     assert go(command="dehn-sommerville", input="builtin:torus7")[0] == 1

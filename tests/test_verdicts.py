@@ -1,5 +1,6 @@
 """Tests for the theorem verdict reports."""
 
+import io
 import itertools
 import json
 import random
@@ -7,6 +8,7 @@ import random
 import pytest
 
 from srlab import koszul, verdicts
+from srlab.cli import RunConfig, run
 from srlab.complexes import (
     BUILTIN_EXAMPLES,
     RelativeComplex,
@@ -398,6 +400,12 @@ def test_kuhnel_needs_a_manifold():
     ]
 
 
+def _relative_sphere():
+    """The 2-sphere boundary_simplex_3 relative to its vertex 1: a closed manifold Delta, a nonvoid Gamma."""
+    bs3 = builtin_complex("boundary_simplex_3").delta
+    return RelativeComplex(bs3, bs3.induced([1]))
+
+
 def test_each_manifold_report_runs_the_sanity_check_once(monkeypatch):
     from srlab import duality
 
@@ -408,21 +416,47 @@ def test_each_manifold_report_runs_the_sanity_check_once(monkeypatch):
         calls.append(field.p)
         return real(delta, field)
 
+    # the reports and the CLI reach the check only through duality's gate
+    assert not hasattr(verdicts, "manifold_sanity_check")
     monkeypatch.setattr(duality, "manifold_sanity_check", spy)
-    monkeypatch.setattr(verdicts, "manifold_sanity_check", spy)
     tor = builtin_complex("torus7")
     for report in (lambda: dehn_sommerville_check(tor),
                    lambda: lefschetz_report(tor, "almost", trials=3),
+                   lambda: kuhnel_report(tor),
+                   lambda: run(RunConfig(command="pd", input="builtin:torus7"),
+                               io.StringIO(), io.StringIO()),
                    lambda: duality.build_B(tor, lsop(tor), F)):
         calls.clear()
         report()
         assert calls == [F.p]
-    # the public entry keeps its gate; the private one still refuses relative pairs
+    # the public entry keeps its gate; the private one refuses relative pairs
     with pytest.raises(duality.DualityError, match="not a homology"):
         duality.build_B(builtin_complex("moebius"), lsop(builtin_complex("moebius")), F)
-    disk = builtin_complex("disk_with_induced_boundary_2")
     with pytest.raises(duality.DualityError, match="absolute"):
-        duality._build_B(disk, lsop(disk), F, {})
+        duality._ClosedManifold(_relative_sphere(), F)
+
+
+def test_manifold_reports_refuse_a_relative_pair_before_drawing_theta(monkeypatch):
+    from srlab import facering
+
+    draws = []
+    real = facering.sample_lsop
+
+    def spy(*args, **kwargs):
+        draws.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(facering, "sample_lsop", spy)
+    pair = _relative_sphere()
+    assert not pair.is_absolute
+    for name, report in (("kuhnel", kuhnel_report),
+                         ("dehn-sommerville", dehn_sommerville_check),
+                         ("lefschetz-almost", lambda psi: lefschetz_report(psi, "almost"))):
+        rep = report(pair)
+        # Delta passes the sphere-link check, so absoluteness alone refuses the pair
+        assert (rep.theorem, rep.verdict, rep.seeds, rep.tables) == (name, "inconclusive", [], [])
+        assert rep.diagnostics == ["B is defined for absolute complexes"]
+    assert draws == []
 
 
 def _offender_star_by_star(psi, field):
