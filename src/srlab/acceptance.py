@@ -26,7 +26,9 @@ from .complexes import (
     betti_numbers,
     builtin_complex,
     f_h_vectors,
+    link_depth,
     random_relative_complex,
+    reisner_link_table,
     relative_cohomology_dims,
 )
 from .duality import build_B, poincare_duality_report
@@ -42,7 +44,6 @@ from .partition import (
 )
 from .verdicts import (
     VERDICT_HOLDS,
-    is_topologically_cm,
     kuhnel_report,
     lefschetz_report,
     partition_of_unity_report,
@@ -136,22 +137,24 @@ def check_reisner_agreement() -> dict:
     """Link criterion vs algebraic Cohen-Macaulay over mixed fields.
 
     The algebraic side is is_algebraically_cm: the Hilbert-function
-    certificate of one certified quotient, with Koszul depth on non-CM
-    instances.
+    certificate of one certified quotient. One link table per instance
+    gives the topological verdict and the depth passed to it.
     """
     checked = 0
     inconclusive = 0
     disagreements = []
     for psi, field in _reisner_instances():
         budget = 2000 if field.p < 100 else 20000
-        alg = is_algebraically_cm(psi, field, seed=0, trials=3, budget=budget)
+        topo = reisner_link_table(psi, field)
+        known = None if psi.is_void else link_depth(psi, topo)
+        alg = is_algebraically_cm(psi, field, seed=0, trials=3, budget=budget,
+                                  known_depth=known)
         if alg["inconclusive"]:
             inconclusive += 1
             continue
-        topo = is_topologically_cm(psi, field)
         checked += 1
-        if topo != alg["cm"]:
-            disagreements.append((psi.delta.labels, field.p, topo, alg["cm"]))
+        if topo["cm"] != alg["cm"]:
+            disagreements.append((psi.delta.labels, field.p, topo["cm"], alg["cm"]))
     return {
         "passed": checked >= 150 and not disagreements,
         "detail": (f"{checked} conclusive instances agree, "

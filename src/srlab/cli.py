@@ -21,6 +21,8 @@ from .complexes import (
     builtin_complex,
     complex_hash,
     f_h_vectors,
+    link_depth,
+    reisner_link_table,
     relative_cohomology_dims,
     relative_from_json,
 )
@@ -32,7 +34,7 @@ from .facering import (
     hilbert_series_coeffs,
     is_lsop,
 )
-from .koszul import KoszulError, depth, is_algebraically_cm
+from .koszul import KoszulError, is_algebraically_cm
 from .linalg import DEFAULT_PRIME, LinAlgError, PrimeField
 from .partition import (
     PartitionError,
@@ -253,18 +255,16 @@ def _cmd_depth(cfg: RunConfig, field: PrimeField):
     psi = _resolve_complex(cfg.input)
     if psi.is_void:
         raise InputError("depth is undefined for the zero module")
-    used, theta = _certified_lsop(cfg, psi, field)
-    dep = depth(psi, theta, field, max_degree=cfg.max_degree)
+    dep = link_depth(psi, reisner_link_table(psi, field))
     expected = expected_lsop_length(psi)
     payload = _base_payload(cfg, psi)
-    payload.update({"theta_seed": used, "depth": dep, "expected_depth": expected})
+    payload.update({"depth": dep, "expected_depth": expected})
     return EXIT_OK, payload, [f"depth: {dep}", f"expected: {expected}"]
 
 
 def _cmd_cm(cfg: RunConfig, field: PrimeField):
     psi = _resolve_complex(cfg.input)
-    res = is_algebraically_cm(psi, field, seed=cfg.seed, trials=cfg.trials,
-                              max_degree=cfg.max_degree)
+    res = is_algebraically_cm(psi, field, seed=cfg.seed, trials=cfg.trials)
     payload = _base_payload(cfg, psi)
     payload.update({"cm": res["cm"], "depth": res["depth"],
                     "expected_depth": res["expected_depth"],

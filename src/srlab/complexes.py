@@ -26,7 +26,9 @@ Proof: the entry of rho -> rho + v is (-1)^#{u in rho : u < v} in Psi and
 (-1)^#{u in rho - tau : u < v} in the link, and they differ by
 (-1)^#{u in tau : u < v} = eps(rho + v) eps(rho). A diagonal +-1 change
 of basis keeps every rank, so ``FaceLinkCohomology`` ranks submatrices of
-Psi's coboundaries and never builds a link.
+Psi's coboundaries and never builds a link. Reisner's criterion and the
+depth of k[Psi] by Hochster's formula are read off that one table
+(``reisner_link_table``, ``link_depth``).
 """
 
 from __future__ import annotations
@@ -521,6 +523,50 @@ class FaceLinkCohomology:
 
         h = LazyHomology(lambda i: len(above.get(i + t, ())), diff, (1,), self.field.p)
         return {i: h.homology(i) for i in range(-1, max(above) - t + 1)}
+
+
+def reisner_link_table(psi, field: PrimeField) -> dict:
+    """Link-vanishing criterion for Cohen-Macaulayness of a relative complex.
+
+    Requires, for every face tau of Delta including the empty one, that
+    the reduced cohomology of lk_tau(Psi) vanishes in all indices i with
+    -1 <= i < dim(Psi) - |tau|. Faces whose link is void pass vacuously.
+
+    The failures also give the depth. By Hochster's formula for the local
+    cohomology of a face ring (Stanley, Combinatorics and Commutative
+    Algebra, 2nd ed., Ch. II Sec. 4), H^i_m(k[Psi]) is nonzero exactly
+    when some face tau has H~^(i - |tau| - 1)(lk tau) nonzero, and the top
+    one, i = dim + 1, is nonzero for every nonzero module. Depth is the
+    smallest such i, so
+
+        depth = 1 + min(dim Psi, min over failures (tau, j) of j + |tau|)
+
+    (``link_depth``). The formula is cited for absolute complexes; for
+    relative ones it is checked against Koszul depth by the tests.
+
+    Every link is read off one ``FaceLinkCohomology`` of Psi.
+    """
+    psi = as_relative(psi)
+    if psi.is_void:
+        return {"cm": True, "failures": []}
+    dim_psi = psi.dim
+    links = FaceLinkCohomology(psi, field)
+    failures = []
+    for tau in sorted(psi.delta.faces):
+        bound = dim_psi - _popcount(tau)
+        if bound <= -1:
+            continue
+        for i, v in sorted(links[tau].items()):
+            if v and -1 <= i < bound:
+                failures.append({"face": list(psi.delta.labels_of(tau)),
+                                 "index": i, "dim": int(v)})
+    return {"cm": not failures, "failures": failures}
+
+
+def link_depth(psi, table: dict) -> int:
+    """Depth of k[Psi] read off its ``reisner_link_table`` (Hochster's formula)."""
+    return 1 + min([as_relative(psi).dim] +
+                   [f["index"] + len(f["face"]) for f in table["failures"]])
 
 
 def relative_cohomology_dims(psi, field: PrimeField) -> dict[int, int]:

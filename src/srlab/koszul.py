@@ -28,11 +28,11 @@ column holds at most n times the number of vertices nonzeros.
 
 Depth is the smallest i with nonzero homology; for a certified linear
 system of parameters it equals dim + 1 exactly on Cohen-Macaulay modules.
-The CM test itself decides by the Hilbert function of one quotient. When
-that says not CM it reports a depth given by the caller (``reisner_report``
-reads it off the link table), or else scans Koszul depth once, on the
-first certified Theta: depth does not depend on Theta, so later trials
-record the same value.
+The CM test itself decides by the Hilbert function of one quotient and
+builds no Koszul complex: when that says not CM, the depth is read off
+the link table by Hochster's formula (``complexes.link_depth``). Koszul
+``depth`` stays an independent route, for acceptance check 08 and the
+tests.
 """
 
 from __future__ import annotations
@@ -42,14 +42,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .complexes import as_relative
+from .complexes import as_relative, link_depth, reisner_link_table
 from .facering import (
     LinearFormSequence,
     _mult_pattern,
     expected_lsop_length,
     hilbert_certificate,
-    lsop_trials,
     monomial_basis,
+    trials_until_certified,
 )
 from .linalg import DEFAULT_PRIME, LazyHomology, PrimeField, SparseMatrix
 
@@ -162,44 +162,41 @@ def koszul_homology_dims(psi, theta, field: PrimeField, grading: str = "shifted"
     return out
 
 
-def depth(psi, theta, field: PrimeField, max_degree: int | None = None) -> int:
+def depth(psi, theta, field: PrimeField) -> int:
     """Smallest i with H^i(K(Theta; k[Psi])) nonzero.
 
-    Scans coefficient degrees up to max_degree (default dim + 3); the top
-    homology M/<Theta>M is nonzero in the lowest generator degree of a
-    nonzero module, so the scan terminates for every non-void input.
+    Scans coefficient degrees up to dim + 3; the top homology
+    M/<Theta>M is nonzero in the lowest generator degree of a nonzero
+    module, so the scan terminates for every non-void input.
     """
     psi = as_relative(psi)
     if psi.is_void:
         raise KoszulError("depth is undefined for the zero module")
     K = KoszulComplex(psi, theta, field)
-    cap = max_degree if max_degree is not None else _default_window(psi)
     for i in range(K.n + 1):
-        for t in range(cap + 1):
+        for t in range(_default_window(psi) + 1):
             if K.homology_dim(i, t) > 0:
                 return i
     raise KoszulError("no nonzero Koszul homology in the degree window")
 
 
 def is_algebraically_cm(psi, field: PrimeField | None = None, seed=0, trials: int = 3,
-                        budget: int = 20000, max_degree: int | None = None,
-                        known_depth: int | None = None) -> dict:
-    """Cohen-Macaulay test: Hilbert-function certificate, depth when not CM.
+                        budget: int = 20000, known_depth: int | None = None) -> dict:
+    """Cohen-Macaulay test: Hilbert-function certificate, link depth when not CM.
 
-    The trials come from ``lsop_trials``: each draws its own coefficient
+    The trials come from ``lsop_trials`` and stop at the first certified
+    Theta (``trials_until_certified``): each draws its own coefficient
     stream and rejection-samples until the l.s.o.p. certificate passes; a
-    trial whose budget runs out is recorded with found_lsop False and
-    contributes no verdict. The first certified Theta decides CM by
-    ``hilbert_certificate``. If it holds, depth is dim + 1 (CM means full
-    depth for every l.s.o.p.), the trial is recorded with that depth and
-    the loop stops. Otherwise the depth is known_depth when given, taken
-    as is; if not, it is the Koszul ``depth`` of that first certified Theta
-    with coefficient degrees up to max_degree, which bounds only this scan,
-    and a scan that reaches dim + 1 on a non-CM module saw too few degrees
-    and raises KoszulError. Depth does not depend on Theta, so the scan runs
-    at most once and every later certified trial records the same depth.
-    inconclusive is True when no trial completed (possible over tiny fields
-    where parameter systems are scarce or absent).
+    trial whose budget runs out is recorded with found_lsop False. The
+    certified Theta decides CM by ``hilbert_certificate``; neither the
+    verdict nor the depth depends on Theta. If it holds, depth is dim + 1 (CM means
+    full depth for every l.s.o.p.). Otherwise the depth is known_depth when
+    given, taken as is; if not, it is read off ``reisner_link_table`` by
+    Hochster's formula (``link_depth``; Stanley, Combinatorics and
+    Commutative Algebra, 2nd ed., Ch. II Sec. 4; cited for absolute
+    complexes, checked on relative ones by the tests), so no Koszul complex
+    is built. inconclusive is True when no trial completed (possible over tiny
+    fields where parameter systems are scarce or absent).
     """
     psi = as_relative(psi)
     if field is None:
@@ -208,26 +205,18 @@ def is_algebraically_cm(psi, field: PrimeField | None = None, seed=0, trials: in
     if psi.is_void:
         return {"cm": True, "expected_depth": 0, "depth": None, "prime": field.p,
                 "trials": [], "inconclusive": False, "note": "zero module"}
-    trial_rows = []
-    dep = None
-    cm = None
-    for s, theta in lsop_trials(psi, seed, field, trials, budget):
-        if theta is None:
-            trial_rows.append({"seed": s, "found_lsop": False, "depth": None})
-            continue
-        if cm is None:
-            cm = hilbert_certificate(psi, theta, field)
-            if cm:
-                dep = expected
-            elif known_depth is not None:
-                dep = known_depth
-            else:
-                dep = depth(psi, theta, field, max_degree=max_degree)
-                if dep == expected:
-                    raise KoszulError("degree window too narrow to find the depth")
-        trial_rows.append({"seed": s, "found_lsop": True, "depth": dep})
+    seeds, theta = trials_until_certified(psi, seed, field, trials, budget)
+    trial_rows = [{"seed": s, "found_lsop": False, "depth": None} for s in seeds]
+    cm = dep = None
+    if theta is not None:
+        cm = hilbert_certificate(psi, theta, field)
         if cm:
-            break
+            dep = expected
+        elif known_depth is not None:
+            dep = known_depth
+        else:
+            dep = link_depth(psi, reisner_link_table(psi, field))
+        trial_rows[-1].update(found_lsop=True, depth=dep)
     return {
         "cm": bool(cm),
         "expected_depth": expected,

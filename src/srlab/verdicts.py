@@ -20,6 +20,8 @@ from .complexes import (
     as_relative,
     complex_hash,
     f_h_vectors,
+    link_depth,
+    reisner_link_table,
 )
 from .duality import DualityError, _ClosedManifold, poincare_duality_report
 from .facering import (
@@ -102,50 +104,6 @@ def _inconclusive(theorem: str, input_hash: str, p: int, seeds: list,
 def _structure_hash(structure: SubdivisionStructure) -> str:
     blob = json.dumps(structure.to_json(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def reisner_link_table(psi, field: PrimeField) -> dict:
-    """Link-vanishing criterion for Cohen-Macaulayness of a relative complex.
-
-    Requires, for every face tau of Delta including the empty one, that
-    the reduced cohomology of lk_tau(Psi) vanishes in all indices i with
-    -1 <= i < dim(Psi) - |tau|. Faces whose link is void pass vacuously.
-
-    The failures also give the depth. By Hochster's formula for the local
-    cohomology of a face ring (Stanley, Combinatorics and Commutative
-    Algebra, 2nd ed., Ch. II Sec. 4), H^i_m(k[Psi]) is nonzero exactly
-    when some face tau has H~^(i - |tau| - 1)(lk tau) nonzero, and the top
-    one, i = dim + 1, is nonzero for every nonzero module. Depth is the
-    smallest such i, so
-
-        depth = 1 + min(dim Psi, min over failures (tau, j) of j + |tau|)
-
-    (``link_depth``). The formula is cited for absolute complexes; for
-    relative ones it is checked against Koszul depth by the tests.
-
-    Every link is read off one ``FaceLinkCohomology`` of Psi.
-    """
-    psi = as_relative(psi)
-    if psi.is_void:
-        return {"cm": True, "failures": []}
-    dim_psi = psi.dim
-    links = FaceLinkCohomology(psi, field)
-    failures = []
-    for tau in sorted(psi.delta.faces):
-        bound = dim_psi - _popcount(tau)
-        if bound <= -1:
-            continue
-        for i, v in sorted(links[tau].items()):
-            if v and -1 <= i < bound:
-                failures.append({"face": list(psi.delta.labels_of(tau)),
-                                 "index": i, "dim": int(v)})
-    return {"cm": not failures, "failures": failures}
-
-
-def link_depth(psi, table: dict) -> int:
-    """Depth of k[Psi] read off its ``reisner_link_table`` (Hochster's formula)."""
-    return 1 + min([as_relative(psi).dim] +
-                   [f["index"] + len(f["face"]) for f in table["failures"]])
 
 
 def is_topologically_cm(psi, field: PrimeField) -> bool:

@@ -8,7 +8,9 @@ import pytest
 
 from srlab import koszul
 from srlab.cli import _COMMANDS, RunConfig, main, parse_complex_file, run
-from srlab.linalg import SparseMatrix
+from srlab.complexes import BUILTIN_EXAMPLES, builtin_complex
+from srlab.facering import first_lsop
+from srlab.linalg import DEFAULT_PRIME, PrimeField, SparseMatrix
 
 
 def go(**kwargs):
@@ -286,27 +288,59 @@ def test_trials_sets_the_seeds_of_kuhnel_and_dehn_sommerville(command):
     assert seeds == {1: [0], 5: [0, 1, 2, 3, 4]}
 
 
-@pytest.mark.parametrize("window", [0, 1])
-def test_cm_never_reads_full_depth_from_a_narrow_window(window):
-    # torus7 is not CM; a window of degree <= 1 sees only the top Koszul homology
-    code, out, err = go(command="cm", input="builtin:torus7", max_degree=window)
-    assert (code, out) == (2, "")
-    assert err == "error: degree window too narrow to find the depth\n"
-    assert go(command="cm", input="builtin:torus7", max_degree=2)[:2] == (
-        1, "cm: no\ndepth: 2\nexpected: 3\n")
+def test_depth_and_cm_ignore_max_degree():
+    # depth comes off the face-link table, and the Hilbert certificate decides CM
+    assert go(command="cm", input="builtin:disk_with_induced_boundary_2", max_degree=0) == (
+        0, "cm: yes\ndepth: 3\nexpected: 3\n", "")
+    assert go(command="cm", input="builtin:torus7", max_degree=0) == (
+        1, "cm: no\ndepth: 2\nexpected: 3\n", "")
+    assert go(command="depth", input="builtin:torus7", max_degree=0) == (
+        0, "depth: 2\nexpected: 3\n", "")
 
 
-def test_cm_window_bounds_only_the_koszul_scan():
-    # the Hilbert certificate decides CM; no Koszul scan runs, so the window is moot
-    code, out, err = go(command="cm", input="builtin:disk_with_induced_boundary_2",
-                        max_degree=0)
-    assert (code, out, err) == (0, "cm: yes\ndepth: 3\nexpected: 3\n", "")
+@pytest.mark.parametrize("prime", [2, 3, 2147483647])
+@pytest.mark.parametrize("name", BUILTIN_EXAMPLES)
+def test_depth_equals_koszul_depth_of_the_first_certified_theta(name, prime):
+    field = PrimeField(prime)
+    psi = builtin_complex(name)
+    _, theta = first_lsop(psi, 0, field)
+    code, out, err = go(command="depth", input=f"builtin:{name}", prime=prime, format="json")
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    if theta is None:
+        # no certified Theta of torus7 over F_2; the link table needs none
+        assert (name, prime) == ("torus7", 2)
+        assert got["depth"] == 2
+    else:
+        assert got["depth"] == koszul.depth(psi, theta, field)
 
 
-def test_cm_on_the_seven_vertex_five_sphere():
-    # the Hilbert certificate on the staged quotient; depth itself is not run here
-    code, out, err = go(command="cm", input="builtin:boundary_simplex_6", prime=2147483647)
-    assert (code, out, err) == (0, "cm: yes\ndepth: 6\nexpected: 6\n", "")
+def test_depth_and_cm_on_the_seven_vertex_five_sphere():
+    # a dense Koszul scan of depth here once ran out of a 3 GB address space
+    assert go(command="depth", input="builtin:boundary_simplex_6") == (
+        0, "depth: 6\nexpected: 6\n", "")
+    assert go(command="cm", input="builtin:boundary_simplex_6") == (
+        0, "cm: yes\ndepth: 6\nexpected: 6\n", "")
+
+
+def test_depth_and_cm_build_no_koszul_complex(monkeypatch):
+    from srlab import facering
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Koszul complex was built")
+
+    draws = []
+    real = facering.sample_lsop
+
+    def spy(*args, **kwargs):
+        draws.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(koszul.KoszulComplex, "__init__", refuse)
+    monkeypatch.setattr(facering, "sample_lsop", spy)
+    assert go(command="depth", input="builtin:torus7") == (0, "depth: 2\nexpected: 3\n", "")
+    assert draws == []
+    assert go(command="cm", input="builtin:torus7") == (1, "cm: no\ndepth: 2\nexpected: 3\n", "")
 
 
 def test_depth_scan_builds_only_sparse_koszul_differentials(monkeypatch):
@@ -320,8 +354,10 @@ def test_depth_scan_builds_only_sparse_koszul_differentials(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(koszul.KoszulComplex, "differential", spy)
-    assert go(command="depth", input="builtin:cross_polytope_4") == (
-        0, "depth: 4\nexpected: 4\n", "")
+    field = PrimeField(DEFAULT_PRIME)
+    psi = builtin_complex("cross_polytope_4")
+    _, theta = first_lsop(psi, 0, field)
+    assert koszul.depth(psi, theta, field) == 4
     assert built and all(isinstance(m, SparseMatrix) for m in built)
 
 

@@ -342,27 +342,16 @@ def test_cm_verdicts_on_known_complexes():
     assert res["cm"] and res["depth"] == 3
 
 
-def test_cm_scans_koszul_depth_once(monkeypatch):
-    # depth does not depend on Theta: the first certified non-CM trial scans,
-    # the later ones record its value
-    scans = []
-    scan = koszul.depth
-    monkeypatch.setattr(koszul, "depth", lambda *a, **kw: scans.append(1) or scan(*a, **kw))
-    res = is_algebraically_cm(builtin_complex("torus7"))
-    assert scans == [1]
-    assert res["depth"] == 2
-    assert res["trials"] == [{"seed": s, "found_lsop": True, "depth": 2} for s in (0, 1, 2)]
-
-
 def test_cm_takes_a_known_depth_without_scanning(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("Koszul depth scanned although the depth was given")
+        raise AssertionError("depth computed although it was given")
 
     monkeypatch.setattr(koszul, "depth", refuse)
+    monkeypatch.setattr(koszul, "reisner_link_table", refuse)
     torus = builtin_complex("torus7")
-    res = is_algebraically_cm(torus, max_degree=0, known_depth=2)
+    res = is_algebraically_cm(torus, known_depth=2)
     assert not res["cm"] and res["depth"] == 2
-    assert [row["depth"] for row in res["trials"]] == [2, 2, 2]
+    assert [row["depth"] for row in res["trials"]] == [2]
     # a given full depth under a non-CM certificate is recorded, not raised:
     # the caller compares the routes
     res = is_algebraically_cm(torus, known_depth=3)
@@ -416,8 +405,6 @@ def test_cm_on_the_zero_module_is_vacuously_true():
 def test_depth_requires_a_window_that_sees_homology():
     disk = builtin_complex("disk_with_induced_boundary_2")
     theta = lsop(disk)
-    with pytest.raises(KoszulError):
-        depth(disk, theta, F, max_degree=0)
     assert depth(disk, theta, F) == 3
 
 

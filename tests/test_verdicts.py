@@ -166,43 +166,23 @@ def test_link_depth_agrees_with_koszul_depth_on_random_pairs():
                for psi in conclusive)
 
 
-def _koszul_route(monkeypatch):
-    """Route reisner_report through is_algebraically_cm without known_depth."""
-    scans = []
-
-    def counted_depth(*args, **kwargs):
-        scans.append(1)
-        return depth(*args, **kwargs)
-
-    def koszul_cm(*args, known_depth=None, **kwargs):
-        return is_algebraically_cm(*args, **kwargs)
-
-    depth = koszul.depth
-    is_algebraically_cm = verdicts.is_algebraically_cm
-    monkeypatch.setattr(koszul, "depth", counted_depth)
-    monkeypatch.setattr(verdicts, "is_algebraically_cm", koszul_cm)
-    return scans
-
-
 @pytest.mark.parametrize("psi, field", [
     (builtin_complex("torus7"), F),
     (builtin_complex("rp2_6"), PrimeField(2)),
     (_dangling_edge_pair(), F),
 ], ids=["torus7", "rp2_6-F2", "relative-pair"])
 def test_reisner_report_builds_no_koszul_complex(psi, field, monkeypatch):
-    with monkeypatch.context() as m:
-        scans = _koszul_route(m)
-        want = reisner_report(psi, field).to_json()
-    assert scans == [1]
+    seed, theta = next((s, t) for s, t in lsop_trials(psi, 0, field) if t is not None)
+    want = koszul.depth(psi, theta, field)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("reisner_report ran a Koszul scan")
+        raise AssertionError("reisner_report built a Koszul complex")
 
     monkeypatch.setattr(koszul, "depth", refuse)
-    monkeypatch.setattr(koszul.KoszulComplex, "differential", refuse)
-    got = reisner_report(psi, field).to_json()
-    assert got == want
-    assert got["tables"][0]["depth"] < got["tables"][0]["expected_depth"]
+    monkeypatch.setattr(koszul.KoszulComplex, "__init__", refuse)
+    table = reisner_report(psi, field).tables[0]
+    assert [row["seed"] for row in table["trials"] if row["found_lsop"]] == [seed]
+    assert table["depth"] == want < table["expected_depth"]
 
 
 def test_reisner_route_disagreement_is_a_failing_verdict(monkeypatch):
