@@ -46,7 +46,6 @@ from .partition import (
     total_complex_homology,
 )
 from .duality import (
-    DualityPresentation,
     build_B,
     cone_lemma_check,
     is_poincare_duality_algebra,
@@ -104,7 +103,6 @@ __all__ = [
     "reduced_partition_homology",
     "subdivision_partition_check",
     "total_complex_homology",
-    "DualityPresentation",
     "build_B",
     "cone_lemma_check",
     "is_poincare_duality_algebra",

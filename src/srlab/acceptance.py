@@ -235,16 +235,17 @@ def check_poincare_duality() -> dict:
     _, theta = first_lsop(tor, 0, F)
     P = build_B(tor.delta, theta, F)
     rep = poincare_duality_report(P)
-    dims = P.b_dims_list()[:P.fundamental_degree + 1]
+    dims = P.dims_list(tor.dim + 1)
     ok = ok and dims == [1, 4, 4, 1] and rep["pd"]
     notes.append(f"torus7 B dims {dims} pd={rep['pd']}")
 
     for k in range(2, 6):
         sphere = builtin_complex(f"boundary_simplex_{k}")
         _, th = first_lsop(sphere, 0, F)
+        As = quotient_presentation(sphere, th, F)
         Ps = build_B(sphere.delta, th, F)
-        jdims = Ps.j_dims_list()
-        bdims = Ps.b_dims_list()[:Ps.fundamental_degree + 1]
+        jdims = [As.dim(i) - Ps.dim(i) for i in range(max(As.dims) + 1)]
+        bdims = Ps.dims_list(sphere.dim + 1)
         palindromic = bdims == bdims[::-1]
         reps = poincare_duality_report(Ps)
         ok = ok and not any(jdims) and palindromic and reps["pd"]
@@ -268,18 +269,17 @@ def check_open_star_injectivity() -> dict:
     for name in ("torus7", "boundary_simplex_3"):
         psi = builtin_complex(name)
         _, theta = first_lsop(psi, 0, F)
-        P = build_B(psi.delta, theta, F)
-        A = P.base
+        A = quotient_presentation(psi, theta, F)
+        B = build_B(psi.delta, theta, F)
         for vmask in psi.delta.vertex_masks():
             op = psi.open_star(vmask)
             qo = quotient_presentation(op, theta, F)
-            for j in range(1, P.fundamental_degree + 1):
-                inc = restriction_matrix(op, psi, j)
-                m = A.reduce(j, matmul(inc, qo.lift(j), F.p))
-                if rank(m, F.p) != qo.dim(j):
+            for j in range(1, psi.dim + 2):
+                # the open-star basis in monomial coordinates of k[Delta]_j
+                image = matmul(restriction_matrix(op, psi, j), qo.lift(j), F.p)
+                if rank(A.reduce(j, image), F.p) != qo.dim(j):
                     failures.append((name, psi.delta.labels_of(vmask), j, "A"))
-                mb = P.b_reduce(j, m)
-                if rank(mb, F.p) != qo.dim(j):
+                if rank(B.reduce(j, image), F.p) != qo.dim(j):
                     failures.append((name, psi.delta.labels_of(vmask), j, "B"))
     return {
         "passed": not failures,

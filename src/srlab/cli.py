@@ -39,6 +39,7 @@ from .linalg import DEFAULT_PRIME, LinAlgError, PrimeField
 from .partition import (
     PartitionError,
     SubdivisionStructure,
+    _window,
     barycentric_subdivision_structure,
     partition_homology_dims,
     subdivision_partition_check,
@@ -155,13 +156,6 @@ def _require_absolute(psi: RelativeComplex, command: str) -> RelativeComplex:
     return psi
 
 
-def _window(psi, cfg: RunConfig) -> int:
-    if cfg.max_degree is not None:
-        return cfg.max_degree
-    d = psi.dim
-    return (d if d is not None else -1) + 2
-
-
 def _base_payload(cfg: RunConfig, psi=None) -> dict:
     payload = {"command": cfg.command, "prime": cfg.prime, "seed": cfg.seed}
     if psi is not None:
@@ -226,7 +220,7 @@ def _cmd_cohomology(cfg: RunConfig, field: PrimeField):
 
 def _cmd_hilbert(cfg: RunConfig, field: PrimeField):
     psi = _resolve_complex(cfg.input)
-    window = _window(psi, cfg)
+    window = _window(psi, cfg.max_degree)
     coeffs = hilbert_series_coeffs(psi, window)
     payload = _base_payload(cfg, psi)
     payload["coeffs"] = coeffs

@@ -11,10 +11,14 @@ restriction,
 
 giving B = A/J with fundamental degree n = d+1.  Whenever the top
 cohomology of Delta over the working field is one dimensional, B carries
-a perfect multiplication pairing B_i x B_{n-i} -> B_n.  This module
-builds B in frozen coordinates, checks the cone lemma that drives the
-construction, and verifies duality by two independent routes: pairing
-ranks into the fundamental class, and socle concentration in degree n.
+a perfect multiplication pairing B_i x B_{n-i} -> B_n.  B is k[Delta]
+modulo Theta + J, a graded quotient of k[Delta] like A, so it is held as
+a ``GradedQuotientPresentation``: A's quotient of each degree extended
+in place by J_i, with the free monomials as its basis.  This module
+builds B, checks the cone lemma that drives the construction, and
+verifies duality of any such presentation (B, or A itself) by two
+independent routes: pairing ranks into the fundamental class, and socle
+concentration in degree n = dim Psi + 1.
 
 No star quotient is built: A(st_v Delta) = A/N_v, N_v the span of the
 monomials whose support together with v is not a face, so J is read off
@@ -38,10 +42,11 @@ from .complexes import (
 from .facering import (
     GradedQuotientPresentation,
     LinearFormSequence,
+    expected_lsop_length,
     monomial_basis,
     quotient_presentation,
 )
-from .linalg import FrozenQuotient, PrimeField, matmul, rank
+from .linalg import PrimeField, matmul, rank
 
 
 class DualityError(ValueError):
@@ -103,84 +108,6 @@ def manifold_sanity_check(delta, field: PrimeField) -> dict[int, int]:
     return bet
 
 
-class DualityPresentation:
-    """B_i = A_i / J_i in frozen coordinates.
-
-    J arrives as a basis (columns, in the quotient coordinates of A_i)
-    per degree; a ``FrozenQuotient`` of A_i by its span takes the free
-    coordinates as the basis of B_i.  Degrees with no J entry get
-    J_i = 0, so a plain graded quotient can be viewed as a presentation
-    with B = A.  Outside the base's computed degrees B_i = 0 where
-    A_i = 0, and any other degree raises DualityError.
-    """
-
-    def __init__(self, psi, base: GradedQuotientPresentation, j_bases: dict,
-                 fundamental_degree: int, diagnostics: dict | None = None):
-        self.psi = psi
-        self.base = base
-        self.field = base.field
-        self.fundamental_degree = fundamental_degree
-        self.diagnostics = diagnostics or {}
-        self.j_dims: dict[int, int] = {}
-        self.b_dims: dict[int, int] = {}
-        self._quotients: dict[int, FrozenQuotient] = {}
-        self._j_bases: dict[int, np.ndarray] = {}
-        for i in sorted(base.dims):
-            jb = j_bases.get(i)
-            if jb is None:
-                jb = np.zeros((base.dims[i], 0), dtype=np.int64)
-            self._j_bases[i] = jb
-            q = FrozenQuotient(jb.T, self.field.p)
-            self._quotients[i] = q
-            self.j_dims[i] = q.pivots.size
-            self.b_dims[i] = q.dim
-
-    def j_dim(self, i: int) -> int:
-        return self.j_dims.get(i, 0)
-
-    def b_dim(self, i: int) -> int:
-        if i in self.b_dims:
-            return self.b_dims[i]
-        return self.base.dim(i)
-
-    def b_dims_list(self, up_to: int | None = None) -> list[int]:
-        if up_to is None:
-            up_to = max(self.b_dims, default=0)
-        return [self.b_dim(i) for i in range(up_to + 1)]
-
-    def j_dims_list(self, up_to: int | None = None) -> list[int]:
-        if up_to is None:
-            up_to = max(self.j_dims, default=0)
-        return [self.j_dim(i) for i in range(up_to + 1)]
-
-    def b_reduce(self, i: int, vectors: np.ndarray) -> np.ndarray:
-        """Map columns in A_i quotient coordinates to B_i coordinates."""
-        q = self._quotients.get(i)
-        if q is None:
-            if self.base.dim(i) == 0:
-                return np.zeros((0, np.shape(vectors)[1]), dtype=np.int64)
-            raise DualityError(f"degree {i} beyond computed range")
-        return q.reduce(vectors)
-
-    def b_lift(self, i: int) -> np.ndarray:
-        """Embed B_i coordinates into A_i via the free-coordinate section."""
-        q = self._quotients.get(i)
-        if q is None:
-            return np.zeros((self.base.dim(i), 0), dtype=np.int64)
-        return q.lift()
-
-    def monomial_rep(self, i: int) -> np.ndarray:
-        """Representative polynomials of the B_i basis, in monomial coordinates."""
-        return matmul(self.base.lift(i), self.b_lift(i), self.field.p)
-
-    def mult_matrix(self, form, i: int) -> np.ndarray:
-        """Multiplication by a degree-1 form as a map B_i -> B_{i+1}."""
-        if self.b_dim(i) == 0 or self.b_dim(i + 1) == 0:
-            return np.zeros((self.b_dim(i + 1), self.b_dim(i)), dtype=np.int64)
-        raw = self.base.quotient_mult_matrix(form, i)
-        return self.b_reduce(i + 1, matmul(raw, self.b_lift(i), self.field.p))
-
-
 _RELATIVE = "B is defined for absolute complexes"
 
 
@@ -198,49 +125,39 @@ class _ClosedManifold:
         self.psi = psi
         self.field = field
 
-    def B(self, theta, cap: int | None = None) -> DualityPresentation:
-        """A = k[Delta]/Theta modulo the kernel J of the star restriction.
+    def B(self, theta, cap: int | None = None) -> GradedQuotientPresentation:
+        """B = k[Delta]/(Theta + J): A = k[Delta]/Theta, each degree extended by J in place.
 
-        Only A is built: for each degree i < n, J_i is
-        ``restriction_kernel(i, stars)`` with the face sets of the vertex
-        stars.  Each A(st_v) is a quotient of A, so once A is finite every
-        star quotient is finite too and needs no check of its own.
+        For each degree i < n, J_i is ``restriction_kernel(i, stars)``
+        with the face sets of the vertex stars, read off A_i before A_i is
+        extended by it. Each A(st_v) is a quotient of A, so once A is
+        finite every star quotient is finite too and needs no check of its
+        own.
         """
         dc = self.psi.delta
-        n = dc.dim + 1
-        base = quotient_presentation(self.psi, _as_forms(theta, self.field.p), self.field,
+        pres = quotient_presentation(self.psi, _as_forms(theta, self.field.p), self.field,
                                      cap=cap)
-        if not base.finite_at_cap:
+        if not pres.finite_at_cap:
             raise DualityError("Theta is not a linear system of parameters for this complex")
         # the faces of st_v Delta, without building it as a complex
         stars = [frozenset(f for f in dc.faces if f | v in dc.faces) for v in dc.vertex_masks()]
-        j_bases = {i: base.restriction_kernel(i, stars) for i in range(n)}
-        diagnostics = {
-            "betti": {int(k): int(v) for k, v in self.betti.items()},
-            "orientable_like": self.betti.get(dc.dim, 0) == 1,
-        }
-        return DualityPresentation(self.psi, base, j_bases, n, diagnostics)
+        for i in range(dc.dim + 1):
+            pres.extend(i, pres.restriction_kernel(i, stars))
+        return pres
 
 
-def build_B(delta, theta, field: PrimeField, cap: int | None = None) -> DualityPresentation:
+def build_B(delta, theta, field: PrimeField,
+            cap: int | None = None) -> GradedQuotientPresentation:
     """``_ClosedManifold(delta, field).B(theta, cap)``, refusing a relative pair first.
 
-    The manifold sanity check is a hard gate.  The orientability proxy
-    dim H^d = 1 is only recorded in the diagnostics: without it B has no
-    fundamental class and the duality verdict comes out false, which is
+    The manifold sanity check is a hard gate; orientability is not. When
+    dim H^d != 1 (the Betti numbers are ``_ClosedManifold.betti``), B has
+    no fundamental class and the duality verdict comes out false, which is
     the honest answer rather than a refusal to construct the quotient.
     """
     if not as_relative(delta).is_absolute:
         raise DualityError(_RELATIVE)
     return _ClosedManifold(delta, field).B(theta, cap)
-
-
-def _pd_view(P) -> DualityPresentation:
-    if isinstance(P, DualityPresentation):
-        return P
-    if isinstance(P, GradedQuotientPresentation):
-        return DualityPresentation(P.psi, P, {}, max(P.top_degree(), 0))
-    raise DualityError("expected a quotient presentation or a duality presentation")
 
 
 def cone_lemma_check(delta, v, theta, field: PrimeField, max_degree: int | None = None) -> dict:
@@ -284,102 +201,84 @@ def cone_lemma_check(delta, v, theta, field: PrimeField, max_degree: int | None 
     return {"vertex": v, "prime": p, "window": max_degree, "pass": ok, "degrees": degrees}
 
 
-def socle_dims(P) -> dict[int, int]:
-    """Joint kernel of all degree-1 multiplications, per degree.
-
-    Accepts a DualityPresentation (socle of B) or a plain
-    GradedQuotientPresentation (socle of A).  Returns only the nonzero
-    entries.
-    """
-    view = _pd_view(P)
-    p = view.field.p
-    nvert = len(view.psi.delta.labels)
+def socle_dims(P: GradedQuotientPresentation) -> dict[int, int]:
+    """Joint kernel of all degree-1 multiplications, per degree; only the nonzero entries."""
+    p = P.field.p
+    nvert = len(P.psi.delta.labels)
     out: dict[int, int] = {}
-    for i in sorted(view.base.dims):
-        bdim = view.b_dim(i)
-        if bdim == 0:
+    for i in sorted(P.dims):
+        dim = P.dim(i)
+        if dim == 0:
             continue
-        blocks = [view.mult_matrix(_unit_form(nvert, k), i) for k in range(nvert)]
-        stacked = np.vstack(blocks) if blocks else np.zeros((0, bdim), dtype=np.int64)
-        s = bdim - rank(stacked, p)
+        stacked = np.vstack([np.zeros((0, dim), dtype=np.int64)]
+                            + [P.quotient_mult_matrix(_unit_form(nvert, k), i)
+                               for k in range(nvert)])
+        s = dim - rank(stacked, p)
         if s:
             out[i] = s
     return out
 
 
-def pairing_rank(P, i: int) -> dict:
-    """Rank of the multiplication pairing B_i x B_{n-i} -> B_n = k.
+def pairing_rank(P: GradedQuotientPresentation, i: int) -> dict:
+    """Rank of the multiplication pairing P_i x P_{n-i} -> P_n = k, n = dim Psi + 1.
 
-    The matrix entry at (a, b) is the fundamental-class coefficient of
-    the product of the a-th B_i and b-th B_{n-i} basis representatives;
-    full means the pairing is perfect between the two degrees.
+    The basis of each degree is its free monomials, so the matrix entry
+    at (a, b) is the P_n coordinate of the product of the a-th and b-th
+    of them (0 when its support is not a face); full means the pairing is
+    perfect between the two degrees.
     """
-    view = _pd_view(P)
-    p = view.field.p
-    n = view.fundamental_degree
-    if view.b_dim(n) != 1:
+    n = expected_lsop_length(P.psi)
+    if P.dim(n) != 1:
         raise DualityError(
-            f"fundamental degree {n} has dimension {view.b_dim(n)}, expected 1")
-    bi = view.b_dim(i)
-    bj = view.b_dim(n - i)
+            f"fundamental degree {n} has dimension {P.dim(n)}, expected 1")
+    bi = P.dim(i)
+    bj = P.dim(n - i)
     if bi == 0 or bj == 0:
         return {"rank": 0, "full": bi == bj, "dim_left": bi, "dim_right": bj}
-    reps_i = view.monomial_rep(i)
-    reps_j = view.monomial_rep(n - i)
-    basis_i = monomial_basis(view.psi, i)
-    basis_j = monomial_basis(view.psi, n - i)
-    basis_n = monomial_basis(view.psi, n)
+    fundamental = P.coordinates(n)[0]
+    index = monomial_basis(P.psi, n).index
+    right = P.basis(n - i)
     mat = np.zeros((bi, bj), dtype=np.int64)
-    for a in range(bi):
-        rows_a = [(r, int(reps_i[r, a])) for r in np.nonzero(reps_i[:, a])[0]]
-        for b in range(bj):
-            acc = np.zeros((len(basis_n), 1), dtype=np.int64)
-            for r2 in np.nonzero(reps_j[:, b])[0]:
-                gamma = basis_j[int(r2)]
-                c2 = int(reps_j[r2, b])
-                for r1, c1 in rows_a:
-                    alpha = basis_i[int(r1)]
-                    target = basis_n.index.get(tuple(x + y for x, y in zip(alpha, gamma)))
-                    if target is not None:
-                        acc[target, 0] = (acc[target, 0] + c1 * c2) % p
-            coeff = view.b_reduce(n, view.base.reduce(n, acc))
-            mat[a, b] = int(coeff[0, 0]) if coeff.size else 0
-    r = rank(mat, p)
+    for a, alpha in enumerate(P.basis(i)):
+        for b, gamma in enumerate(right):
+            k = index.get(tuple(x + y for x, y in zip(alpha, gamma)))
+            if k is not None:
+                mat[a, b] = fundamental[k]
+    r = rank(mat, P.field.p)
     return {"rank": int(r), "full": r == bi == bj, "dim_left": bi, "dim_right": bj}
 
 
-def poincare_duality_report(P) -> dict:
-    """Both duality routes: perfect pairings and socle concentration.
+def poincare_duality_report(P: GradedQuotientPresentation) -> dict:
+    """Both duality routes, perfect pairings and socle concentration, at n = dim Psi + 1.
 
     The two conditions are equivalent for standard graded algebras, so a
     disagreement means the computation is broken and raises rather than
     guessing which side to trust.
     """
-    view = _pd_view(P)
-    n = view.fundamental_degree
-    vanish_above = all(view.b_dim(i) == 0 for i in view.base.dims if i > n)
-    fundamental_ok = view.b_dim(n) == 1
+    n = expected_lsop_length(P.psi)
+    vanish_above = all(P.dim(i) == 0 for i in P.dims if i > n)
+    fundamental_ok = P.dim(n) == 1
     pairings = {}
     pairing_route = vanish_above and fundamental_ok
     if fundamental_ok:
         for i in range(n + 1):
-            pairings[i] = pairing_rank(view, i)
+            pairings[i] = pairing_rank(P, i)
             pairing_route = pairing_route and pairings[i]["full"]
-    socle = socle_dims(view)
+    socle = socle_dims(P)
     socle_route = vanish_above and socle == {n: 1}
     if pairing_route != socle_route:
         raise DualityError("pairing and socle duality routes disagree")
     return {
         "pd": pairing_route,
         "fundamental_degree": n,
-        "b_dims": view.b_dims_list(n),
+        "b_dims": P.dims_list(n),
         "vanish_above_fundamental": vanish_above,
-        "fundamental_dim": view.b_dim(n),
+        "fundamental_dim": P.dim(n),
         "pairings": pairings,
         "socle": socle,
         "routes": {"pairing": pairing_route, "socle": socle_route},
     }
 
 
-def is_poincare_duality_algebra(P) -> bool:
+def is_poincare_duality_algebra(P: GradedQuotientPresentation) -> bool:
     return poincare_duality_report(P)["pd"]

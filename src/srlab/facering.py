@@ -254,7 +254,9 @@ class GradedQuotientPresentation:
     a ``FrozenQuotient`` of k[Psi]_j by its span (relations as rows) takes
     the non-pivot monomials of the RREF as the basis of A_j. Past the
     vanishing degree A_j = 0; other degrees outside the computed range
-    raise FaceRingError.
+    raise FaceRingError. ``extend`` quotients one degree further, in
+    place, so a graded quotient of A (such as B = A/J in ``duality``) is
+    a presentation of the same kind.
 
     The relations are added in stages, one form at a time. Let Q_i =
     k[Psi]/(theta_1..theta_i) and R_{i,j} its free monomials in degree j.
@@ -357,6 +359,30 @@ class GradedQuotientPresentation:
         if q is None:
             return np.zeros((len(monomial_basis(self.psi, j)), 0), dtype=np.int64)
         return q.lift()
+
+    def basis(self, j: int) -> list[tuple[int, ...]]:
+        """The free monomials of degree j, whose cosets are the basis of A_j, as exponents."""
+        q = self._at(j)
+        if q is None:
+            return []
+        monomials = monomial_basis(self.psi, j)
+        return [monomials[k] for k in q.free.tolist()]
+
+    def extend(self, j: int, vectors: np.ndarray) -> None:
+        """Quotient A_j further by the span of the columns of ``vectors``, in place.
+
+        The columns are in A_j coordinates, which are the free monomials,
+        so they lift to k[Psi]_j by a scatter onto those columns. The RREF
+        is unique, so the extended quotient is the one of k[Psi]_j by the
+        old relations and the lifted columns together.
+        """
+        if vectors.shape[1] == 0:
+            return
+        q = self._quotients[j]
+        rows = np.zeros((vectors.shape[1], q.pivots.size + q.dim), dtype=np.int64)
+        rows[:, q.free] = vectors.T
+        q.extend(rows)
+        self.dims[j] = q.dim
 
     def quotient_mult_matrix(self, form, j: int) -> np.ndarray:
         """Multiplication by a degree-1 form as a map A_j -> A_{j+1}."""

@@ -35,6 +35,7 @@ from .linalg import DEFAULT_PRIME, PrimeField, identity, matmul, rank
 from .partition import (
     PartitionError,
     SubdivisionStructure,
+    _window,
     reduced_partition_homology,
 )
 
@@ -193,8 +194,7 @@ def partition_of_unity_report(psi, theta, field: PrimeField | None = None,
         return _inconclusive("partition-of-unity", complex_hash(psi), field.p, seeds,
                              f"star of {list(offender)} is not Cohen-Macaulay")
     d = psi.dim if psi.dim is not None else -1
-    if max_degree is None:
-        max_degree = d + 2
+    max_degree = _window(psi, max_degree)
     try:
         left = reduced_partition_homology(psi, theta, field, max_degree=max_degree)
     except PartitionError as e:
@@ -274,8 +274,7 @@ def dehn_sommerville_check(delta, field: PrimeField | None = None, seed=0,
     h = list(f_h_vectors(psi).h)
     h_palindromic = h == h[::-1]
     pres = manifold.B(theta)
-    n = pres.fundamental_degree
-    b_dims = pres.b_dims_list(n)
+    b_dims = pres.dims_list(psi.dim + 1)
     b_palindromic = b_dims == b_dims[::-1]
     try:
         rep = poincare_duality_report(pres)
@@ -298,10 +297,10 @@ def dehn_sommerville_check(delta, field: PrimeField | None = None, seed=0,
 LEFSCHETZ_MODES = ("strong", "almost", "subdivision")
 
 
-def _power_map(mult, dims, ell, j: int, power: int, p: int) -> np.ndarray:
-    m = identity(dims(j))
+def _power_map(pres, ell, j: int, power: int, p: int) -> np.ndarray:
+    m = identity(pres.dim(j))
     for step in range(power):
-        m = matmul(mult(ell, j + step), m, p)
+        m = matmul(pres.quotient_mult_matrix(ell, j + step), m, p)
     return m
 
 
@@ -357,21 +356,16 @@ def lefschetz_report(target, mode: str, field: PrimeField | None = None, seed=0,
         found_any = True
         ell_seed = (s << 20) ^ 0x10001 if isinstance(s, int) else f"{s}:ell"
         ell = LinearFormSequence.random(psi, 1, ell_seed, field)[0]
-        if mode == "almost":
-            pres = manifold.B(theta)
-            mult, dims = pres.mult_matrix, pres.b_dim
-        else:
-            base = quotient_presentation(psi, theta, field)
-            mult, dims = base.quotient_mult_matrix, base.dim
+        pres = manifold.B(theta) if mode == "almost" else quotient_presentation(psi, theta, field)
         maps = []
         all_inj = True
         for j, power, dst in jobs:
             if power < 0:
                 continue
-            m = _power_map(mult, dims, ell, j, power, p)
-            inj = rank(m, p) == dims(j)
-            maps.append({"j": j, "power": power, "source_dim": dims(j),
-                         "target_dim": dims(dst), "injective": inj})
+            m = _power_map(pres, ell, j, power, p)
+            inj = rank(m, p) == pres.dim(j)
+            maps.append({"j": j, "power": power, "source_dim": pres.dim(j),
+                         "target_dim": pres.dim(dst), "injective": inj})
             all_inj = all_inj and inj
         trial_rows.append({"seed": s, "found_lsop": True, "maps": maps, "pass": all_inj})
         if all_inj:

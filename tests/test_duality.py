@@ -18,8 +18,7 @@ from srlab.complexes import (
 )
 from srlab.duality import (
     DualityError,
-    DualityPresentation,
-    _pd_view,
+    _ClosedManifold,
     build_B,
     cone_lemma_check,
     is_poincare_duality_algebra,
@@ -28,8 +27,14 @@ from srlab.duality import (
     poincare_duality_report,
     socle_dims,
 )
-from srlab.facering import LinearFormSequence, expected_lsop_length, quotient_presentation, sample_lsop
-from srlab.linalg import DEFAULT_PRIME, PrimeField, kernel_basis, matmul, rank
+from srlab.facering import (
+    LinearFormSequence,
+    expected_lsop_length,
+    monomial_basis,
+    quotient_presentation,
+    sample_lsop,
+)
+from srlab.linalg import DEFAULT_PRIME, FrozenQuotient, PrimeField, kernel_basis, matmul, rank
 from srlab.partition import PartitionComplexSpec, ReducedPartitionComplex, restriction_matrix
 
 F = PrimeField(DEFAULT_PRIME)
@@ -41,15 +46,31 @@ def lsop(psi, seed=0, field=F, budget=20000):
     return theta
 
 
-def annihilator_ok(P) -> bool:
-    """Check x_v * J_i = 0 in A_{i+1} for every vertex v and degree i of a presentation."""
-    nvert = len(P.psi.delta.labels)
-    for i, jb in P._j_bases.items():
+def vertex_stars(delta):
+    """The face set of every vertex star of delta, in vertex order."""
+    return [frozenset(f for f in delta.faces if f | v in delta.faces) for v in delta.vertex_masks()]
+
+
+def j_bases(A):
+    """{i: J_i} for i < n = dim + 1: the kernel of A_i -> directsum_v A(st_v)_i in A_i coordinates."""
+    stars = vertex_stars(A.psi.delta)
+    return {i: A.restriction_kernel(i, stars) for i in range(A.psi.dim + 1)}
+
+
+def j_dims(A, B, up_to):
+    """dim J_i = dim A_i - dim B_i for i <= up_to."""
+    return [A.dim(i) - B.dim(i) for i in range(up_to + 1)]
+
+
+def annihilator_ok(A) -> bool:
+    """Check x_v * J_i = 0 in A_{i+1} for every vertex v and degree i."""
+    nvert = len(A.psi.delta.labels)
+    for i, jb in j_bases(A).items():
         if jb.shape[1] == 0:
             continue
         for k in range(nvert):
             unit = tuple(int(m == k) for m in range(nvert))
-            if matmul(P.base.quotient_mult_matrix(unit, i), jb, P.field.p).any():
+            if matmul(A.quotient_mult_matrix(unit, i), jb, A.field.p).any():
                 return False
     return True
 
@@ -77,9 +98,10 @@ def test_manifold_sanity_check_names_offending_faces():
 
 def test_sphere_quotient_is_already_self_dual():
     bs3 = builtin_complex("boundary_simplex_3")
-    P = build_B(bs3.delta, lsop(bs3), F)
-    assert P.j_dims_list(3) == [0, 0, 0, 0]
-    assert P.b_dims_list(3) == [1, 1, 1, 1]
+    theta = lsop(bs3)
+    P = build_B(bs3.delta, theta, F)
+    assert j_dims(quotient_presentation(bs3, theta, F), P, 3) == [0, 0, 0, 0]
+    assert P.dims_list(3) == [1, 1, 1, 1]
     assert is_poincare_duality_algebra(P)
     assert socle_dims(P) == {3: 1}
     assert pairing_rank(P, 1) == {"rank": 1, "full": True, "dim_left": 1, "dim_right": 1}
@@ -88,14 +110,15 @@ def test_sphere_quotient_is_already_self_dual():
 
 def test_torus_duality_quotient():
     tor = builtin_complex("torus7")
-    P = build_B(tor.delta, lsop(tor), F)
-    assert P.b_dims_list(3) == [1, 4, 4, 1]
-    assert P.j_dims_list(3) == [0, 0, 6, 0]
-    assert P.fundamental_degree == 3
-    assert P.diagnostics["orientable_like"]
-    assert P.diagnostics["betti"] == {-1: 0, 0: 0, 1: 2, 2: 1}
-    assert annihilator_ok(P)
+    theta = lsop(tor)
+    P = build_B(tor.delta, theta, F)
+    A = quotient_presentation(tor, theta, F)
+    assert P.dims_list(3) == [1, 4, 4, 1]
+    assert j_dims(A, P, 3) == [0, 0, 6, 0]
+    assert _ClosedManifold(tor, F).betti == {-1: 0, 0: 0, 1: 2, 2: 1}
+    assert annihilator_ok(A)
     rep = poincare_duality_report(P)
+    assert rep["fundamental_degree"] == 3
     assert rep["pd"] and rep["routes"] == {"pairing": True, "socle": True}
     assert rep["pairings"][1] == {"rank": 4, "full": True, "dim_left": 4, "dim_right": 4}
     assert rep["socle"] == {3: 1}
@@ -131,12 +154,14 @@ def test_j_bases_match_the_star_quotient_route(name, p):
     nonzero = 0
     for seed in range(4):
         theta = lsop(psi, seed, field)
-        P = build_B(psi.delta, theta, field)
+        A = quotient_presentation(psi, theta, field)
+        got_bases = j_bases(A)
         want = _star_route_j_bases(psi.delta, theta, field)
         # from degree n on J is zero, in build_B as in the definition
-        assert all(P._j_bases[i].shape[1] == 0 for i in P._j_bases if i not in want)
+        B = build_B(psi.delta, theta, field)
+        assert all(B.dim(i) == A.dim(i) for i in A.dims if i not in want)
         for i, jb in want.items():
-            got = P._j_bases[i]
+            got = got_bases[i]
             assert got.dtype == jb.dtype and got.shape == jb.shape
             assert got.tobytes() == jb.tobytes()
             nonzero += jb.shape[1]
@@ -153,10 +178,10 @@ def test_j_bases_match_the_star_quotient_route_on_64_vertices():
               for f in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)), (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
     tor = SimplicialComplex.from_facets(range(64), facets)
     theta = lsop(as_relative(tor))
-    P = build_B(tor, theta, F)
+    got = j_bases(quotient_presentation(tor, theta, F))
     want = _star_route_j_bases(tor, theta, F)
     for i, jb in want.items():
-        assert P._j_bases[i].shape == jb.shape and P._j_bases[i].tobytes() == jb.tobytes()
+        assert got[i].shape == jb.shape and got[i].tobytes() == jb.tobytes()
     assert [jb.shape[1] for jb in want.values()] == [0, 0, 6]
 
 
@@ -179,7 +204,8 @@ def test_build_B_builds_one_quotient_and_no_restriction(monkeypatch):
         built.clear()
         P = build_B(psi.delta, theta, F)
         assert built == [psi] and not mapped
-        assert P.j_dims_list(psi.dim + 1)[2] == (6 if name == "torus7" else 0)
+        A = quotient_presentation(psi, theta, F)
+        assert j_dims(A, P, psi.dim + 1)[2] == (6 if name == "torus7" else 0)
     # the spy sees the maps of a star-cover differential
     PartitionComplexSpec.full(psi).differential(-1, 1, F)
     assert mapped
@@ -290,21 +316,23 @@ def test_projective_plane_splits_by_field():
     f2 = PrimeField(2)
     theta = lsop(rp2, field=f2, budget=4000)
     P = build_B(rp2.delta, theta, f2)
-    assert P.b_dims_list(3) == [1, 3, 3, 1]
-    assert P.j_dims_list(3) == [0, 0, 3, 0]
-    assert P.diagnostics["orientable_like"]
+    A = quotient_presentation(rp2, theta, f2)
+    assert P.dims_list(3) == [1, 3, 3, 1]
+    assert j_dims(A, P, 3) == [0, 0, 3, 0]
+    assert _ClosedManifold(rp2, f2).betti[2] == 1
     assert is_poincare_duality_algebra(P)
-    assert annihilator_ok(P)
+    assert annihilator_ok(A)
     # J by the star-quotient route: dim - rank of the map out of position -1
     reduced = ReducedPartitionComplex(PartitionComplexSpec.full(rp2), theta, f2)
     assert [reduced.space_dim(-1, j) - rank(reduced.differential(-1, j), 2)
-            for j in range(3)] == P.j_dims_list(2)
+            for j in range(3)] == j_dims(A, P, 2)
 
     f3 = PrimeField(3)
-    P = build_B(rp2.delta, lsop(rp2, field=f3, budget=4000), f3)
-    assert P.b_dims_list(3) == [1, 3, 6, 0]
-    assert P.j_dims_list(3) == [0, 0, 0, 0]
-    assert not P.diagnostics["orientable_like"]
+    theta = lsop(rp2, field=f3, budget=4000)
+    P = build_B(rp2.delta, theta, f3)
+    assert P.dims_list(3) == [1, 3, 6, 0]
+    assert j_dims(quotient_presentation(rp2, theta, f3), P, 3) == [0, 0, 0, 0]
+    assert _ClosedManifold(rp2, f3).betti[2] == 0
     assert not is_poincare_duality_algebra(P)
     assert socle_dims(P) == {2: 6}
     with pytest.raises(DualityError, match="dimension 0, expected 1"):
@@ -350,14 +378,13 @@ def test_open_stars_embed_into_A_and_B():
     for vmask in tor.delta.vertex_masks()[:3]:
         open_star = tor.open_star(vmask)
         q = quotient_presentation(open_star, theta, F)
-        for j in range(1, P.fundamental_degree + 1):
+        for j in range(1, tor.dim + 2):
             if q.dim(j) == 0:
                 continue
             inc = restriction_matrix(tor, open_star, j).T
-            in_A = A.reduce(j, matmul(inc, q.lift(j), p))
-            assert rank(in_A, p) == q.dim(j)
-            in_B = P.b_reduce(j, in_A)
-            assert rank(in_B, p) == q.dim(j)
+            image = matmul(inc, q.lift(j), p)
+            assert rank(A.reduce(j, image), p) == q.dim(j)
+            assert rank(P.reduce(j, image), p) == q.dim(j)
 
 
 def test_sphere_h_vectors_and_B_dims_are_palindromic():
@@ -366,7 +393,7 @@ def test_sphere_h_vectors_and_B_dims_are_palindromic():
         h = f_h_vectors(psi).h
         assert list(h) == list(reversed(h))
         P = build_B(psi.delta, lsop(psi), F)
-        dims = P.b_dims_list(P.fundamental_degree)
+        dims = P.dims_list(psi.dim + 1)
         assert dims == dims[::-1]
 
 
@@ -386,5 +413,147 @@ def test_build_B_input_validation():
     with pytest.raises(DualityError, match="linear system of parameters"):
         build_B(tor.delta, zero, F)
 
-    with pytest.raises(DualityError, match="quotient presentation"):
-        _pd_view(42)
+
+class _BOverA:
+    """B = A/J held in A coordinates: a ``FrozenQuotient`` of each A_i by J_i.
+
+    The basis representatives are ``A.lift @ lift``, and a pairing entry
+    multiplies two representatives monomial by monomial and reduces the
+    sum through A_n and then B_n. An oracle for ``build_B``, which holds
+    B as a quotient of k[Delta] instead.
+    """
+
+    def __init__(self, A):
+        self.A = A
+        self.p = A.field.p
+        self.n = A.psi.dim + 1
+        bases = j_bases(A)
+        self.quotients = {i: FrozenQuotient(bases[i].T if i in bases
+                                            else np.zeros((0, A.dim(i)), dtype=np.int64), self.p)
+                          for i in A.dims}
+
+    def dim(self, i):
+        return self.quotients[i].dim if i in self.quotients else self.A.dim(i)
+
+    def j_dim(self, i):
+        return self.quotients[i].pivots.size if i in self.quotients else 0
+
+    def mult_matrix(self, form, i):
+        if self.dim(i) == 0 or self.dim(i + 1) == 0:
+            return np.zeros((self.dim(i + 1), self.dim(i)), dtype=np.int64)
+        raw = matmul(self.A.quotient_mult_matrix(form, i), self.quotients[i].lift(), self.p)
+        return self.quotients[i + 1].reduce(raw)
+
+    def pairing_rank(self, i):
+        A, p, n = self.A, self.p, self.n
+        if self.dim(n) != 1:
+            raise DualityError(f"fundamental degree {n} has dimension {self.dim(n)}, expected 1")
+        bi, bj = self.dim(i), self.dim(n - i)
+        if bi == 0 or bj == 0:
+            return {"rank": 0, "full": bi == bj, "dim_left": bi, "dim_right": bj}
+        reps_i = matmul(A.lift(i), self.quotients[i].lift(), p)
+        reps_j = matmul(A.lift(n - i), self.quotients[n - i].lift(), p)
+        basis_i, basis_j = monomial_basis(A.psi, i), monomial_basis(A.psi, n - i)
+        basis_n = monomial_basis(A.psi, n)
+        mat = np.zeros((bi, bj), dtype=np.int64)
+        for a in range(bi):
+            for b in range(bj):
+                acc = np.zeros((len(basis_n), 1), dtype=np.int64)
+                for r1 in np.nonzero(reps_i[:, a])[0]:
+                    for r2 in np.nonzero(reps_j[:, b])[0]:
+                        target = basis_n.index.get(
+                            tuple(x + y for x, y in zip(basis_i[int(r1)], basis_j[int(r2)])))
+                        if target is not None:
+                            acc[target, 0] = (acc[target, 0]
+                                              + int(reps_i[r1, a]) * int(reps_j[r2, b])) % p
+                mat[a, b] = int(self.quotients[n].reduce(A.reduce(n, acc))[0, 0])
+        r = rank(mat, p)
+        return {"rank": int(r), "full": r == bi == bj, "dim_left": bi, "dim_right": bj}
+
+    def socle_dims(self):
+        nvert = len(self.A.psi.delta.labels)
+        out = {}
+        for i in sorted(self.A.dims):
+            if self.dim(i) == 0:
+                continue
+            blocks = [self.mult_matrix(tuple(int(m == k) for m in range(nvert)), i)
+                      for k in range(nvert)]
+            s = self.dim(i) - rank(np.vstack(blocks), self.p)
+            if s:
+                out[i] = s
+        return out
+
+    def pd(self):
+        n = self.n
+        vanish_above = all(self.dim(i) == 0 for i in self.A.dims if i > n)
+        pairing = vanish_above and self.dim(n) == 1 and all(
+            self.pairing_rank(i)["full"] for i in range(n + 1))
+        socle = vanish_above and self.socle_dims() == {n: 1}
+        assert pairing == socle
+        return pairing
+
+
+@pytest.mark.parametrize("name", ["torus7", "rp2_6", "boundary_simplex_3", "boundary_simplex_4",
+                                  "boundary_simplex_5", "cross_polytope_3", "cross_polytope_4"])
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+def test_B_agrees_with_the_quotient_over_A_coordinates(name, p):
+    psi = builtin_complex(name)
+    field = PrimeField(p)
+    _ClosedManifold(psi, field)
+    checked = 0
+    for seed in range(4):
+        theta = sample_lsop(psi, expected_lsop_length(psi), seed, field, budget=4000)
+        if theta is None:
+            continue
+        B = build_B(psi.delta, theta, field)
+        old = _BOverA(quotient_presentation(psi, theta, field))
+        n = psi.dim + 1
+        assert [B.dim(i) for i in old.A.dims] == [old.dim(i) for i in old.A.dims]
+        assert [old.A.dim(i) - B.dim(i) for i in old.A.dims] == [old.j_dim(i) for i in old.A.dims]
+        for i in range(n + 1):
+            if old.dim(n) == 1:
+                assert pairing_rank(B, i) == old.pairing_rank(i)
+            else:
+                with pytest.raises(DualityError, match="expected 1"):
+                    pairing_rank(B, i)
+        assert socle_dims(B) == old.socle_dims()
+        assert poincare_duality_report(B)["pd"] == old.pd()
+        checked += 1
+    # no draw within the budget certifies torus7 over F_2; every other seed does
+    assert checked == (0 if (name, p) == ("torus7", 2) else 4)
+
+
+@pytest.mark.parametrize("name,p", [("torus7", DEFAULT_PRIME), ("rp2_6", 2), ("rp2_6", 3),
+                                    ("cross_polytope_3", DEFAULT_PRIME),
+                                    ("boundary_simplex_4", DEFAULT_PRIME)])
+def test_B_is_the_one_shot_quotient_of_the_monomials(name, p):
+    psi = builtin_complex(name)
+    field = PrimeField(p)
+    theta = lsop(psi, field=field, budget=4000)
+    A = quotient_presentation(psi, theta, field)
+    bases = j_bases(A)
+    B = build_B(psi.delta, theta, field)
+    assert B.dims.keys() == A.dims.keys()
+    for i, qa in A._quotients.items():
+        width = qa.pivots.size + qa.dim
+        rref_rows = np.zeros((qa.pivots.size, width), dtype=np.int64)
+        rref_rows[np.arange(qa.pivots.size), qa.pivots] = 1
+        rref_rows[:, qa.free] = qa.rfree
+        jb = bases.get(i, np.zeros((qa.dim, 0), dtype=np.int64))
+        lifted = np.zeros((jb.shape[1], width), dtype=np.int64)
+        lifted[:, qa.free] = jb.T
+        want = FrozenQuotient(np.vstack([rref_rows, lifted]), p)
+        got = B._quotients[i]
+        for attr in ("pivots", "free", "rfree"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (i, attr)
+        assert B.dim(i) == want.dim
+
+
+def test_plain_A_reports_at_dim_plus_one():
+    # n = dim Psi + 1 for A as for B; the torus is the control of acceptance check 06
+    tor = builtin_complex("torus7")
+    assert poincare_duality_report(quotient_presentation(tor, lsop(tor), F))["fundamental_degree"] == 3
+    two = builtin_complex("two_points")
+    rep = poincare_duality_report(quotient_presentation(two, lsop(two), F))
+    assert rep["fundamental_degree"] == 1 and rep["pd"]
