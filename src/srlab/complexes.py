@@ -4,7 +4,9 @@ A complex lives on an ordered ground set of at most 64 vertex labels;
 faces are stored as bitmasks over that order, so subset tests, links,
 stars and deletions are O(1) bit operations. The global vertex order
 (declaration order of the ground set) is the source of every boundary,
-coboundary and partition-complex sign downstream.
+coboundary and partition-complex sign downstream: the sign of v's place
+in face + v, (-1)^#{u in face : u < v}, has its one home in
+``_insertion_sign``.
 
 Conventions that matter and are easy to get wrong:
 
@@ -73,6 +75,11 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
+def _insertion_sign(face: int, v: int) -> int:
+    """(-1)^#{u in face : u < v}, the sign of vertex v's place in face + v."""
+    return -1 if _popcount(face & ((1 << v) - 1)) % 2 else 1
+
+
 def _is_maximal(face: int, faces, free: int) -> bool:
     """No one-vertex extension of face by a vertex of ``free`` lies in faces.
 
@@ -105,15 +112,8 @@ class SimplicialComplex:
     def _close(faces: frozenset[int]) -> frozenset[int]:
         closed = set()
         for f in faces:
-            if f in closed:
-                continue
-            # enumerate all submasks of f, including 0
-            sub = f
-            while True:
-                closed.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & f
+            if f not in closed:
+                closed.update(_submasks(f))
         return frozenset(closed)
 
     # -- constructors ---------------------------------------------------
@@ -191,6 +191,18 @@ class SimplicialComplex:
             self._facets_cache = sorted(f for f in self.faces if _is_maximal(f, self.faces, free))
         return list(self._facets_cache)
 
+    def ridge_facets(self) -> dict[int, list[int]]:
+        """{face one vertex short of a facet: the facets it is short of, in order}.
+
+        In a pure complex the keys are the ridges, each with every facet
+        containing it.
+        """
+        out: dict[int, list[int]] = {}
+        for f in self.facets():
+            for i in _bit_positions(f):
+                out.setdefault(f ^ (1 << i), []).append(f)
+        return out
+
     def vertex_masks(self) -> list[int]:
         return self.faces_of_dim(0)
 
@@ -261,12 +273,7 @@ class SimplicialComplex:
         """Closure of the ridges lying in exactly one facet (for pure complexes)."""
         if self.is_void or self.dim is None or self.dim < 0:
             return SimplicialComplex.void_complex(self.labels)
-        ridge_count: dict[int, int] = {}
-        for f in self.facets():
-            for i in _bit_positions(f):
-                r = f ^ (1 << i)
-                ridge_count[r] = ridge_count.get(r, 0) + 1
-        boundary_ridges = [r for r, c in ridge_count.items() if c == 1]
+        boundary_ridges = [r for r, owners in self.ridge_facets().items() if len(owners) == 1]
         if not boundary_ridges:
             return SimplicialComplex.void_complex(self.labels)
         return SimplicialComplex(self.labels, frozenset(boundary_ridges))
@@ -438,9 +445,11 @@ def _cochain_faces(psi: RelativeComplex) -> list[list[int]]:
 def coboundary_matrices(psi, field: PrimeField) -> tuple[dict[int, int], dict[int, np.ndarray]]:
     """Reduced relative cochain complex: spaces and coboundaries indexed -1..dim.
 
-    The coboundary out of dimension i has the entry (-1)^#{u in sigma : u < v}
-    from each face sigma to each face sigma + v of Psi, found by dropping
-    one vertex at a time from the faces of dimension i + 1.
+    The coboundary out of dimension i has the entry
+    ``_insertion_sign(sigma, v)`` from each face sigma to each face
+    sigma + v of Psi, found by dropping one vertex at a time from the faces
+    of dimension i + 1. Vertex k of sigma + v, counted from 0, has k
+    vertices of sigma below it, so that sign is (-1)^k.
     """
     bases = _cochain_faces(as_relative(psi))
     dims = {i: len(b) for i, b in enumerate(bases, start=-1)}

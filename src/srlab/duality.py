@@ -36,7 +36,6 @@ import numpy as np
 from .complexes import (
     FaceLinkCohomology,
     as_relative,
-    _bit_positions,
     _popcount,
 )
 from .facering import (
@@ -89,16 +88,13 @@ def manifold_sanity_check(delta, field: PrimeField) -> dict[int, int]:
     bet = links[0]
     if bet.get(0, 0) != 0:
         raise DualityError("complex is not connected")
-    cofacets: dict[int, int] = {}  # ridge -> number of facets containing it
-    for f in dc.facets():
-        for b in _bit_positions(f):
-            cofacets[f ^ (1 << b)] = cofacets.get(f ^ (1 << b), 0) + 1
+    ridges = dc.ridge_facets()
     for tau in sorted(dc.faces):
         expected = d - _popcount(tau)
         if tau == 0 or expected == -1:
             continue
         if expected == 0:
-            sphere = cofacets[tau] == 2
+            sphere = len(ridges[tau]) == 2
         else:
             sphere = {i: v for i, v in links[tau].items() if v} == {expected: 1}
         if not sphere:
@@ -125,7 +121,7 @@ class _ClosedManifold:
         self.psi = psi
         self.field = field
 
-    def B(self, theta, cap: int | None = None) -> GradedQuotientPresentation:
+    def B(self, theta) -> GradedQuotientPresentation:
         """B = k[Delta]/(Theta + J): A = k[Delta]/Theta, each degree extended by J in place.
 
         For each degree i < n, J_i is ``restriction_kernel(i, stars)``
@@ -135,8 +131,7 @@ class _ClosedManifold:
         own.
         """
         dc = self.psi.delta
-        pres = quotient_presentation(self.psi, _as_forms(theta, self.field.p), self.field,
-                                     cap=cap)
+        pres = quotient_presentation(self.psi, _as_forms(theta, self.field.p), self.field)
         if not pres.finite_at_cap:
             raise DualityError("Theta is not a linear system of parameters for this complex")
         # the faces of st_v Delta, without building it as a complex
@@ -146,9 +141,8 @@ class _ClosedManifold:
         return pres
 
 
-def build_B(delta, theta, field: PrimeField,
-            cap: int | None = None) -> GradedQuotientPresentation:
-    """``_ClosedManifold(delta, field).B(theta, cap)``, refusing a relative pair first.
+def build_B(delta, theta, field: PrimeField) -> GradedQuotientPresentation:
+    """``_ClosedManifold(delta, field).B(theta)``, refusing a relative pair first.
 
     The manifold sanity check is a hard gate; orientability is not. When
     dim H^d != 1 (the Betti numbers are ``_ClosedManifold.betti``), B has
@@ -157,7 +151,7 @@ def build_B(delta, theta, field: PrimeField,
     """
     if not as_relative(delta).is_absolute:
         raise DualityError(_RELATIVE)
-    return _ClosedManifold(delta, field).B(theta, cap)
+    return _ClosedManifold(delta, field).B(theta)
 
 
 def cone_lemma_check(delta, v, theta, field: PrimeField, max_degree: int | None = None) -> dict:

@@ -13,11 +13,12 @@ Elimination runs in one of three regimes, chosen from the input's type,
 size and fill:
 
 - list path: ``rank`` of a matrix with at most ``_TINY_CELLS`` entries
-  eliminates on Python ints, where numpy's per-call cost would dominate;
-  the l.s.o.p. certificate's checks are nearly all this small. So does
-  ``FrozenQuotient.extend`` when its new rows and the pivot rows it holds
-  come to at most ``_TINY_CELLS`` cells, as most of the staged Hilbert
-  certificate's extends by one degree-1 row do;
+  eliminates on Python ints with ``_list_eliminate``, where numpy's
+  per-call cost would dominate; the l.s.o.p. certificate's checks are
+  nearly all this small. So does ``FrozenQuotient.extend``, reduced,
+  when its new rows and the pivot rows it holds come to at most
+  ``_TINY_CELLS`` cells, as most of the staged Hilbert certificate's
+  extends by one degree-1 row do;
 - sparse path: ``rank`` of a ``SparseMatrix``, or of a larger dense
   matrix under 1/20 of whose cells are nonzero, runs ``_markowitz_rank``.
   It first peels singletons in numpy: a row or a column with one live
@@ -267,14 +268,21 @@ def _eliminate(m: np.ndarray, p: int, reduced: bool, *,
     return m, pivot_cols
 
 
-def _list_rank(rows: list[list[int]], p: int, *, pivots: list | None = None) -> int:
-    """Rank by Gaussian elimination on Python ints; the list regime for tiny matrices.
+def _list_eliminate(rows: list[list[int]], p: int, reduced: bool, *,
+                    pivots: list | None = None) -> tuple[list[list[int]], list[int]]:
+    """``_eliminate`` on Python ints; the list regime for tiny matrices.
 
-    If ``pivots`` is given, each pivot's (row, column) is appended to it.
+    The same frozen pivot order, row tracking and result: the rows after
+    elimination and the pivot columns. Reduced, the rows are the RREF.
+    Unreduced, each pivot clears only the rows below it and its own row is
+    not scaled, which saves a pass per pivot; the rank and the pivots are
+    ``_eliminate``'s, but the rows differ from its echelon form by one
+    scale each. The input is not modified.
     """
     rows = [[x % p for x in row] for row in rows]
     n = len(rows)
     order = list(range(n))  # order[k]: the input row now at row k
+    cols: list[int] = []
     r = 0
     for c in range(len(rows[0])):
         for i in range(r, n):
@@ -283,49 +291,24 @@ def _list_rank(rows: list[list[int]], p: int, *, pivots: list | None = None) -> 
         else:
             continue
         piv = rows[i]
+        inv = pow(piv[c], -1, p)
+        if reduced:
+            piv = [x * inv % p for x in piv]
+            inv = 1
         rows[i], rows[r] = rows[r], piv
         order[i], order[r] = order[r], order[i]
-        if pivots is not None:
-            pivots.append((order[r], c))
-        inv = pow(piv[c], -1, p)
-        for j in range(r + 1, n):
+        for j in range(0 if reduced else r + 1, n):
             f = rows[j][c]
-            if f:
+            if f and j != r:
                 f = f * inv % p
                 rows[j] = [(a - f * b) % p for a, b in zip(rows[j], piv)]
+        cols.append(c)
+        if pivots is not None:
+            pivots.append((order[r], c))
         r += 1
         if r == n:
             break
-    return r
-
-
-def _list_rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """The nonzero rows of the RREF and the pivot columns, on Python ints.
-
-    The list regime of ``FrozenQuotient.extend``; ``rows`` have entries in
-    [0, p) and are overwritten.
-    """
-    n = len(rows)
-    cols: list[int] = []
-    for c in range(len(rows[0])):
-        r = len(cols)
-        if r == n:
-            break
-        for i in range(r, n):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        piv = rows[i]
-        rows[i] = rows[r]
-        inv = pow(piv[c], -1, p)
-        rows[r] = piv = [x * inv % p for x in piv]
-        for j in range(n):
-            f = rows[j][c]
-            if f and j != r:
-                rows[j] = [(a - f * b) % p for a, b in zip(rows[j], piv)]
-        cols.append(c)
-    return rows[:len(cols)], cols
+    return rows, cols
 
 
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -533,7 +516,7 @@ def _tall_rank(m: np.ndarray | SparseMatrix, p: int, pivots: list | None) -> int
     if isinstance(m, SparseMatrix):
         return _markowitz_rank(m, p, pivots=pivots)
     if m.size <= _TINY_CELLS:
-        return _list_rank(m.tolist(), p, pivots=pivots)
+        return len(_list_eliminate(m.tolist(), p, False, pivots=pivots)[1])
     if np.count_nonzero(m) * 20 < m.size:
         return _markowitz_rank(SparseMatrix.from_dense(m, p), p, pivots=pivots)
     _, cols = _eliminate(m, p, False, pivots=pivots)
@@ -672,9 +655,10 @@ class FrozenQuotient:
                 if f:
                     v = [(a - f * b) % p for a, b in zip(v, held)]
             reduced.append(v)
-        red, fresh = _list_rref(reduced, p)
+        red, fresh = _list_eliminate(reduced, p, True)
         if not fresh:
             return
+        red = red[:len(fresh)]
         for k, held in enumerate(rfree):
             # red is reduced, so clearing one fresh column leaves the others as they were
             for c, new in zip(fresh, red):

@@ -62,6 +62,8 @@ from .complexes import (
     as_relative,
     relative_cohomology_dims,
     _bit_positions,
+    _cochain_faces,
+    _insertion_sign,
     _popcount,
 )
 from .facering import (
@@ -127,10 +129,6 @@ def restriction_matrix(src, dst, j: int) -> np.ndarray:
     return mat
 
 
-def _cech_sign(tau: int, bit: int) -> int:
-    return -1 if _popcount(tau & (bit - 1)) % 2 else 1
-
-
 class PartitionComplexSpec:
     """Columns of a star-cover complex, one summand per chosen face.
 
@@ -165,11 +163,11 @@ class PartitionComplexSpec:
     entry the monomials of support sigma get in the degree-j
     differential. The summands holding each sigma are read off the same
     face selections (``_supports``), and faces whose descriptor lists
-    agree share one piece, ranked once per prime.
+    agree share one piece.
     """
 
     __slots__ = ("psi", "variant", "positions", "_ambient",
-                 "_delta", "_faces", "_sels", "_links", "_patterns", "_pieces", "_maps")
+                 "_delta", "_faces", "_sels", "_links", "_patterns", "_maps")
 
     def __init__(self, psi: RelativeComplex, variant: str, positions: dict):
         if variant not in VARIANTS:
@@ -186,8 +184,6 @@ class PartitionComplexSpec:
         # position -> [(s, d, sign)] over the summand pairs with a nonzero sign
         self._links: dict[int, list[tuple[int, int, int]]] = {}
         self._patterns: dict[tuple[int, int], tuple] = {}
-        # (descriptors per position, p) -> homology of that support piece
-        self._pieces: dict[tuple, tuple[int, ...]] = {}
         self._maps: dict[tuple[int, int, int], SparseMatrix] = {}
 
     @classmethod
@@ -223,11 +219,10 @@ class PartitionComplexSpec:
         Returns the masks in that order and the size of each face, built once.
         """
         if self._delta is None:
-            by_card = self.psi.delta.faces_by_cardinality()
-            sizes = sorted(by_card)
-            self._delta = ([f for m in sizes for f in by_card[m]],
-                           np.repeat(np.array(sizes, dtype=np.int64),
-                                     [len(by_card[m]) for m in sizes]))
+            by_size = _cochain_faces(self._ambient)
+            self._delta = ([f for faces in by_size for f in faces],
+                           np.repeat(np.arange(len(by_size), dtype=np.int64),
+                                     [len(faces) for faces in by_size]))
         return self._delta
 
     def _numbered(self) -> list[tuple[int, object]]:
@@ -290,10 +285,6 @@ class PartitionComplexSpec:
             got = self._sels[i, j] = _PositionBasis(flat, sels, offsets, int(lens.sum()))
         return got
 
-    def _selections(self, i: int, j: int) -> list[np.ndarray]:
-        """Each summand's degree-j basis at position i as a selection of Delta's basis."""
-        return self._basis(i, j).sels
-
     def summand_dims(self, i: int, j: int) -> tuple[int, ...]:
         """Degree-j dimension of each summand at position i."""
         offsets = self._basis(i, j).offsets
@@ -337,7 +328,7 @@ class PartitionComplexSpec:
             src, dst = self.positions.get(i, []), self.positions.get(i + 1, [])
             where = {desc: s for s, desc in enumerate(src)}
             links = self._links[i] = sorted(
-                (where[ddesc ^ (1 << b)], d, _cech_sign(ddesc, 1 << b))
+                (where[ddesc ^ (1 << b)], d, _insertion_sign(ddesc, b))
                 for d, ddesc in enumerate(dst) for b in _bit_positions(ddesc)
                 if ddesc ^ (1 << b) in where)
         return links
@@ -422,26 +413,23 @@ class PartitionComplexSpec:
         Its map of position i has the Cech sign from the summand of tau to
         that of each tau + v, found from tau + v's vertices.
         """
-        h = self._pieces.get((key, p))
-        if h is None:
-            top = len(key) - 2
+        top = len(key) - 2
 
-            def dim(i: int) -> int:
-                return len(key[i + 1]) if -1 <= i <= top else 0
+        def dim(i: int) -> int:
+            return len(key[i + 1]) if -1 <= i <= top else 0
 
-            def signs(i: int) -> np.ndarray:
-                at = {desc: c for c, desc in enumerate(key[i + 1])}
-                rows = [[0] * len(at) for _ in key[i + 2]]
-                for row, desc in zip(rows, key[i + 2]):
-                    for v in _bit_positions(desc):
-                        c = at.get(desc ^ (1 << v))
-                        if c is not None:
-                            row[c] = _cech_sign(desc, 1 << v) % p
-                return np.array(rows, dtype=np.int64)
+        def signs(i: int) -> np.ndarray:
+            at = {desc: c for c, desc in enumerate(key[i + 1])}
+            rows = [[0] * len(at) for _ in key[i + 2]]
+            for row, desc in zip(rows, key[i + 2]):
+                for v in _bit_positions(desc):
+                    c = at.get(desc ^ (1 << v))
+                    if c is not None:
+                        row[c] = _insertion_sign(desc, v) % p
+            return np.array(rows, dtype=np.int64)
 
-            lazy = LazyHomology(dim, signs, (1,), p)
-            h = self._pieces[key, p] = tuple(lazy.homology(i) for i in range(-1, top + 1))
-        return h
+        lazy = LazyHomology(dim, signs, (1,), p)
+        return tuple(lazy.homology(i) for i in range(-1, top + 1))
 
     def homology_dims(self, field: PrimeField, max_degree: int | None = None) -> dict:
         """{(i, j): dim} over i in [-1, max position], j in [0, max_degree].
@@ -861,17 +849,12 @@ class SubdivisionStructure:
 
 def _fundamental_chain(sub: SimplicialComplex) -> dict[int, int]:
     """Coefficients +-1 on the facets making the boundary vanish on interior ridges."""
-    facets = sorted(sub.facets())
-    s = sub.dim
-    if s == 0:
+    facets = sub.facets()
+    if sub.dim == 0:
         return {f: 1 for f in facets}
-    ridges: dict[int, list[int]] = {}
-    for f in facets:
-        for i in _bit_positions(f):
-            ridges.setdefault(f ^ (1 << i), []).append(f)
-    for r, owners in ridges.items():
-        if len(owners) > 2:
-            raise PartitionError("a ridge lies in more than two facets")
+    ridges = sub.ridge_facets()
+    if any(len(owners) > 2 for owners in ridges.values()):
+        raise PartitionError("a ridge lies in more than two facets")
     chain = {facets[0]: 1}
     queue = [facets[0]]
     while queue:
@@ -882,7 +865,7 @@ def _fundamental_chain(sub: SimplicialComplex) -> dict[int, int]:
             if len(owners) != 2:
                 continue
             g = owners[0] if owners[1] == f else owners[1]
-            want = -chain[f] * _incidence(f, r) * _incidence(g, r)
+            want = -chain[f] * _insertion_sign(r, i) * _insertion_sign(r, (g ^ r).bit_length() - 1)
             if g in chain:
                 if chain[g] != want:
                     raise PartitionError("cell subdivision is not orientable")
@@ -894,17 +877,12 @@ def _fundamental_chain(sub: SimplicialComplex) -> dict[int, int]:
     return chain
 
 
-def _incidence(facet: int, ridge: int) -> int:
-    missing = facet ^ ridge
-    return -1 if _popcount(facet & (missing - 1)) % 2 else 1
-
-
 def _chain_boundary(chain: dict[int, int]) -> dict[int, int]:
     out: dict[int, int] = {}
     for f, c in chain.items():
         for i in _bit_positions(f):
             r = f ^ (1 << i)
-            out[r] = out.get(r, 0) + c * _incidence(f, r)
+            out[r] = out.get(r, 0) + c * _insertion_sign(f, i)
     return {r: c for r, c in out.items() if c}
 
 

@@ -13,6 +13,7 @@ from srlab.complexes import (
     as_relative,
     betti_numbers,
     builtin_complex,
+    coboundary_matrices,
     complex_hash,
     euler_characteristic,
     f_h_vectors,
@@ -20,6 +21,8 @@ from srlab.complexes import (
     relative_cohomology_dims,
     relative_from_json,
     relative_to_json,
+    _cochain_faces,
+    _insertion_sign,
 )
 from srlab.linalg import DEFAULT_PRIME, PrimeField
 
@@ -291,3 +294,50 @@ def test_maximal_faces_are_found_by_one_vertex_extensions():
                 for size in sorted({bin(f).count("1") for f in maximal})]
         assert [g.tolist() for g in groups] == want
 
+
+
+def _cech_sign(tau: int, bit: int) -> int:
+    """The sign partition.py's support pieces once computed for tau + v, bit = 1 << v."""
+    return -1 if bin(tau & (bit - 1)).count("1") % 2 else 1
+
+
+def _incidence(facet: int, ridge: int) -> int:
+    """The sign partition.py's cell chains once gave a ridge in a facet."""
+    missing = facet ^ ridge
+    return -1 if bin(facet & (missing - 1)).count("1") % 2 else 1
+
+
+def test_insertion_sign_counts_the_vertices_below():
+    for face in range(1 << 7):
+        for v in range(7):
+            below = sum(1 for u in range(v) if face >> u & 1)
+            want = (-1) ** below
+            assert _insertion_sign(face, v) == want
+            assert _cech_sign(face, 1 << v) == want
+            assert _incidence(face | 1 << v, face & ~(1 << v)) == want
+
+
+def test_coboundary_entries_are_insertion_signs():
+    for name in BUILTIN_EXAMPLES:
+        psi = builtin_complex(name)
+        bases = _cochain_faces(psi)
+        for field in (F3, F):
+            _, diffs = coboundary_matrices(psi, field)
+            for i, mat in diffs.items():
+                want = [[_insertion_sign(sigma, (rho ^ sigma).bit_length() - 1) % field.p
+                         if sigma & rho == sigma and bin(rho ^ sigma).count("1") == 1 else 0
+                         for sigma in bases[i + 1]] for rho in bases[i + 2]]
+                assert mat.tolist() == want
+
+
+def test_ridge_facets_equal_a_scan_of_every_face():
+    for psi in _relative_cases(29, 60):
+        for c in (psi.delta, psi.gamma):
+            facets = c.facets()
+            want = {}
+            for r in sorted(c.faces):
+                owners = [f for f in facets
+                          if f & r == r and bin(f).count("1") == bin(r).count("1") + 1]
+                if owners:
+                    want[r] = owners
+            assert c.ridge_facets() == want

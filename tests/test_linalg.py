@@ -18,6 +18,7 @@ from srlab.linalg import (
     _PEEL_ROUNDS,
     _TINY_CELLS,
     _eliminate,
+    _list_eliminate,
     _markowitz_rank,
     _peel_singletons,
     identity,
@@ -338,7 +339,7 @@ def test_kernel_regimes_match_python_gauss_jordan(monkeypatch, p, shape, density
         # past the list path, fill alone picks the regime, and each case is clear of 1/20
         assert (np.count_nonzero(m) * 20 < m.size) == regimes.startswith("sparse")
     taken = []
-    for name in ("_list_rank", "_markowitz_rank", "_eliminate"):
+    for name in ("_list_eliminate", "_markowitz_rank", "_eliminate"):
         real = getattr(linalg, name)
 
         def spy(*args, _real=real, _name=name, **kwargs):
@@ -348,7 +349,7 @@ def test_kernel_regimes_match_python_gauss_jordan(monkeypatch, p, shape, density
         monkeypatch.setattr(linalg, name, spy)
     want, want_piv = _oracle_rref(m, p)
     assert rank(m, p) == len(want_piv)
-    kernel = {"_list_rank": "list", "_markowitz_rank": "sparse", "_eliminate": "dense"}
+    kernel = {"_list_eliminate": "list", "_markowitz_rank": "sparse", "_eliminate": "dense"}
     assert "+".join(kernel[name] for name in taken) in regimes.split("|")
     red, piv = rref(m, p)
     assert piv == want_piv
@@ -588,6 +589,32 @@ def test_small_extends_eliminate_on_lists(monkeypatch):
     assert called == ["rref", "_eliminate"] and q.pivots.size == 5
 
 
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+def test_list_elimination_equals_the_dense_regime(p):
+    rng = np.random.default_rng([p % 1000, 64])
+    ranks = set()
+    for trial in range(300):
+        rows = int(rng.integers(1, 17))
+        cols = int(rng.integers(1, _TINY_CELLS // rows + 1))
+        if trial % 3:
+            m = _random_matrix(rng, (rows, cols), p, rng.random())
+        else:
+            m = _low_rank_matrix(rng, (rows, cols), p, rng.random(), int(rng.integers(1, 4)))
+        given = m.tolist()
+        red, piv = rref(m, p)
+        for reduced in (True, False):
+            want, got = [], []
+            _, want_cols = _eliminate(m, p, reduced, pivots=want)
+            echelon, got_cols = _list_eliminate(given, p, reduced, pivots=got)
+            # unreduced, the rows are left unscaled, so only rank and pivots are compared
+            assert got_cols == want_cols == piv and got == want
+            if reduced:
+                assert echelon == red.tolist()
+        assert given == m.tolist()
+        ranks.add(len(piv) == min(rows, cols))
+    assert ranks == {True, False}
+
+
 def test_frozen_quotient_extension_edge_cases():
     p = 7
     q = FrozenQuotient(identity(3), p)
@@ -657,7 +684,7 @@ def test_pivot_rows_hold_the_rank_in_every_regime(monkeypatch, p, shape, density
     m = _kernel_matrix(p, shape, density, entries)
     want = rank(m, p)
     taken = []
-    for name in ("_list_rank", "_markowitz_rank", "_eliminate"):
+    for name in ("_list_eliminate", "_markowitz_rank", "_eliminate"):
         real = getattr(linalg, name)
 
         def spy(*args, _real=real, _name=name, **kwargs):
@@ -665,7 +692,7 @@ def test_pivot_rows_hold_the_rank_in_every_regime(monkeypatch, p, shape, density
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(linalg, name, spy)
-    kernel = {"_list_rank": "list", "_markowitz_rank": "sparse", "_eliminate": "dense"}
+    kernel = {"_list_eliminate": "list", "_markowitz_rank": "sparse", "_eliminate": "dense"}
     sparse = SparseMatrix.from_dense(m, p)
     # both orientations: rank() transposes the wider one, whose pivot rows are then
     # the pivot columns of its kernel

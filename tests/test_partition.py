@@ -194,7 +194,7 @@ def test_selections_pick_each_summand_basis_out_of_delta():
         for i in range(-1, pspec.max_position + 1):
             for j in range(dim + 4):
                 delta_basis = monomial_basis(ambient, j).exponents
-                sels = pspec._selections(i, j)
+                sels = pspec._basis(i, j).sels
                 assert len(sels) == len(_summands(pspec, i))
                 for sel, (_, mod) in zip(sels, _summands(pspec, i)):
                     assert np.all(np.diff(sel) > 0)
@@ -287,7 +287,7 @@ def _index_map(src, dst):
 
 def _pairwise_differential(pspec, i, j, p):
     """Position i into position i + 1 in degree j, one ``_index_map`` per signed pair."""
-    src, dst = pspec._selections(i, j), pspec._selections(i + 1, j)
+    src, dst = pspec._basis(i, j).sels, pspec._basis(i + 1, j).sels
     cols = np.cumsum([0] + [x.size for x in src])
     rows = np.cumsum([0] + [x.size for x in dst])
     m = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
@@ -902,6 +902,23 @@ def test_subdivision_round_trip_preserves_incidence():
                 through[u] = through.get(u, 0) + signs[cell, w] * signs[w, u]
         assert not any(through.values())
     assert any(len(st.incidence[w]) for walls in st.incidence.values() for w in walls)
+
+
+def test_fundamental_chains_cancel_on_every_interior_ridge():
+    # in a barycentric subdivision two adjacent flags drop the vertex at the
+    # same place, so only these vertex orders tell the two facets' signs apart
+    for name in ("simplex_2", "path_4", "boundary_simplex_3", "cross_polytope_3", "torus7",
+                 "disk_with_induced_boundary_2"):
+        delta = builtin_complex(name).delta
+        facets = delta.facets()
+        chain = partition._fundamental_chain(delta)
+        assert sorted(chain) == facets and set(chain.values()) <= {1, -1}
+        boundary = [r for r in sorted(delta.faces) if bin(r).count("1") == delta.dim
+                    and sum(f & r == r for f in facets) == 1]
+        assert sorted(partition._chain_boundary(chain)) == boundary
+    for name in ("rp2_6", "moebius"):
+        with pytest.raises(PartitionError, match="not orientable"):
+            partition._fundamental_chain(builtin_complex(name).delta)
 
 
 def test_subdivision_structure_validation_errors():
