@@ -32,7 +32,7 @@ from .complexes import (
     relative_cohomology_dims,
 )
 from .duality import build_B, poincare_duality_report
-from .facering import first_lsop, lsop_trials, quotient_presentation
+from .facering import lsop_trials, quotient_presentation, trials_until_certified
 from .koszul import KoszulComplex, depth, is_algebraically_cm
 from .linalg import DEFAULT_PRIME, PrimeField, matmul, rank
 from .partition import (
@@ -204,7 +204,7 @@ def check_total_complex() -> dict:
     """Homology of the full double complex against the shifted binomial formula."""
     failures = []
     for psi, field in _covered_instances():
-        _, theta = first_lsop(psi, 0, field)
+        _, theta = trials_until_certified(psi, 0, field)
         if theta is None:
             failures.append((psi.delta.labels, field.p, "no parameter system"))
             continue
@@ -232,7 +232,7 @@ def check_poincare_duality() -> dict:
     ok = True
 
     tor = builtin_complex("torus7")
-    _, theta = first_lsop(tor, 0, F)
+    _, theta = trials_until_certified(tor, 0, F)
     P = build_B(tor.delta, theta, F)
     rep = poincare_duality_report(P)
     dims = P.dims_list(tor.dim + 1)
@@ -241,7 +241,7 @@ def check_poincare_duality() -> dict:
 
     for k in range(2, 6):
         sphere = builtin_complex(f"boundary_simplex_{k}")
-        _, th = first_lsop(sphere, 0, F)
+        _, th = trials_until_certified(sphere, 0, F)
         As = quotient_presentation(sphere, th, F)
         Ps = build_B(sphere.delta, th, F)
         jdims = [As.dim(i) - Ps.dim(i) for i in range(max(As.dims) + 1)]
@@ -268,7 +268,7 @@ def check_open_star_injectivity() -> dict:
     failures = []
     for name in ("torus7", "boundary_simplex_3"):
         psi = builtin_complex(name)
-        _, theta = first_lsop(psi, 0, F)
+        _, theta = trials_until_certified(psi, 0, F)
         A = quotient_presentation(psi, theta, F)
         B = build_B(psi.delta, theta, F)
         for vmask in psi.delta.vertex_masks():
@@ -371,7 +371,7 @@ def check_interior_partition() -> dict:
         sigma = builtin_complex(f"simplex_{k}").delta
         bary = sigma.barycentric_subdivision()
         disk = RelativeComplex(bary, bary.boundary_subcomplex())
-        _, theta = first_lsop(bary, 0, F)
+        _, theta = trials_until_certified(bary, 0, F)
         if theta is None:
             rows.append((k, "no parameter system"))
             ok = False

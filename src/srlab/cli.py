@@ -30,9 +30,9 @@ from .duality import DualityError, _ClosedManifold, cone_lemma_check, poincare_d
 from .facering import (
     FaceRingError,
     expected_lsop_length,
-    first_lsop,
     hilbert_series_coeffs,
     is_lsop,
+    trials_until_certified,
 )
 from .koszul import KoszulError, is_algebraically_cm
 from .linalg import DEFAULT_PRIME, LinAlgError, PrimeField
@@ -171,10 +171,10 @@ def _no_theta(cfg: RunConfig, psi) -> tuple[int, dict, list[str]]:
 
 def _certified_lsop(cfg: RunConfig, psi, field: PrimeField) -> tuple:
     """(seed used, Theta) of the first certified trial; raises _NoTheta if there is none."""
-    used, theta = first_lsop(psi, cfg.seed, field, cfg.trials)
+    seeds, theta = trials_until_certified(psi, cfg.seed, field, cfg.trials)
     if theta is None:
         raise _NoTheta(psi)
-    return used, theta
+    return seeds[-1], theta
 
 
 def _entry_lines(rep, render) -> list[str]:

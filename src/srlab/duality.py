@@ -134,8 +134,7 @@ class _ClosedManifold:
         pres = quotient_presentation(self.psi, _as_forms(theta, self.field.p), self.field)
         if not pres.finite_at_cap:
             raise DualityError("Theta is not a linear system of parameters for this complex")
-        # the faces of st_v Delta, without building it as a complex
-        stars = [frozenset(f for f in dc.faces if f | v in dc.faces) for v in dc.vertex_masks()]
+        stars = [dc.star(v).faces for v in dc.vertex_masks()]
         for i in range(dc.dim + 1):
             pres.extend(i, pres.restriction_kernel(i, stars))
         return pres

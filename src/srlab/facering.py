@@ -722,13 +722,6 @@ def trials_until_certified(psi, seed, field: PrimeField, trials: int = 3,
     return seeds, None
 
 
-def first_lsop(psi, seed, field: PrimeField, trials: int = 3,
-               budget: int = 20000) -> tuple:
-    """The first certified trial of lsop_trials as (seed_k, Theta); (None, None) if none."""
-    seeds, theta = trials_until_certified(psi, seed, field, trials, budget)
-    return (seeds[-1], theta) if theta is not None else (None, None)
-
-
 def random_linear_forms(delta, count: int, seed, field: PrimeField) -> LinearFormSequence:
     """Uniform degree-1 forms over the ground set, reproducible per seed."""
     return LinearFormSequence.random(delta, count, seed, field)

@@ -29,17 +29,17 @@ A restriction intersects two such selections, and a position's Koszul
 pattern is Delta's multiplication pattern filtered to its selections, so
 no summand's own basis or pattern is ever built.
 
-A star is a face selection too. For the full variant sigma lies in
-st_tau Psi iff sigma + tau is a face of Delta - Gamma, so one pass over
-Delta's faces finds st_tau Psi as sorted indices into Delta's faces, and
-the same selections give each support piece its summands. No star is
-built as a complex: the reduced complex takes each summand's quotient
-on its selections, for absolute and relative Psi alike, and checks Theta
-once, on Psi (a face sigma of st_tau Psi lies in the face sigma + tau).
-
-The interior variant changes the columns: the interior complex of a
-disk keeps only stars of strongly interior faces (every vertex off the
-boundary) with the absolute face ring up front.
+A star is a face selection too. A spec takes its stars in one complex,
+its base: sigma lies in st_tau base iff sigma + tau is a face of base,
+so one pass over Delta's faces finds each star as sorted indices into
+Delta's faces, and the same selections give each support piece its
+summands. The partition complex of Psi takes the stars of all faces of
+Delta in Psi itself; the interior complex of a disk takes the stars of
+its strongly interior faces (every vertex off the boundary) in Delta,
+with the absolute face ring up front. No star is built as a complex: the
+reduced complex takes each summand's quotient on its selections, for
+absolute and relative base alike, and checks Theta once, on the base (a
+face sigma of st_tau base lies in the face sigma + tau of base).
 
 The interior and subdivision checks need only the kernel of A =
 k[Delta]/<Theta> into the quotients of the interior vertex stars, resp.
@@ -79,8 +79,6 @@ from .facering import (
 )
 from .koszul import koszul_step
 from .linalg import LazyHomology, PrimeField, SparseMatrix
-
-VARIANTS = ("full", "interior")
 
 
 class PartitionError(ValueError):
@@ -133,9 +131,10 @@ class PartitionComplexSpec:
     """Columns of a star-cover complex, one summand per chosen face.
 
     positions maps the cohomological index i to the ordered list of its
-    summands' descriptors, face masks of Delta. The spec holds every
-    summand by its faces, a selection of Delta's (``_stars``), found by
-    one pass over Delta's faces per descriptor.
+    summands' descriptors, face masks of Delta; the summand of tau is
+    k[st_tau base], its star in the complex ``base``. The constructor
+    holds every summand by its faces, a selection of Delta's found by one
+    pass over Delta's faces per descriptor.
 
     Every summand module lives on Delta's ground set and its faces are
     faces of Delta, so its degree-j monomial basis is a subsequence of
@@ -166,19 +165,23 @@ class PartitionComplexSpec:
     agree share one piece.
     """
 
-    __slots__ = ("psi", "variant", "positions", "_ambient",
-                 "_delta", "_faces", "_sels", "_links", "_patterns", "_maps")
+    __slots__ = ("psi", "positions", "base", "_ambient", "_masks", "_sizes", "_faces",
+                 "_sels", "_links", "_patterns", "_maps")
 
-    def __init__(self, psi: RelativeComplex, variant: str, positions: dict):
-        if variant not in VARIANTS:
-            raise PartitionError(f"variant must be one of {VARIANTS}")
+    def __init__(self, psi: RelativeComplex, positions: dict, base: RelativeComplex):
         self.psi = psi
-        self.variant = variant
         self.positions = positions
+        self.base = base
         self._ambient = RelativeComplex(psi.delta)
-        self._delta: tuple[list[int], np.ndarray] | None = None
-        # each summand's faces as indices into _delta_faces, summands as in _numbered
-        self._faces: list[list[int]] | None = None
+        # Delta's faces in the order its monomial bases list them: by size, then mask
+        by_size = _cochain_faces(self._ambient)
+        self._masks = [f for faces in by_size for f in faces]
+        self._sizes = [m for m, faces in enumerate(by_size) for _ in faces]
+        # position -> each summand's faces as sorted indices into _masks
+        in_base = base.faces()
+        self._faces = {i: [[k for k, f in enumerate(self._masks) if f | tau in in_base]
+                           for tau in descs]
+                       for i, descs in positions.items()}
         # (position, degree) -> one selection per summand
         self._sels: dict[tuple[int, int], _PositionBasis] = {}
         # position -> [(s, d, sign)] over the summand pairs with a nonzero sign
@@ -188,15 +191,16 @@ class PartitionComplexSpec:
 
     @classmethod
     def full(cls, psi) -> "PartitionComplexSpec":
+        """Stars in Psi of every face of Delta."""
         psi = as_relative(psi)
         positions: dict[int, list] = {}
         for tau in sorted(psi.delta.faces):
             positions.setdefault(_popcount(tau) - 1, []).append(tau)
-        return cls(psi, "full", positions)
+        return cls(psi, positions, psi)
 
     @classmethod
     def interior(cls, disk) -> "PartitionComplexSpec":
-        """Stars of strongly interior faces of a disk pair (Delta, boundary)."""
+        """Stars in Delta of the strongly interior faces of a disk pair (Delta, boundary)."""
         disk = as_relative(disk)
         delta = disk.delta
         interior = 0
@@ -207,62 +211,15 @@ class PartitionComplexSpec:
         for tau in sorted(delta.faces):
             if tau and tau & interior == tau:
                 positions.setdefault(_popcount(tau) - 1, []).append(tau)
-        return cls(disk, "interior", positions)
+        return cls(disk, positions, RelativeComplex(delta))
 
     @property
     def max_position(self) -> int:
         return max(self.positions, default=-1)
 
-    def _delta_faces(self) -> tuple[list[int], np.ndarray]:
-        """Delta's faces in the order its monomial bases list them: by size, then mask.
-
-        Returns the masks in that order and the size of each face, built once.
-        """
-        if self._delta is None:
-            by_size = _cochain_faces(self._ambient)
-            self._delta = ([f for faces in by_size for f in faces],
-                           np.repeat(np.arange(len(by_size), dtype=np.int64),
-                                     [len(faces) for faces in by_size]))
-        return self._delta
-
-    def _numbered(self) -> list[tuple[int, object]]:
-        """(position, descriptor) of every summand, numbered across positions from -1 up."""
-        return [(i, desc) for i in range(-1, self.max_position + 1)
-                for desc in self.positions.get(i, [])]
-
-    def _stars(self) -> list[list[int]]:
-        """Every summand's faces as sorted indices into ``_delta_faces``, built once.
-
-        Summands are numbered as in ``_numbered``. A star is a face
-        selection: sigma lies in st_tau Psi iff sigma + tau is a face of
-        Delta - Gamma (full variant), and in st_tau Delta iff sigma + tau is
-        a face of Delta (interior variant), so one pass over Delta's faces
-        per descriptor finds it.
-        """
-        if self._faces is None:
-            faces = self._delta_faces()[0]
-            base = self.psi.faces() if self.variant == "full" else self.psi.delta.faces
-            self._faces = [[k for k, f in enumerate(faces) if f | tau in base]
-                           for _, tau in self._numbered()]
-        return self._faces
-
     def _star_faces(self, i: int) -> list[frozenset[int]]:
         """The faces of every summand at position i, as a set of face masks each."""
-        masks = self._delta_faces()[0]
-        faces, owner = self._summand_faces(i)
-        return [frozenset(masks[k] for k in faces[owner == s])
-                for s in range(len(self.positions.get(i, [])))]
-
-    def _summand_faces(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """The faces of every summand at position i as indices into ``_delta_faces``.
-
-        Returns the sorted index arrays of the summands concatenated, and
-        the summand each index belongs to.
-        """
-        first = sum(len(self.positions.get(k, [])) for k in range(-1, i))
-        stars = self._stars()[first:first + len(self.positions.get(i, []))]
-        return (np.array([k for star in stars for k in star], dtype=np.int64),
-                np.repeat(np.arange(len(stars)), [len(star) for star in stars]))
+        return [frozenset(self._masks[k] for k in star) for star in self._faces.get(i, [])]
 
     def _basis(self, i: int, j: int) -> _PositionBasis:
         """Position i's degree-j basis as selections of Delta's basis, built once per (i, j).
@@ -273,13 +230,14 @@ class PartitionComplexSpec:
         """
         got = self._sels.get((i, j))
         if got is None:
-            sizes = self._delta_faces()[1]
-            lens = np.array([support_monomial_count(j, m) for m in range(sizes.max(initial=0) + 1)],
-                            dtype=np.int64)[sizes]
-            faces, owner = self._summand_faces(i)
+            sizes, stars = self._sizes, self._faces.get(i, [])
+            counts = [support_monomial_count(j, m) for m in range(max(sizes, default=0) + 1)]
+            lens = np.array(counts, dtype=np.int64)[sizes]
+            faces = np.array([k for star in stars for k in star], dtype=np.int64)
+            owner = np.repeat(np.arange(len(stars)), [len(star) for star in stars])
             flat = _runs((np.cumsum(lens) - lens)[faces], lens[faces])
             flat.setflags(write=False)
-            dims = np.bincount(owner, lens[faces], minlength=len(self.positions.get(i, [])))
+            dims = np.bincount(owner, lens[faces], minlength=len(stars))
             offsets = (0, *np.cumsum(dims, dtype=np.int64).tolist())
             sels = [flat[a:b] for a, b in zip(offsets, offsets[1:])]
             got = self._sels[i, j] = _PositionBasis(flat, sels, offsets, int(lens.sum()))
@@ -382,22 +340,24 @@ class PartitionComplexSpec:
 
         A key lists, for each position from -1 to the top, the descriptors
         of the summands whose module contains sigma, in summand order. It is
-        read off the star selections (``_stars``), and faces held by the
-        same summands share one key.
+        read off the star table, and faces held by the same summands share
+        one key.
         """
+        top = self.max_position
+        # summands numbered across positions from -1 up
+        where = [(i, tau) for i in range(-1, top + 1) for tau in self.positions.get(i, [])]
         holders: dict[int, list[int]] = {}
-        for g, star in enumerate(self._stars()):
+        for g, star in enumerate(star for i in range(-1, top + 1)
+                                 for star in self._faces.get(i, [])):
             for k in star:
                 holders.setdefault(k, []).append(g)
-        sizes = self._delta_faces()[1]
+        sizes = self._sizes
         groups: dict[tuple, dict[int, int]] = {}
         for k, held in holders.items():
-            m = int(sizes[k])
+            m = sizes[k]
             if m <= max_degree:
                 counts = groups.setdefault(tuple(held), {})
                 counts[m] = counts.get(m, 0) + 1
-        top = self.max_position
-        where = self._numbered()
         out: dict[tuple, dict[int, int]] = {}
         for held, counts in groups.items():
             lists: list[list] = [[] for _ in range(top + 2)]
@@ -466,16 +426,16 @@ def partition_homology_dims(psi, field: PrimeField,
 class ReducedPartitionComplex:
     """The star-cover complex with every summand replaced by its quotient.
 
-    Summand k[st_tau Psi]/<Theta> is presented in degree j on the spec's
+    Summand k[st_tau base]/<Theta> is presented in degree j on the spec's
     selection of Delta's monomials, which lists them in the star's own
     basis order. Its relations are its slice of the position's
-    ``mult_pattern``, which drops a product leaving the star as k[st_tau Psi]
+    ``mult_pattern``, which drops a product leaving the star as k[st_tau base]
     does, eliminated on ``GradedQuotientPresentation``'s staged schedule
     (``facering._staged_quotients``); the RREF is unique, so the free
     monomials are those of the star's own presentation. Theta is checked
-    once, on the position -1 module (Psi for the full variant): a face sigma
-    of st_tau Psi lies in the face sigma + tau, and M/<Theta>M is finite
-    iff Theta has full rank on every maximal face of M.
+    once, on the spec's base: a face sigma of st_tau base lies in the face
+    sigma + tau of base, and M/<Theta>M is finite iff Theta has full rank
+    on every maximal face of M.
 
     The Cech differential descends because restriction commutes with
     multiplication by linear forms. A lift is a column selection, so the
@@ -490,8 +450,7 @@ class ReducedPartitionComplex:
         self.pspec = pspec
         self.theta = theta
         self.field = field
-        front = pspec.psi if pspec.variant == "full" else pspec._ambient
-        if not lsop_certificate(front, theta, field):
+        if not lsop_certificate(pspec.base, theta, field):
             raise PartitionError("Theta is not a parameter system for the summand at 0")
         # position -> one {degree: FrozenQuotient} per summand; a degree left out is 0
         self.quotients = {i: [self._summand_quotients(i, s, faces)
@@ -549,7 +508,7 @@ class ReducedPartitionComplex:
 
 def reduced_partition_homology(psi, theta: LinearFormSequence, field: PrimeField,
                                max_degree: int | None = None) -> dict:
-    """Homology table of P*/<Theta> for the full variant."""
+    """Homology table of P*/<Theta> for the partition complex of Psi."""
     pspec = PartitionComplexSpec.full(psi)
     return ReducedPartitionComplex(pspec, theta, field).homology_dims(max_degree)
 
@@ -690,8 +649,8 @@ def interior_partition_check(disk, theta: LinearFormSequence, field: PrimeField,
     pspec = PartitionComplexSpec.interior(disk)
     window = max_degree if max_degree is not None else d + 2
 
-    interior_labels = [delta.labels[i] for v in delta.vertex_masks()
-                       if v not in disk.gamma.faces for i in _bit_positions(v)]
+    interior_labels = [delta.labels[i] for v in pspec.positions.get(0, [])
+                       for i in _bit_positions(v)]
     gamma_vertices = [delta.labels[i] for v in delta.vertex_masks()
                       if v in disk.gamma.faces for i in _bit_positions(v)]
     boundary_induced = delta.induced(gamma_vertices) == disk.gamma

@@ -9,7 +9,7 @@ import pytest
 from srlab import koszul
 from srlab.cli import _COMMANDS, RunConfig, main, parse_complex_file, run
 from srlab.complexes import BUILTIN_EXAMPLES, builtin_complex
-from srlab.facering import first_lsop
+from srlab.facering import trials_until_certified
 from srlab.linalg import DEFAULT_PRIME, PrimeField, SparseMatrix
 
 
@@ -303,7 +303,7 @@ def test_depth_and_cm_ignore_max_degree():
 def test_depth_equals_koszul_depth_of_the_first_certified_theta(name, prime):
     field = PrimeField(prime)
     psi = builtin_complex(name)
-    _, theta = first_lsop(psi, 0, field)
+    _, theta = trials_until_certified(psi, 0, field)
     code, out, err = go(command="depth", input=f"builtin:{name}", prime=prime, format="json")
     assert (code, err) == (0, "")
     got = json.loads(out)
@@ -356,7 +356,7 @@ def test_depth_scan_builds_only_sparse_koszul_differentials(monkeypatch):
     monkeypatch.setattr(koszul.KoszulComplex, "differential", spy)
     field = PrimeField(DEFAULT_PRIME)
     psi = builtin_complex("cross_polytope_4")
-    _, theta = first_lsop(psi, 0, field)
+    _, theta = trials_until_certified(psi, 0, field)
     assert koszul.depth(psi, theta, field) == 4
     assert built and all(isinstance(m, SparseMatrix) for m in built)
 

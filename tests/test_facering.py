@@ -34,7 +34,6 @@ from srlab.facering import (
     _rank_table,
     _uniform,
     expected_lsop_length,
-    first_lsop,
     hilbert_series_coeffs,
     is_lsop,
     lsop_certificate,
@@ -45,6 +44,7 @@ from srlab.facering import (
     random_linear_forms,
     sample_lsop,
     support_monomial_count,
+    trials_until_certified,
 )
 from srlab.linalg import DEFAULT_PRIME, PrimeField, matmul, rref
 
@@ -344,7 +344,7 @@ def _matches_stacked_quotient(psi, theta, field, cap=None):
 def test_staged_quotient_matches_the_stacked_rref(name, p):
     psi = builtin_complex(name)
     field = PrimeField(p)
-    _, theta = first_lsop(psi, 0, field)
+    _, theta = trials_until_certified(psi, 0, field)
     if theta is None:  # no certified l.s.o.p. in budget: any forms of the right length
         theta = random_linear_forms(psi, expected_lsop_length(psi), 0, field)
     _matches_stacked_quotient(psi, theta, field)
@@ -530,14 +530,15 @@ def test_lsop_trials_seed_rule_and_first_certified_trial():
     assert [s for s, _ in lsop_trials(tor, "run", F, trials=2)] == ["run:0", "run:1"]
     assert list(lsop_trials(tor, 0, F, trials=0)) == []
     # an edge over F_2 with one draw per trial: 6 of 16 draws are certified,
-    # and first_lsop returns the first certified trial of the stream
+    # and trials_until_certified reads the stream up to its first certified trial
     edge = builtin_complex("simplex_1")
     stream = list(lsop_trials(edge, 1, F2, trials=20, budget=1))
     hits = [(s, th.forms) for s, th in stream if th is not None]
     assert 0 < len(hits) < len(stream) and stream[0][1] is None
-    s, theta = first_lsop(edge, 1, F2, trials=20, budget=1)
-    assert (s, theta.forms) == hits[0]
-    assert first_lsop(edge, 0, F2, trials=0) == (None, None)
+    seeds, theta = trials_until_certified(edge, 1, F2, trials=20, budget=1)
+    assert seeds == [s for s, _ in stream[:len(seeds)]]
+    assert (seeds[-1], theta.forms) == hits[0]
+    assert trials_until_certified(edge, 0, F2, trials=0) == ([], None)
 
 
 def _k4_graph():

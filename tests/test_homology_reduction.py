@@ -140,6 +140,25 @@ def test_interior_tables_match_full_ranks(disk, exact, q):
     assert exact == (not any(want.values()))
 
 
+def _barycentric_triangle_disk():
+    bary = SimplicialComplex.from_facets((1, 2, 3), [(1, 2, 3)]).barycentric_subdivision()
+    return RelativeComplex(bary, bary.boundary_subcomplex())
+
+
+@pytest.mark.parametrize("disk", [builtin_complex("disk_with_induced_boundary_2"),
+                                  _barycentric_triangle_disk()],
+                         ids=["induced_disk", "barycentric_triangle"])
+@pytest.mark.parametrize("q", [2, 3, DEFAULT_PRIME])
+def test_reduced_interior_tables_match_full_ranks(disk, q):
+    field = PrimeField(q)
+    pspec = PartitionComplexSpec.interior(disk)
+    reduced = ReducedPartitionComplex(pspec, _theta(disk.delta, field), field)
+    top = disk.delta.dim + 2
+    want = _partition_oracle(reduced.space_dim, reduced.differential,
+                             pspec.max_position, top, q)
+    assert reduced.homology_dims(max_degree=top) == want
+
+
 @pytest.mark.parametrize("name,q", [("rp2_6", 2), ("rp2_6", 3), ("torus7", DEFAULT_PRIME),
                                     ("boundary_simplex_3", DEFAULT_PRIME)])
 def test_total_complex_tables_match_full_ranks(name, q):

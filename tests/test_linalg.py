@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from srlab import linalg
 from srlab.complexes import as_relative, builtin_complex, coboundary_matrices
-from srlab.facering import _mult_matrix, _mult_pattern, first_lsop
+from srlab.facering import _mult_matrix, _mult_pattern, trials_until_certified
 from srlab.linalg import (
     DEFAULT_PRIME,
     FrozenQuotient,
@@ -177,7 +177,7 @@ def test_markowitz_rank_densifies_the_live_block_past_its_budget(monkeypatch):
 def test_markowitz_rank_on_total_complex_differentials(monkeypatch, name, p):
     psi = builtin_complex(name)
     field = PrimeField(p)
-    _, theta = first_lsop(psi, 0, field)
+    _, theta = trials_until_certified(psi, 0, field)
     spec = PartitionComplexSpec.full(psi)
     real = linalg._eliminate
     densified = []
@@ -841,7 +841,7 @@ def test_peel_carries_the_total_complex(monkeypatch):
     # most pivots of the total differentials, as LazyHomology ranks them, need
     # no arithmetic; a change that lost the peel would put them back in Python
     psi = builtin_complex("boundary_simplex_3")
-    _, theta = first_lsop(psi, 0, F)
+    _, theta = trials_until_certified(psi, 0, F)
     counts = {"peeled": 0, "rank": 0}
     real_peel, real_rank = linalg._peel_singletons, linalg._markowitz_rank
 

@@ -141,16 +141,9 @@ def _block_sign(src_desc, dst_desc) -> int:
     return -1 if bin(dst_desc & (extra - 1)).count("1") % 2 else 1
 
 
-def _built_star(pspec, tau) -> RelativeComplex:
-    """The summand module of descriptor tau, built as a complex."""
-    if pspec.variant == "full":
-        return pspec.psi.star(tau)
-    return RelativeComplex(pspec.psi.delta).star(tau)
-
-
 def _summands(pspec, i):
     """(descriptor, built module) for every summand at position i."""
-    return [(tau, _built_star(pspec, tau)) for tau in pspec.positions.get(i, [])]
+    return [(tau, pspec.base.star(tau)) for tau in pspec.positions.get(i, [])]
 
 
 def _dense_differential(pspec, i, j, p):
@@ -186,8 +179,11 @@ def _variant_specs():
 
 def test_selections_pick_each_summand_basis_out_of_delta():
     specs = _variant_specs()
-    assert {spec.variant for spec in specs} == {"full", "interior"}
-    assert any(not spec.psi.is_absolute for spec in specs if spec.variant == "full")
+    full, interior = specs[:-2], specs[-2:]
+    assert all(spec.base is spec.psi for spec in full)
+    assert any(not spec.psi.is_absolute for spec in full)
+    for spec in interior:
+        assert spec.base is not spec.psi and spec.base == RelativeComplex(spec.psi.delta)
     for pspec in specs:
         ambient = RelativeComplex(pspec.psi.delta)
         dim = pspec.psi.delta.dim
@@ -562,15 +558,19 @@ def _face_mask_specs():
 
 
 def test_star_selections_are_the_faces_of_the_built_stars():
+    def order(f):
+        return bin(f).count("1"), f
+
     for pspec in _face_mask_specs():
-        masks = pspec._delta_faces()[0]
+        masks = pspec._masks
+        assert masks == sorted(pspec.psi.delta.faces, key=order)
+        assert pspec._sizes == [bin(f).count("1") for f in masks]
         for i in range(-1, pspec.max_position + 1):
-            faces, owner = pspec._summand_faces(i)
-            assert np.array_equal(owner, np.sort(owner))
+            assert len(pspec._faces[i]) == len(pspec.positions[i])
             for s, tau in enumerate(pspec.positions[i]):
-                want = sorted(_built_star(pspec, tau).faces(), key=lambda f: (bin(f).count("1"), f))
-                assert [masks[k] for k in faces[owner == s]] == want
-                assert pspec._star_faces(i)[s] == _built_star(pspec, tau).faces()
+                want = sorted(pspec.base.star(tau).faces(), key=order)
+                assert [masks[k] for k in pspec._faces[i][s]] == want
+                assert pspec._star_faces(i)[s] == pspec.base.star(tau).faces()
 
 
 def _supports_of_built_stars(pspec, max_degree):
@@ -579,7 +579,7 @@ def _supports_of_built_stars(pspec, max_degree):
     lists = {}
     for i in range(-1, top + 1):
         for desc in pspec.positions[i]:
-            for sigma in _built_star(pspec, desc).faces():
+            for sigma in pspec.base.star(desc).faces():
                 lists.setdefault(sigma, [[] for _ in range(top + 2)])[i + 1].append(desc)
     out = {}
     for sigma, descs in lists.items():
